@@ -5,6 +5,7 @@
 
 #include "hw/node.hpp"
 #include "mad/connection.hpp"
+#include "mad/credit_window.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
@@ -251,7 +252,8 @@ class StaticCopyRecvBmm final : public RecvBmm {
       }
       const std::size_t avail = buffer_.used - consumed_;
       const std::size_t chunk = std::min(avail, len - done);
-      if (hold_ != nullptr || tm.try_retain_static_buffer(connection)) {
+      CreditWindow* window = tm.credit_window(connection);
+      if (hold_ != nullptr || window == nullptr || window->try_retain()) {
         out.push_back(BorrowedBlock{
             std::span<const std::byte>(buffer_.memory.data() + consumed_,
                                        chunk),
@@ -307,7 +309,10 @@ class StaticCopyRecvBmm final : public RecvBmm {
     Hold& operator=(const Hold&) = delete;
     ~Hold() {
       if (connection->simulator().current() == nullptr) return;
-      tm->release_retained_static_buffer(*connection, buffer);
+      if (CreditWindow* window = tm->credit_window(*connection)) {
+        window->unretain();
+      }
+      tm->release_static_buffer(*connection, buffer);
     }
   };
 

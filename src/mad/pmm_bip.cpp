@@ -17,8 +17,6 @@ BipPmm::BipPmm(ChannelEndpoint& endpoint, BipPmmOptions options)
       long_tm_(this) {
   NetworkInstance& network = endpoint_.channel().network();
   MAD2_CHECK(network.bip != nullptr, "BipPmm on a non-BIP network");
-  MAD2_CHECK(options_.credit_batch * 2 <= options_.credits,
-             "credit batching must not exhaust the window");
   MAD2_CHECK(options_.credits <= network.bip->params().short_host_slots / 2,
              "credit window exceeds what the BIP buffer pool can back");
   port_ = &network.bip->port(network.port(endpoint_.local()));
@@ -42,10 +40,10 @@ std::uint32_t BipPmm::ctrl_tag(std::uint32_t sender_port) const {
 
 std::unique_ptr<Pmm::ConnState> BipPmm::make_conn_state(
     std::uint32_t remote) {
-  auto state = std::make_unique<State>(&endpoint_.session().simulator());
+  auto state =
+      std::make_unique<State>(&endpoint_.session().simulator(), options_);
   state->remote = remote;
   state->remote_port = endpoint_.channel().network().port(remote);
-  state->credits = options_.credits;
   states_[remote] = state.get();
   by_port_[state->remote_port] = remote;
   peer_order_.push_back(remote);
@@ -92,12 +90,9 @@ void BipPmm::finish_setup() {
 
 void BipPmm::flush_owed_credits() {
   for (auto& [remote, state] : states_) {
-    if (state->credit_owed == 0) continue;
-    // Zero before sending: send_ctrl can block, and the inline
-    // flush-before-block safety net must not double-return these.
-    const std::uint64_t owed = state->credit_owed;
-    state->credit_owed = 0;
-    send_ctrl(*state, CtrlKind::kCredit, owed);
+    if (const std::size_t owed = state->window.take_owed()) {
+      send_ctrl(*state, CtrlKind::kCredit, owed);
+    }
   }
 }
 
@@ -140,8 +135,7 @@ void BipPmm::pump_loop() {
         port_->release_short(slot);
         switch (kind) {
           case CtrlKind::kCredit:
-            state.credits += value;
-            state.credits_wq.notify_all();
+            state.window.grant(value);
             break;
           case CtrlKind::kReq:
             state.reqs.push_back(value);
@@ -269,14 +263,9 @@ void BipShortTm::send_static_buffer(Connection& connection,
   auto& state = connection.state<BipPmm::State>();
   // Credit-based flow control: never exceed the receiver's preallocated
   // buffer pool (the paper's short-TM algorithm).
-  if (state.credits == 0) {
-    MAD2_TRACE_SPAN(wait, obs::Category::kTm, "bip.credit_wait");
-    wait.args(buffer.used);
-    while (state.credits == 0) state.credits_wq.wait();
-  }
-  --state.credits;
+  state.window.acquire("bip.credit_wait", buffer.used);
   MAD2_TRACE_EVENT(obs::Category::kTm, "bip.send_short", nullptr,
-                   buffer.used, state.credits);
+                   buffer.used, state.window.credits());
   const std::uint32_t my_port =
       pmm_->endpoint().channel().network().port(pmm_->endpoint().local());
   pmm_->port().send_short(state.remote_port, pmm_->data_tag(my_port),
@@ -286,12 +275,11 @@ void BipShortTm::send_static_buffer(Connection& connection,
 
 StaticBuffer BipShortTm::receive_static_buffer(Connection& connection) {
   auto& state = connection.state<BipPmm::State>();
-  if (state.data_slots.empty() && state.credit_owed > 0) {
-    // About to block for the next short: flush owed credits first — the
-    // sender may be starved below the batching threshold (retained
-    // lent-out slots shrink its window).
-    pmm_->send_ctrl(state, BipPmm::CtrlKind::kCredit, state.credit_owed);
-    state.credit_owed = 0;
+  if (state.data_slots.empty()) {
+    // About to block for the next short: flush owed credits first.
+    if (const std::size_t owed = state.window.take_owed()) {
+      pmm_->send_ctrl(state, BipPmm::CtrlKind::kCredit, owed);
+    }
   }
   while (state.data_slots.empty()) state.recv_wq.wait();
   net::BipShortSlot slot = state.data_slots.front();
@@ -308,33 +296,15 @@ void BipShortTm::release_static_buffer(Connection& connection,
   // Return credits in batches to amortize the control traffic. Fastpath:
   // the progress tick sends one coalesced return per indebted peer; the
   // flush-before-block net in receive_static_buffer covers stragglers.
-  if (++state.credit_owed >= pmm_->options().credit_batch) {
-    if (pmm_->defer_credits()) {
-      pmm_->ring_doorbell();
-    } else {
-      pmm_->send_ctrl(state, BipPmm::CtrlKind::kCredit, state.credit_owed);
-      state.credit_owed = 0;
-    }
+  if (pmm_->defer_credits()) {
+    if (state.window.count_release()) pmm_->ring_doorbell();
+  } else if (const std::size_t owed = state.window.release()) {
+    pmm_->send_ctrl(state, BipPmm::CtrlKind::kCredit, owed);
   }
 }
 
-bool BipShortTm::try_retain_static_buffer(Connection& connection) {
-  auto& state = connection.state<BipPmm::State>();
-  // Every retained slot permanently shrinks the sender's credit window
-  // until its views are dropped; lending more than half the window could
-  // leave the sender unable to push the data those views are waiting on.
-  if (state.retained >= pmm_->options().credits / 2) return false;
-  ++state.retained;
-  return true;
-}
-
-void BipShortTm::release_retained_static_buffer(Connection& connection,
-                                                StaticBuffer& buffer) {
-  auto& state = connection.state<BipPmm::State>();
-  MAD2_CHECK(state.retained > 0,
-             "retained-slot release without a matching retain");
-  --state.retained;
-  release_static_buffer(connection, buffer);
+CreditWindow* BipShortTm::credit_window(Connection& connection) {
+  return &connection.state<BipPmm::State>().window;
 }
 
 // -------------------------------------------------------------- BipLongTm ---

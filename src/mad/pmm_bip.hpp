@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "mad/bip_options.hpp"
+#include "mad/credit_window.hpp"
 #include "mad/pmm.hpp"
 #include "mad/session.hpp"
 #include "net/bip.hpp"
@@ -44,9 +45,7 @@ class BipShortTm final : public Tm {
   StaticBuffer receive_static_buffer(Connection& connection) override;
   void release_static_buffer(Connection& connection,
                              StaticBuffer& buffer) override;
-  [[nodiscard]] bool try_retain_static_buffer(Connection& connection) override;
-  void release_retained_static_buffer(Connection& connection,
-                                      StaticBuffer& buffer) override;
+  CreditWindow* credit_window(Connection& connection) override;
 
  private:
   BipPmm* pmm_;
@@ -74,9 +73,6 @@ class BipLongTm final : public Tm {
 
 class BipPmm final : public Pmm {
  public:
-  // Defaults, kept for callers that reference the classic window.
-  static constexpr std::size_t kInitialCredits = 8;
-  static constexpr std::size_t kCreditBatch = 4;
   /// Tag-space stride: tags encode (channel, data|ctrl, sender port).
   static constexpr std::uint32_t kMaxPorts = 64;
 
@@ -85,24 +81,20 @@ class BipPmm final : public Pmm {
   [[nodiscard]] std::string_view name() const override { return "bip"; }
 
   struct State : ConnState {
-    explicit State(sim::Simulator* simulator)
-        : credits_wq(simulator), ack_wq(simulator), recv_wq(simulator) {}
+    State(sim::Simulator* simulator, const BipPmmOptions& options)
+        : window(simulator, options.credits, options.credit_batch),
+          ack_wq(simulator),
+          recv_wq(simulator) {}
     std::uint32_t remote = 0;
     std::uint32_t remote_port = 0;
+    CreditWindow window;  // the short TM's, both directions
     // --- send side ---
-    std::size_t credits = 0;  // window set from BipPmmOptions
-    sim::WaitQueue credits_wq;
     std::size_t acks = 0;
     sim::WaitQueue ack_wq;
     // --- receive side (filled by the pump) ---
     std::deque<net::BipShortSlot> data_slots;
     std::deque<std::uint64_t> reqs;  // announced rendezvous sizes
     sim::WaitQueue recv_wq;
-    std::size_t credit_owed = 0;
-    // Received slots lent out past consumption (zero-copy borrows); each
-    // one shrinks the sender's effective credit window until dropped, so
-    // BipShortTm caps them at half the window.
-    std::size_t retained = 0;
   };
 
   std::unique_ptr<ConnState> make_conn_state(std::uint32_t remote) override;
@@ -120,7 +112,6 @@ class BipPmm final : public Pmm {
   [[nodiscard]] net::BipPort& port() { return *port_; }
   [[nodiscard]] ChannelEndpoint& endpoint() { return endpoint_; }
   [[nodiscard]] std::uint32_t short_capacity() const;
-  [[nodiscard]] const BipPmmOptions& options() const { return options_; }
   [[nodiscard]] std::uint32_t data_tag(std::uint32_t sender_port) const;
   [[nodiscard]] std::uint32_t ctrl_tag(std::uint32_t sender_port) const;
 

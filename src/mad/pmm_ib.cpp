@@ -62,10 +62,10 @@ std::size_t IbPmm::recv_pool_size() const {
 }
 
 std::unique_ptr<Pmm::ConnState> IbPmm::make_conn_state(std::uint32_t remote) {
-  auto state = std::make_unique<State>(&endpoint_.session().simulator());
+  auto state = std::make_unique<State>(&endpoint_.session().simulator(),
+                                       window(), options_.credit_batch);
   state->remote = remote;
   state->remote_port = endpoint_.channel().network().port(remote);
-  state->credits = window();
   // Eager receive pool: every incoming send consumes a posted receive, so
   // the pool must back the peer's full data window plus control headroom.
   state->pool.resize(recv_pool_size());
@@ -158,7 +158,7 @@ void IbPmm::mark_dead(State& state, const Status& status) {
   state.dead_status = status.is_ok()
                           ? Status(ErrorCode::kUnavailable, "ib: link dead")
                           : status;
-  state.credits_wq.notify_all();
+  state.window.close();
   state.rdv_wq.notify_all();
   state.recv_wq.notify_all();
   incoming_wq_->notify_all();
@@ -220,8 +220,7 @@ void IbPmm::dispatch(const net::IbCompletion& completion) {
           state.recv_wq.notify_all();
           break;  // buffer handed to the app; reposted on release
         case MsgKind::kCredit:
-          state.credits += value;
-          state.credits_wq.notify_all();
+          state.window.grant(value);
           repost(state, index);
           break;
         case MsgKind::kRts:
@@ -329,13 +328,10 @@ void IbEagerTm::send_static_buffer(Connection& connection,
                                    StaticBuffer& buffer) {
   auto& state = connection.state<IbPmm::State>();
   const std::size_t index = buffer.handle - 1;
-  if (state.credits == 0 && !pmm_->check_dead(state)) {
-    MAD2_TRACE_SPAN(wait, obs::Category::kTm, "ib.credit_wait");
-    wait.args(buffer.used);
-    pmm_->drain_cq();
-    while (state.credits == 0 && !state.dead) state.credits_wq.wait();
-  }
-  if (state.dead) {
+  // A poisoned port closes the window (mark_dead) before we would sleep.
+  if (state.window.credits() == 0) pmm_->check_dead(state);
+  if (!state.window.acquire("ib.credit_wait", buffer.used,
+                            [this] { pmm_->drain_cq(); })) {
     // Link died while we waited for credits: the session is failing, so
     // drop the message and recycle the staging slot instead of re-sleeping
     // on a credit that can never arrive.
@@ -343,7 +339,6 @@ void IbEagerTm::send_static_buffer(Connection& connection,
     buffer = StaticBuffer{};
     return;
   }
-  --state.credits;
   // post_send copies at post time: the staging buffer recycles at once.
   (void)pmm_->port().post_send(
       state.remote_port, pmm_->qp(),
@@ -356,11 +351,11 @@ void IbEagerTm::send_static_buffer(Connection& connection,
 StaticBuffer IbEagerTm::receive_static_buffer(Connection& connection) {
   auto& state = connection.state<IbPmm::State>();
   pmm_->drain_cq();
-  if (state.data_pkts.empty() && state.credit_owed > 0) {
-    // About to block: flush owed credits, the sender may be starved
-    // below the batching threshold.
-    pmm_->send_ctrl(state, IbPmm::MsgKind::kCredit, state.credit_owed);
-    state.credit_owed = 0;
+  if (state.data_pkts.empty()) {
+    // About to block: flush owed credits first.
+    if (const std::size_t owed = state.window.take_owed()) {
+      pmm_->send_ctrl(state, IbPmm::MsgKind::kCredit, owed);
+    }
   }
   while (state.data_pkts.empty() && !state.dead) state.recv_wq.wait();
   if (state.data_pkts.empty()) {
@@ -382,26 +377,13 @@ void IbEagerTm::release_static_buffer(Connection& connection,
   const std::size_t index = buffer.handle - 1;
   pmm_->repost(state, index);
   buffer = StaticBuffer{};
-  if (++state.credit_owed >= pmm_->options().credit_batch) {
-    pmm_->send_ctrl(state, IbPmm::MsgKind::kCredit, state.credit_owed);
-    state.credit_owed = 0;
+  if (const std::size_t owed = state.window.release()) {
+    pmm_->send_ctrl(state, IbPmm::MsgKind::kCredit, owed);
   }
 }
 
-bool IbEagerTm::try_retain_static_buffer(Connection& connection) {
-  auto& state = connection.state<IbPmm::State>();
-  if (state.retained >= pmm_->window() / 2) return false;
-  ++state.retained;
-  return true;
-}
-
-void IbEagerTm::release_retained_static_buffer(Connection& connection,
-                                               StaticBuffer& buffer) {
-  auto& state = connection.state<IbPmm::State>();
-  MAD2_CHECK(state.retained > 0,
-             "retained-slot release without a matching retain");
-  --state.retained;
-  release_static_buffer(connection, buffer);
+CreditWindow* IbEagerTm::credit_window(Connection& connection) {
+  return &connection.state<IbPmm::State>().window;
 }
 
 // ---------------------------------------------------------- IbRdmaWriteTm ---

@@ -32,6 +32,7 @@
 #include <memory>
 #include <vector>
 
+#include "mad/credit_window.hpp"
 #include "mad/ib_options.hpp"
 #include "mad/pmm.hpp"
 #include "mad/session.hpp"
@@ -55,9 +56,7 @@ class IbEagerTm final : public Tm {
   StaticBuffer receive_static_buffer(Connection& connection) override;
   void release_static_buffer(Connection& connection,
                              StaticBuffer& buffer) override;
-  [[nodiscard]] bool try_retain_static_buffer(Connection& connection) override;
-  void release_retained_static_buffer(Connection& connection,
-                                      StaticBuffer& buffer) override;
+  CreditWindow* credit_window(Connection& connection) override;
 
  private:
   IbPmm* pmm_;
@@ -138,13 +137,14 @@ class IbPmm final : public Pmm {
   };
 
   struct State : ConnState {
-    explicit State(sim::Simulator* simulator)
-        : credits_wq(simulator), rdv_wq(simulator), recv_wq(simulator) {}
+    State(sim::Simulator* simulator, std::size_t depth, std::size_t batch)
+        : window(simulator, depth, batch),
+          rdv_wq(simulator),
+          recv_wq(simulator) {}
     std::uint32_t remote = 0;
     std::uint32_t remote_port = 0;
+    CreditWindow window;  // the eager TM's (= IbParams::qp_depth), both ways
     // --- send side ---
-    std::size_t credits = 0;  // window = IbParams::qp_depth
-    sim::WaitQueue credits_wq;
     std::deque<Cts> cts_queue;       // answers to our RTS
     std::size_t write_acks = 0;      // kRdmaWrite completions reaped
     std::size_t read_done_acks = 0;  // kDone messages received
@@ -156,8 +156,6 @@ class IbPmm final : public Pmm {
     std::deque<std::uint64_t> write_imms;    // landed write seqs
     std::size_t read_dones = 0;              // kRdmaRead completions
     sim::WaitQueue recv_wq;
-    std::size_t credit_owed = 0;
-    std::size_t retained = 0;
     std::uint64_t next_seq = 1;
     // Pre-registered, pre-posted eager receive pool.
     std::vector<std::vector<std::byte>> pool;

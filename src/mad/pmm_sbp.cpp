@@ -14,8 +14,6 @@ SbpPmm::SbpPmm(ChannelEndpoint& endpoint)
   port_ = &network.sbp->port(network.port(endpoint_.local()));
   incoming_wq_ =
       std::make_unique<sim::WaitQueue>(&endpoint_.session().simulator());
-  static_assert(kCreditBatch * 2 <= kInitialCredits,
-                "credit batching must not exhaust the window");
 }
 
 std::uint32_t SbpPmm::data_tag(std::uint32_t sender_port) const {
@@ -72,8 +70,7 @@ void SbpPmm::pump_loop() {
 
     if (is_ctrl) {
       MAD2_CHECK(buffer.data.size() == 8, "malformed SBP credit packet");
-      state.credits += load_u64(buffer.data.data());
-      state.credits_wq.notify_all();
+      state.window.grant(load_u64(buffer.data.data()));
       port_->release(buffer);
     } else {
       state.incoming.push_back(buffer);
@@ -159,12 +156,7 @@ StaticBuffer SbpTm::obtain_static_buffer(Connection&) {
 void SbpTm::send_static_buffer(Connection& connection,
                                StaticBuffer& buffer) {
   auto& state = connection.state<SbpPmm::State>();
-  if (state.credits == 0) {
-    MAD2_TRACE_SPAN(wait, obs::Category::kTm, "sbp.credit_wait");
-    wait.args(buffer.used);
-    while (state.credits == 0) state.credits_wq.wait();
-  }
-  --state.credits;
+  state.window.acquire("sbp.credit_wait", buffer.used);
   net::SbpTxBuffer raw = pmm_->unwrap_tx(buffer);
   const std::uint32_t my_port = pmm_->endpoint().channel().network().port(
       pmm_->endpoint().local());
@@ -175,11 +167,11 @@ void SbpTm::send_static_buffer(Connection& connection,
 
 StaticBuffer SbpTm::receive_static_buffer(Connection& connection) {
   auto& state = connection.state<SbpPmm::State>();
-  if (state.incoming.empty() && state.credit_owed > 0) {
-    // About to block: flush owed credits, the sender may be starved
-    // below the batching threshold.
-    pmm_->send_credits(state, state.credit_owed);
-    state.credit_owed = 0;
+  if (state.incoming.empty()) {
+    // About to block: flush owed credits first.
+    if (const std::size_t owed = state.window.take_owed()) {
+      pmm_->send_credits(state, owed);
+    }
   }
   while (state.incoming.empty()) state.recv_wq.wait();
   net::SbpRxBuffer buffer = state.incoming.front();
@@ -193,26 +185,13 @@ void SbpTm::release_static_buffer(Connection& connection,
   net::SbpRxBuffer raw = pmm_->unwrap(buffer);
   pmm_->port().release(raw);
   buffer = StaticBuffer{};
-  if (++state.credit_owed >= SbpPmm::kCreditBatch) {
-    pmm_->send_credits(state, state.credit_owed);
-    state.credit_owed = 0;
+  if (const std::size_t owed = state.window.release()) {
+    pmm_->send_credits(state, owed);
   }
 }
 
-bool SbpTm::try_retain_static_buffer(Connection& connection) {
-  auto& state = connection.state<SbpPmm::State>();
-  if (state.retained >= SbpPmm::kInitialCredits / 2) return false;
-  ++state.retained;
-  return true;
-}
-
-void SbpTm::release_retained_static_buffer(Connection& connection,
-                                           StaticBuffer& buffer) {
-  auto& state = connection.state<SbpPmm::State>();
-  MAD2_CHECK(state.retained > 0,
-             "retained-slot release without a matching retain");
-  --state.retained;
-  release_static_buffer(connection, buffer);
+CreditWindow* SbpTm::credit_window(Connection& connection) {
+  return &connection.state<SbpPmm::State>().window;
 }
 
 

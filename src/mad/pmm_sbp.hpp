@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "mad/credit_window.hpp"
 #include "mad/pmm.hpp"
 #include "mad/session.hpp"
 #include "net/sbp.hpp"
@@ -31,9 +32,7 @@ class SbpTm final : public Tm {
   StaticBuffer receive_static_buffer(Connection& connection) override;
   void release_static_buffer(Connection& connection,
                              StaticBuffer& buffer) override;
-  [[nodiscard]] bool try_retain_static_buffer(Connection& connection) override;
-  void release_retained_static_buffer(Connection& connection,
-                                      StaticBuffer& buffer) override;
+  CreditWindow* credit_window(Connection& connection) override;
 
  private:
   SbpPmm* pmm_;
@@ -51,17 +50,13 @@ class SbpPmm final : public Pmm {
 
   struct State : ConnState {
     explicit State(sim::Simulator* simulator)
-        : credits_wq(simulator), recv_wq(simulator) {}
+        : window(simulator, kInitialCredits, kCreditBatch),
+          recv_wq(simulator) {}
     std::uint32_t remote = 0;
     std::uint32_t remote_port = 0;
-    std::size_t credits = kInitialCredits;
-    sim::WaitQueue credits_wq;
+    CreditWindow window;  // both directions
     std::deque<net::SbpRxBuffer> incoming;
     sim::WaitQueue recv_wq;
-    std::size_t credit_owed = 0;
-    // Slots lent out past consumption (zero-copy borrows), capped at half
-    // the credit window so the sender cannot be starved by held views.
-    std::size_t retained = 0;
   };
 
   std::unique_ptr<ConnState> make_conn_state(std::uint32_t remote) override;

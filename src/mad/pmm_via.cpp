@@ -15,8 +15,6 @@ ViaPmm::ViaPmm(ChannelEndpoint& endpoint)
   port_ = &network.via->port(network.port(endpoint_.local()));
   incoming_wq_ =
       std::make_unique<sim::WaitQueue>(&endpoint_.session().simulator());
-  static_assert(kCreditBatch * 2 <= kInitialCredits,
-                "credit batching must not exhaust the window");
 }
 
 std::uint32_t ViaPmm::short_vi() const {
@@ -105,8 +103,7 @@ void ViaPmm::pump_loop() {
         port_->post_recv(ready->remote_port, ready->pool[index], short_vi());
         break;
       case PacketKind::kCredit:
-        ready->credits += value;
-        ready->credits_wq.notify_all();
+        ready->window.grant(value);
         port_->post_recv(ready->remote_port, ready->pool[index], short_vi());
         break;
     }
@@ -176,12 +173,7 @@ void ViaShortTm::send_static_buffer(Connection& connection,
             static_cast<std::uint32_t>(ViaPmm::PacketKind::kData));
   store_u32(packet.data() + 4, static_cast<std::uint32_t>(buffer.used));
 
-  if (state.credits == 0) {
-    MAD2_TRACE_SPAN(wait, obs::Category::kTm, "via.credit_wait");
-    wait.args(buffer.used);
-    while (state.credits == 0) state.credits_wq.wait();
-  }
-  --state.credits;
+  state.window.acquire("via.credit_wait", buffer.used);
   pmm_->port().send(
       state.remote_port,
       std::span<const std::byte>(packet).subspan(
@@ -193,11 +185,11 @@ void ViaShortTm::send_static_buffer(Connection& connection,
 
 StaticBuffer ViaShortTm::receive_static_buffer(Connection& connection) {
   auto& state = connection.state<ViaPmm::State>();
-  if (state.data_pkts.empty() && state.credit_owed > 0) {
-    // About to block: flush owed credits, the sender may be starved
-    // below the batching threshold.
-    pmm_->send_ctrl(state, ViaPmm::PacketKind::kCredit, state.credit_owed);
-    state.credit_owed = 0;
+  if (state.data_pkts.empty()) {
+    // About to block: flush owed credits first.
+    if (const std::size_t owed = state.window.take_owed()) {
+      pmm_->send_ctrl(state, ViaPmm::PacketKind::kCredit, owed);
+    }
   }
   while (state.data_pkts.empty()) state.recv_wq.wait();
   auto [index, bytes] = state.data_pkts.front();
@@ -215,26 +207,13 @@ void ViaShortTm::release_static_buffer(Connection& connection,
   pmm_->port().post_recv(state.remote_port, state.pool[index],
                          pmm_->short_vi());
   buffer = StaticBuffer{};
-  if (++state.credit_owed >= ViaPmm::kCreditBatch) {
-    pmm_->send_ctrl(state, ViaPmm::PacketKind::kCredit, state.credit_owed);
-    state.credit_owed = 0;
+  if (const std::size_t owed = state.window.release()) {
+    pmm_->send_ctrl(state, ViaPmm::PacketKind::kCredit, owed);
   }
 }
 
-bool ViaShortTm::try_retain_static_buffer(Connection& connection) {
-  auto& state = connection.state<ViaPmm::State>();
-  if (state.retained >= ViaPmm::kInitialCredits / 2) return false;
-  ++state.retained;
-  return true;
-}
-
-void ViaShortTm::release_retained_static_buffer(Connection& connection,
-                                                StaticBuffer& buffer) {
-  auto& state = connection.state<ViaPmm::State>();
-  MAD2_CHECK(state.retained > 0,
-             "retained-slot release without a matching retain");
-  --state.retained;
-  release_static_buffer(connection, buffer);
+CreditWindow* ViaShortTm::credit_window(Connection& connection) {
+  return &connection.state<ViaPmm::State>().window;
 }
 
 // --------------------------------------------------------------- ViaBulkTm ---

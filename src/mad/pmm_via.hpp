@@ -17,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "mad/credit_window.hpp"
 #include "mad/pmm.hpp"
 #include "mad/session.hpp"
 #include "net/via.hpp"
@@ -39,9 +40,7 @@ class ViaShortTm final : public Tm {
   StaticBuffer receive_static_buffer(Connection& connection) override;
   void release_static_buffer(Connection& connection,
                              StaticBuffer& buffer) override;
-  [[nodiscard]] bool try_retain_static_buffer(Connection& connection) override;
-  void release_retained_static_buffer(Connection& connection,
-                                      StaticBuffer& buffer) override;
+  CreditWindow* credit_window(Connection& connection) override;
 
  private:
   ViaPmm* pmm_;
@@ -90,12 +89,13 @@ class ViaPmm final : public Pmm {
 
   struct State : ConnState {
     explicit State(sim::Simulator* simulator)
-        : credits_wq(simulator), ack_wq(simulator), recv_wq(simulator) {}
+        : window(simulator, kInitialCredits, kCreditBatch),
+          ack_wq(simulator),
+          recv_wq(simulator) {}
     std::uint32_t remote = 0;
     std::uint32_t remote_port = 0;
+    CreditWindow window;  // the short TM's, both directions
     // --- send side ---
-    std::size_t credits = kInitialCredits;
-    sim::WaitQueue credits_wq;
     std::size_t acks = 0;
     sim::WaitQueue ack_wq;
     // --- receive side (filled by the pump) ---
@@ -103,10 +103,6 @@ class ViaPmm final : public Pmm {
     std::deque<std::pair<std::size_t, std::size_t>> data_pkts;
     std::deque<std::uint64_t> reqs;
     sim::WaitQueue recv_wq;
-    std::size_t credit_owed = 0;
-    // Slots lent out past consumption (zero-copy borrows), capped at half
-    // the credit window so the sender cannot be starved by held views.
-    std::size_t retained = 0;
     // Preregistered, pre-posted receive buffers for VI 0.
     std::vector<std::vector<std::byte>> pool;
   };

@@ -21,6 +21,7 @@
 namespace mad2::mad {
 
 class Connection;
+class CreditWindow;
 
 class Tm {
  public:
@@ -70,21 +71,12 @@ class Tm {
   virtual void release_static_buffer(Connection& connection,
                                      StaticBuffer& buffer);
 
-  /// Ask to keep the current receive buffer alive past its consumption
-  /// (zero-copy lending, see RecvBmm::unpack_borrow). Flow-controlled TMs
-  /// veto this when too many retained buffers would starve the sender's
-  /// credit window. A true return reserves the retention and must be
-  /// paired with release_retained_static_buffer once the lent buffer is
-  /// finally dropped.
-  [[nodiscard]] virtual bool try_retain_static_buffer(Connection&) {
-    return true;
-  }
-
-  /// Release a buffer whose retention was granted by
-  /// try_retain_static_buffer.
-  virtual void release_retained_static_buffer(Connection& connection,
-                                              StaticBuffer& buffer) {
-    release_static_buffer(connection, buffer);
+  /// The credit window governing this TM's static buffers on
+  /// `connection`, or nullptr for a TM without flow control. Zero-copy
+  /// lending (RecvBmm::unpack_borrow) keeps a receive buffer past its
+  /// consumption only when the window grants the retention.
+  [[nodiscard]] virtual CreditWindow* credit_window(Connection&) {
+    return nullptr;
   }
 };
 

@@ -4,6 +4,7 @@
 // gateways, odd MTUs, and lossy TCP hops riding the reliable shim.
 #include <gtest/gtest.h>
 
+#include "credit_balance.hpp"
 #include "fwd/virtual_channel.hpp"
 #include "net/fault.hpp"
 #include "sim/explore.hpp"
@@ -177,17 +178,21 @@ TEST_P(FwdFuzz, RandomSchedulesSurviveTheGateway) {
     EXPECT_GT(session.endpoint("cl", 0).stats().reliability.data_frames,
               0u);
   }
+  // Every credit-governed hop has its whole window back at quiescence.
+  EXPECT_EQ(mad::credit_imbalance(session, "cl", 0, 1), "");
+  EXPECT_EQ(mad::credit_imbalance(session, "cr", 1, 2), "");
 }
 
 // ------------------------------------------------------------ madcheck ---
 
 // Schedule exploration x payload fuzz: every explored schedule also runs
 // a *different* randomized message plan (the run counter seeds the plan),
-// so schedule-space and payload-space are swept together. Odd MTU and
-// paranoid hops maximize the per-packet work racing at the gateway.
-TEST(FwdFuzzExplore, VariedPayloadsSurviveAnySchedule) {
+// so schedule-space and payload-space are swept together. Each schedule
+// must deliver intact and leave every credit window on the path whole.
+sim::ExploreResult explore_gateway(NetworkKind left_kind,
+                                   NetworkKind right_kind, bool paranoid) {
   int run_index = 0;
-  const auto body = [&run_index]() -> Status {
+  const auto body = [&]() -> Status {
     const std::uint64_t plan_seed = 1000 + run_index++;
     Rng rng(plan_seed);
     std::string failure;
@@ -199,17 +204,17 @@ TEST(FwdFuzzExplore, VariedPayloadsSurviveAnySchedule) {
     config.node_count = 3;
     NetworkDef left;
     left.name = "left";
-    left.kind = NetworkKind::kSisci;
+    left.kind = left_kind;
     left.nodes = {0, 1};
     NetworkDef right;
     right.name = "right";
-    right.kind = NetworkKind::kBip;
+    right.kind = right_kind;
     right.nodes = {1, 2};
     config.networks = {left, right};
     ChannelDef cl{"cl", "left"};
-    cl.paranoid = true;
+    cl.paranoid = paranoid;
     ChannelDef cr{"cr", "right"};
-    cr.paranoid = true;
+    cr.paranoid = paranoid;
     config.channels = {cl, cr};
     Session session(std::move(config));
     VirtualChannelDef def;
@@ -262,6 +267,11 @@ TEST(FwdFuzzExplore, VariedPayloadsSurviveAnySchedule) {
     const Status run = session.run();
     if (!run.is_ok()) return run;
     if (!failure.empty()) return internal_error(failure);
+    std::string imbalance = mad::credit_imbalance(session, "cl", 0, 1);
+    if (imbalance.empty()) {
+      imbalance = mad::credit_imbalance(session, "cr", 1, 2);
+    }
+    if (!imbalance.empty()) return internal_error(imbalance);
     return Status::ok();
   };
   sim::ExploreOptions options;
@@ -272,7 +282,27 @@ TEST(FwdFuzzExplore, VariedPayloadsSurviveAnySchedule) {
   // stale prefixes. Random walks and the FIFO baseline do not replay.
   options.max_exhaustive_runs = 0;
   options.shrink = false;  // shrinking also assumes idempotence
-  const sim::ExploreResult result = sim::explore(body, options);
+  return sim::explore(body, options);
+}
+
+// Odd MTU and paranoid hops maximize the per-packet work racing at the
+// gateway.
+TEST(FwdFuzzExplore, VariedPayloadsSurviveAnySchedule) {
+  const sim::ExploreResult result =
+      explore_gateway(NetworkKind::kSisci, NetworkKind::kBip,
+                      /*paranoid=*/true);
+  EXPECT_TRUE(result.ok) << result.summary();
+  EXPECT_GE(result.runs, 200);
+}
+
+// Paranoid channels never lend zero-copy borrows. Over a plain SBP input
+// hop the gateway's rx fiber borrows credit-governed slots, so schedules
+// race its tx fiber's retained-slot releases against the rx fiber's
+// flush-before-block credit returns.
+TEST(FwdFuzzExplore, LentSlotsSurviveAnySchedule) {
+  const sim::ExploreResult result =
+      explore_gateway(NetworkKind::kSbp, NetworkKind::kBip,
+                      /*paranoid=*/false);
   EXPECT_TRUE(result.ok) << result.summary();
   EXPECT_GE(result.runs, 200);
 }

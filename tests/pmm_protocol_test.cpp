@@ -3,6 +3,7 @@
 // through the per-TM traffic statistics.
 #include <gtest/gtest.h>
 
+#include "credit_balance.hpp"
 #include "mad/madeleine.hpp"
 #include "util/bytes.hpp"
 
@@ -93,9 +94,10 @@ TEST(PmmProtocol, TcpAndSbpAreSingleTm) {
 
 TEST(PmmProtocol, CreditWindowThrottlesButNeverDeadlocks) {
   // Stream far more small messages than the credit window in both
-  // directions at once, on every credit-governed driver.
-  for (NetworkKind kind :
-       {NetworkKind::kBip, NetworkKind::kVia, NetworkKind::kSbp}) {
+  // directions at once, on every credit-governed driver; afterwards both
+  // windows must be whole again.
+  for (NetworkKind kind : {NetworkKind::kBip, NetworkKind::kVia,
+                           NetworkKind::kSbp, NetworkKind::kIb}) {
     Session session(one_net(kind));
     const int messages = 200;
     int verified = 0;
@@ -121,6 +123,9 @@ TEST(PmmProtocol, CreditWindowThrottlesButNeverDeadlocks) {
     }
     ASSERT_TRUE(session.run().is_ok()) << to_string(kind);
     EXPECT_EQ(verified, 2 * messages) << to_string(kind);
+    ASSERT_NE(credit_window_of(session, "ch", 0, 1), nullptr)
+        << to_string(kind);
+    EXPECT_EQ(credit_imbalance(session, "ch", 0, 1), "") << to_string(kind);
   }
 }
 
