@@ -1,6 +1,9 @@
 // Tests for the session config parser and the traffic statistics.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "mad/config_parser.hpp"
 #include "mad/madeleine.hpp"
 #include "util/bytes.hpp"
@@ -172,6 +175,16 @@ struct BadCase {
   const char* expected;
 };
 
+// The default printer shows a BadCase as its two pointer values, which
+// differ from run to run; print the expected message instead.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.expected; }
+
+// "case07": gtest would name a case by its bare index, and the ctest
+// discovery script then swaps that index for the printed parameter.
+std::string bad_case_name(const testing::TestParamInfo<BadCase>& info) {
+  return (info.index < 10 ? "case0" : "case") + std::to_string(info.index);
+}
+
 class ConfigErrors : public testing::TestWithParam<BadCase> {};
 
 INSTANTIATE_TEST_SUITE_P(
@@ -280,7 +293,8 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"nodes 2\ntopology replay_quota=lots\n",
                 "invalid topology replay_quota"},
         BadCase{"nodes 2\ntopology turbo=1\n",
-                "unknown topology option"}));
+                "unknown topology option"}),
+    bad_case_name);
 
 TEST_P(ConfigErrors, AreReportedWithContext) {
   auto result = parse_session_config(GetParam().text);
