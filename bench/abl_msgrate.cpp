@@ -2,11 +2,11 @@
 //
 // One sender floods one receiver with small messages (8/64/256 B) over a
 // TCP channel and a BIP channel, with the `fastpath` session stanza off
-// (legacy per-message path) and on (dispatch tables + batched progress
-// engine). The figure of merit is messages per simulated second measured
-// at the receiver, plus the per-message sender CPU ticks spent in the
-// pack path (mad::SwitchCounters::pack_cpu_ticks) and the fast/legacy
-// selection split.
+// (legacy per-message path) and on (batched progress engine). The figure
+// of merit is messages per simulated second measured at the receiver,
+// plus the per-message sender CPU ticks spent in the pack path
+// (mad::SwitchCounters::pack_cpu_ticks) and the dispatch-table select
+// count.
 //
 // The TCP network runs at a gigabit-class 125 MB/s wire (instead of the
 // default Fast Ethernet 12.5 MB/s) so that even the 256 B point is
@@ -55,7 +55,6 @@ struct RateResult {
   double sim_us_per_msg = 0.0;
   double pack_ticks_per_msg = 0.0;
   std::uint64_t fast_selects = 0;
-  std::uint64_t legacy_selects = 0;
   std::uint64_t alloc_delta = 0;  // sender + receiver, post-warmup flood
 };
 
@@ -109,7 +108,6 @@ RateResult run_flood(mad::NetworkKind kind, std::size_t size,
   result.pack_ticks_per_msg =
       static_cast<double>(stats.switching.pack_cpu_ticks) / kTotal;
   result.fast_selects = stats.switching.fast_selects;
-  result.legacy_selects = stats.switching.legacy_selects;
   result.alloc_delta = (sender_alloc_end - sender_alloc_start) +
                        (recv_alloc_end - recv_alloc_start);
   return result;
@@ -142,12 +140,11 @@ void write_msgrate_json(const std::vector<std::uint64_t>& sizes,
           out,
           "      {\"size\": %llu, \"msgs_per_sec\": %.1f, "
           "\"sim_us_per_msg\": %.4f, \"pack_ticks_per_msg\": %.1f, "
-          "\"fast_selects\": %llu, \"legacy_selects\": %llu, "
+          "\"fast_selects\": %llu, "
           "\"alloc_delta\": %llu}%s\n",
           static_cast<unsigned long long>(sizes[i]), r.msgs_per_sec,
           r.sim_us_per_msg, r.pack_ticks_per_msg,
           static_cast<unsigned long long>(r.fast_selects),
-          static_cast<unsigned long long>(r.legacy_selects),
           static_cast<unsigned long long>(r.alloc_delta),
           i + 1 < series[s].points.size() ? "," : "");
     }

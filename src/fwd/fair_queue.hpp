@@ -1,15 +1,15 @@
 // Weighted-fair gateway forwarding queue (deficit round robin).
 //
 // The pipelined gateway of a virtual channel exchanges packets between
-// its rx and tx fibers through a bounded queue. The plain BoundedChannel
-// is FIFO: under incast, one bulk sender's backlog occupies every slot
-// and a latency-sensitive packet waits behind all of it (head-of-line
-// blocking). FairPacketQueue keeps the same bounded blocking interface
-// but dequeues in deficit-round-robin order across (src, dst) flows:
-// each flow earns `quantum` bytes of deficit per round and is served
-// while its deficit covers the head packet, so every backlogged flow
-// gets an equal byte share of the outgoing hop and a short flow overtakes
-// a long backlog within one round.
+// its rx and tx fibers through a bounded PacketQueue. The plain
+// FifoPacketQueue serves arrival order: under incast, one bulk sender's
+// backlog occupies every slot and a latency-sensitive packet waits behind
+// all of it (head-of-line blocking). FairPacketQueue keeps the same
+// bounded blocking interface but dequeues in deficit-round-robin order
+// across (src, dst) flows: each flow earns `quantum` bytes of deficit per
+// round and is served while its deficit covers the head packet, so every
+// backlogged flow gets an equal byte share of the outgoing hop and a
+// short flow overtakes a long backlog within one round.
 //
 // Per-flow depth high-water marks are tracked so tests can assert queue
 // boundedness without parsing trace dumps (TrafficStats::FlowCounters).
@@ -22,12 +22,12 @@
 #include <map>
 #include <optional>
 
-#include "fwd/virtual_channel.hpp"
+#include "fwd/packet_queue.hpp"
 #include "sim/sync.hpp"
 
 namespace mad2::fwd {
 
-class FairPacketQueue {
+class FairPacketQueue final : public PacketQueue {
  public:
   /// `capacity` bounds the total queued packets (backpressure to the rx
   /// fiber); `quantum` is the DRR deficit replenished per round, bytes.
@@ -35,12 +35,11 @@ class FairPacketQueue {
                   std::size_t quantum);
 
   /// Blocks while the queue is at capacity.
-  void send(Packet packet);
+  void send(Packet packet) override;
   /// Blocks while the queue is empty; nullopt after close() drained it.
-  std::optional<Packet> receive();
+  std::optional<Packet> receive() override;
   /// Non-blocking receive: the next DRR packet, or nullopt when empty.
-  /// Used to drain a dead gateway's queue without parking a fiber on it.
-  std::optional<Packet> try_receive();
+  std::optional<Packet> try_receive() override;
   void close();
 
   /// Weighted-fair share: the flow's deficit replenishes by
@@ -60,7 +59,7 @@ class FairPacketQueue {
       const {
     return flows_stats_;
   }
-  [[nodiscard]] std::size_t depth() const { return depth_; }
+  [[nodiscard]] std::size_t depth() const override { return depth_; }
   [[nodiscard]] std::size_t depth_hwm() const { return depth_hwm_; }
 
   [[nodiscard]] static std::uint64_t flow_key(std::uint32_t src,

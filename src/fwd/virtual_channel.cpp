@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "fwd/fair_queue.hpp"
+#include "fwd/packet_queue.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span_weaver.hpp"
 #include "obs/trace.hpp"
@@ -29,6 +30,13 @@ std::vector<std::size_t> hops_containing(
   return result;
 }
 
+/// The channel-def override if set, else the session's setting, else off.
+template <typename T>
+T resolve(const std::optional<T>& def_value,
+          const std::optional<T>& session_value) {
+  return def_value.value_or(session_value.value_or(T{}));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------- VirtualChannel ---
@@ -37,21 +45,12 @@ VirtualChannel::VirtualChannel(mad::Session& session, VirtualChannelDef def)
     : session_(&session), def_(std::move(def)), pool_(def_.mtu) {
   MAD2_CHECK(!def_.hops.empty(), "virtual channel needs at least one hop");
   MAD2_CHECK(def_.mtu > kBlockHeaderBytes, "MTU too small");
-  if (def_.congestion.has_value()) {
-    congestion_ = *def_.congestion;
-  } else if (session_->config().congestion.has_value()) {
-    congestion_ = *session_->config().congestion;
-  }
-  if (def_.topology.has_value()) {
-    topology_ = *def_.topology;
-  } else if (session_->config().topology.has_value()) {
-    topology_ = *session_->config().topology;
-  }
-  if (def_.propagation.has_value()) {
-    propagation_ = *def_.propagation;
-  } else if (session_->config().trace.has_value()) {
-    propagation_ = session_->config().trace->propagation;
-  }
+  const mad::SessionConfig& config = session_->config();
+  congestion_ = resolve(def_.congestion, config.congestion);
+  topology_ = resolve(def_.topology, config.topology);
+  propagation_ = resolve(def_.propagation,
+                         config.trace ? std::optional(config.trace->propagation)
+                                      : std::nullopt);
   if (topology_.enabled) {
     MAD2_CHECK(topology_.replay_quota > 0,
                "topology replay_quota must be positive");
@@ -407,186 +406,85 @@ Packet VirtualChannel::receive_packet(mad::ChannelEndpoint& hop_endpoint,
 
 void VirtualChannel::spawn_gateway(std::uint32_t gateway, std::size_t hop_in,
                                    std::size_t hop_out) {
-  // One pipeline per direction; each is the paper's Figure 9: a receiving
-  // fiber and a sending fiber exchanging a bounded pool of packet buffers
-  // (pipeline_depth == 2 -> dual buffering). pipeline_depth <= 1 degrades
-  // to strict store-and-forward (one fiber receives, then sends) — the
-  // no-overlap baseline the dual-buffering design improves on. Either
-  // way the landed buffer is forwarded with its original gather list and
-  // recycled afterwards: the gateway never consolidates the payload.
+  // One pump per direction; each is the paper's Figure 9: a receiving
+  // fiber and a sending fiber exchanging a bounded queue of packet buffers
+  // (pipeline_depth == 2 -> dual buffering). Under congestion control the
+  // queue is deficit-round-robin keyed by (src, dst), so one heavy flow
+  // converging on this gateway cannot monopolize the outgoing hop.
+  // pipeline_depth <= 1 degrades to strict store-and-forward (no queue:
+  // the receiving fiber forwards inline) — the no-overlap baseline the
+  // dual-buffering design improves on. Either way the landed buffer is
+  // forwarded with its original gather list and recycled afterwards: the
+  // gateway never consolidates the payload.
   auto spawn_direction = [this, gateway](std::size_t in, std::size_t out) {
-    if (def_.pipeline_depth <= 1) {
-      pumps_.push_back(GatewayPump{gateway, in, out, nullptr, nullptr});
-      session_->simulator().spawn_daemon(
-          def_.name + ".gw" + std::to_string(gateway) + "." +
-              std::to_string(in) + "to" + std::to_string(out) + ".sf",
-          [this, in, out, gateway] {
-            mad::ChannelEndpoint& ep_in =
-                hop_channels_[in]->endpoint(gateway);
-            mad::ChannelEndpoint& ep_out =
-                hop_channels_[out]->endpoint(gateway);
-            for (;;) {
-              Packet packet = receive_packet(ep_in);
-              const sim::Time landed = session_->simulator().now();
-              // Dead-check before the sanity CHECK: a poisoned stream
-              // hands a dying gateway zero-filled truncated packets
-              // whose garbage headers must not trip assertions.
-              if (resilient()) {
-                note_gateway_packet(gateway);
-                if (!session_->hostdb().alive(gateway)) {
-                  ++counters_.discarded;
-                  continue;  // dead gateway black-holes; replay redelivers
-                }
-              }
-              MAD2_CHECK(packet.header.dst != gateway,
-                         "forwarding packet addressed to the gateway");
-              const std::uint32_t to =
-                  next_node(out, packet.header.src, packet.header.dst);
-              // Gateway residence: from fully landed to fully re-sent.
-              MAD2_TRACE_SPAN(hop, obs::Category::kFwd, "fwd.hop",
-                              "store_forward");
-              hop.args(packet.header.payload_len, packet.header.dst);
-              ++forwarded_by_gateway_[gateway];
-              if (propagation_) {
-                // Store-and-forward holds no queue: the packet leaves the
-                // moment it landed, so residence collapses to a point.
-                const sim::Time t = session_->simulator().now();
-                packet.trace.push(gateway, landed, t, t);
-              }
-              send_packet(ep_out, to, packet.header, packet.storage->pieces,
-                          packet.storage->sizes, packet.stamp, packet.seq,
-                          &packet.trace);
-            }
-          });
-      return;
+    sim::Simulator& simulator = session_->simulator();
+    PacketQueue* queue = nullptr;
+    if (def_.pipeline_depth > 1) {
+      if (congestion_.enabled) {
+        auto fair = std::make_unique<FairPacketQueue>(
+            &simulator, congestion_.gateway_queue, congestion_.quantum);
+        fair_queues_.push_back(fair.get());
+        queues_.push_back(std::move(fair));
+      } else {
+        queues_.push_back(std::make_unique<FifoPacketQueue>(
+            &simulator, def_.pipeline_depth));
+      }
+      queue = queues_.back().get();
     }
+    const GatewayPump pump{gateway, in, out, queue};
+    pumps_.push_back(pump);
     const std::string tag = def_.name + ".gw" + std::to_string(gateway) +
                             "." + std::to_string(in) + "to" +
                             std::to_string(out);
-    if (congestion_.enabled) {
-      // Congestion mode swaps the FIFO pipeline queue for a deficit-
-      // round-robin queue keyed by (src, dst): when N inbound flows
-      // converge on this gateway, the tx fiber drains them by byte-fair
-      // quanta instead of arrival order, so one heavy flow cannot
-      // monopolize the outgoing hop.
-      fair_queues_.push_back(std::make_unique<FairPacketQueue>(
-          &session_->simulator(), congestion_.gateway_queue,
-          congestion_.quantum));
-      FairPacketQueue* queue = fair_queues_.back().get();
-      pumps_.push_back(GatewayPump{gateway, in, out, nullptr, queue});
-      session_->simulator().spawn_daemon(tag + ".rx", [this, in, gateway,
-                                                       queue] {
-        mad::ChannelEndpoint& ep = hop_channels_[in]->endpoint(gateway);
-        for (;;) {
-          Packet packet = receive_packet(ep);
-          if (resilient()) {
-            note_gateway_packet(gateway);
-            if (!session_->hostdb().alive(gateway)) {
-              ++counters_.discarded;
-              continue;
-            }
-          }
-          MAD2_CHECK(packet.header.dst != gateway,
-                     "forwarding packet addressed to the gateway itself");
-          MAD2_TRACE_SPAN(stage, obs::Category::kFwd, "fwd.gw_enqueue");
-          stage.args(packet.header.payload_len, packet.header.dst);
-          if (propagation_) {
-            // Queue residency opens here; the tx fiber closes it when the
-            // DRR schedule picks the packet (backpressure waits inside
-            // queue->send count as residency too).
-            packet.trace.push(gateway, session_->simulator().now(), 0, 0);
-          }
-          queue->send(std::move(packet));
-        }
-      });
-      session_->simulator().spawn_daemon(tag + ".tx", [this, out, gateway,
-                                                       queue] {
-        mad::ChannelEndpoint& ep = hop_channels_[out]->endpoint(gateway);
-        for (;;) {
-          auto packet = queue->receive();
-          if (!packet.has_value()) return;
-          if (resilient() && !session_->hostdb().alive(gateway)) {
-            // A packet that slipped into the queue around the kill's
-            // drain (e.g. an rx fiber unblocked mid-enqueue): discard it
-            // here so the queue still ends empty and the buffer recycles.
-            ++counters_.discarded;
-            continue;
-          }
-          const std::uint32_t to =
-              next_node(out, packet->header.src, packet->header.dst);
-          MAD2_TRACE_SPAN(hop, obs::Category::kFwd, "fwd.hop", "fair");
-          hop.args(packet->header.payload_len, packet->header.dst);
-          ++forwarded_by_gateway_[gateway];
-          if (propagation_ && packet->trace.hop_count > 0) {
-            HopStamp::Hop& here =
-                packet->trace.hops[packet->trace.hop_count - 1];
-            here.dequeue = session_->simulator().now();
-            here.wire = here.dequeue;
-          }
-          send_packet(ep, to, packet->header, packet->storage->pieces,
-                      packet->storage->sizes, packet->stamp, packet->seq,
-                      &packet->trace);
-        }
-      });
-      return;
-    }
-    gateway_queues_.push_back(std::make_unique<sim::BoundedChannel<Packet>>(
-        &session_->simulator(), def_.pipeline_depth));
-    sim::BoundedChannel<Packet>* queue = gateway_queues_.back().get();
-    pumps_.push_back(GatewayPump{gateway, in, out, queue, nullptr});
-    session_->simulator().spawn_daemon(tag + ".rx", [this, in, gateway,
-                                                     queue] {
-      mad::ChannelEndpoint& ep = hop_channels_[in]->endpoint(gateway);
+    simulator.spawn_daemon(tag + (queue ? ".rx" : ".sf"), [this, pump] {
+      mad::ChannelEndpoint& ep_in =
+          hop_channels_[pump.hop_in]->endpoint(pump.gateway);
+      mad::ChannelEndpoint& ep_out =
+          hop_channels_[pump.hop_out]->endpoint(pump.gateway);
       for (;;) {
-        Packet packet = receive_packet(ep);
+        Packet packet = receive_packet(ep_in);
+        // Dead-check before the sanity CHECK: a poisoned stream hands a
+        // dying gateway zero-filled truncated packets whose garbage
+        // headers must not trip assertions.
         if (resilient()) {
-          note_gateway_packet(gateway);
-          if (!session_->hostdb().alive(gateway)) {
+          note_gateway_packet();
+          if (!session_->hostdb().alive(pump.gateway)) {
             ++counters_.discarded;
-            continue;
+            continue;  // dead gateway black-holes; replay redelivers
           }
         }
-        MAD2_CHECK(packet.header.dst != gateway,
+        MAD2_CHECK(packet.header.dst != pump.gateway,
                    "forwarding packet addressed to the gateway itself");
-        // Time spent waiting for a free pipeline slot (backpressure from
-        // the sending fiber shows up as a long enqueue).
+        if (propagation_) {
+          // Residency opens on landing; forward_packet closes it.
+          packet.trace.push(pump.gateway, session_->simulator().now(), 0, 0);
+        }
+        if (pump.queue == nullptr) {
+          forward_packet(pump, ep_out, packet);
+          continue;
+        }
+        // Time spent waiting for a free queue slot (backpressure from the
+        // sending fiber shows up as a long enqueue).
         MAD2_TRACE_SPAN(stage, obs::Category::kFwd, "fwd.gw_enqueue");
         stage.args(packet.header.payload_len, packet.header.dst);
-        if (propagation_) {
-          packet.trace.push(gateway, session_->simulator().now(), 0, 0);
-        }
-        queue->send(std::move(packet));
+        pump.queue->send(std::move(packet));
       }
     });
-    session_->simulator().spawn_daemon(tag + ".tx", [this, out, gateway,
-                                                     queue] {
-      mad::ChannelEndpoint& ep = hop_channels_[out]->endpoint(gateway);
+    if (queue == nullptr) return;
+    simulator.spawn_daemon(tag + ".tx", [this, pump] {
+      mad::ChannelEndpoint& ep_out =
+          hop_channels_[pump.hop_out]->endpoint(pump.gateway);
       for (;;) {
-        auto packet = queue->receive();
+        auto packet = pump.queue->receive();
         if (!packet.has_value()) return;
-        if (resilient() && !session_->hostdb().alive(gateway)) {
+        if (resilient() && !session_->hostdb().alive(pump.gateway)) {
+          // A packet that slipped into the queue around the kill's drain
+          // (e.g. an rx fiber unblocked mid-enqueue): discard it here so
+          // the queue still ends empty and the buffer recycles.
           ++counters_.discarded;
           continue;
         }
-        const std::uint32_t to =
-            next_node(out, packet->header.src, packet->header.dst);
-        // Outgoing half of the gateway hop (the incoming half is the rx
-        // fiber's packet_land + gw_enqueue spans on its own track).
-        MAD2_TRACE_SPAN(hop, obs::Category::kFwd, "fwd.hop", "pipelined");
-        hop.args(packet->header.payload_len, packet->header.dst);
-        ++forwarded_by_gateway_[gateway];
-        if (propagation_ && packet->trace.hop_count > 0) {
-          HopStamp::Hop& here =
-              packet->trace.hops[packet->trace.hop_count - 1];
-          here.dequeue = session_->simulator().now();
-          here.wire = here.dequeue;
-        }
-        // Re-emit the landed gather list as-is; the outgoing TM rides it
-        // as one send_buffer_group. The received size list is dead by
-        // now, so it doubles as the send-side scratch.
-        send_packet(ep, to, packet->header, packet->storage->pieces,
-                    packet->storage->sizes, packet->stamp, packet->seq,
-                    &packet->trace);
+        forward_packet(pump, ep_out, *packet);
         // `packet` dies here: borrows release to the incoming TM and the
         // buffer recycles into the pool.
       }
@@ -594,6 +492,35 @@ void VirtualChannel::spawn_gateway(std::uint32_t gateway, std::size_t hop_in,
   };
   spawn_direction(hop_in, hop_out);
   spawn_direction(hop_out, hop_in);
+}
+
+void VirtualChannel::forward_packet(const GatewayPump& pump,
+                                    mad::ChannelEndpoint& out,
+                                    Packet& packet) {
+  const std::uint32_t to =
+      next_node(pump.hop_out, packet.header.src, packet.header.dst);
+  // Gateway residence, outgoing half (the incoming half is the rx fiber's
+  // packet_land + gw_enqueue spans on its own track).
+  MAD2_TRACE_SPAN(hop, obs::Category::kFwd, "fwd.hop",
+                  pump.queue == nullptr ? "store_forward"
+                  : congestion_.enabled ? "fair"
+                                        : "pipelined");
+  hop.args(packet.header.payload_len, packet.header.dst);
+  ++forwarded_by_gateway_[pump.gateway];
+  HopStamp& trace = packet.trace;
+  // A route longer than HopStamp::kMaxHops stopped recording hops: the
+  // last one then belongs to an earlier gateway and must stay as it is.
+  if (propagation_ && trace.hop_count > 0 &&
+      trace.hops[trace.hop_count - 1].node == pump.gateway) {
+    HopStamp::Hop& here = trace.hops[trace.hop_count - 1];
+    here.dequeue = session_->simulator().now();
+    here.wire = here.dequeue;
+  }
+  // Re-emit the landed gather list as-is; the outgoing TM rides it as one
+  // send_buffer_group. The received size list is dead by now, so it
+  // doubles as the send-side scratch.
+  send_packet(out, to, packet.header, packet.storage->pieces,
+              packet.storage->sizes, packet.stamp, packet.seq, &trace);
 }
 
 sim::Mutex& VirtualChannel::send_mutex(std::uint32_t src) {
@@ -692,8 +619,7 @@ void VirtualChannel::arm_gateway_kill(std::uint32_t node,
   armed_kill_ = ArmedKill{node, gateway_rx_packets_ + after_packets};
 }
 
-void VirtualChannel::note_gateway_packet(std::uint32_t gateway) {
-  (void)gateway;
+void VirtualChannel::note_gateway_packet() {
   ++gateway_rx_packets_;
   if (armed_kill_.has_value() &&
       gateway_rx_packets_ >= armed_kill_->after_packets) {
@@ -704,17 +630,10 @@ void VirtualChannel::note_gateway_packet(std::uint32_t gateway) {
 }
 
 void VirtualChannel::drain_gateway_queues(std::uint32_t gateway) {
-  for (GatewayPump& pump : pumps_) {
-    if (pump.gateway != gateway) continue;
-    if (pump.pipe != nullptr) {
-      while (auto packet = pump.pipe->try_receive()) {
-        ++counters_.discarded;  // buffer recycles as `packet` dies
-      }
-    }
-    if (pump.fair != nullptr) {
-      while (auto packet = pump.fair->try_receive()) {
-        ++counters_.discarded;
-      }
+  for (const GatewayPump& pump : pumps_) {
+    if (pump.gateway != gateway || pump.queue == nullptr) continue;
+    while (auto packet = pump.queue->try_receive()) {
+      ++counters_.discarded;  // buffer recycles as `packet` dies
     }
   }
 }
@@ -831,7 +750,7 @@ void VirtualChannel::set_flow_weight(std::uint32_t src, std::uint32_t dst,
              "flow weights need the congestion stanza (the FIFO pipeline "
              "has no per-flow schedule to weight)");
   const std::uint64_t key = FairPacketQueue::flow_key(src, dst);
-  for (auto& queue : fair_queues_) queue->set_weight(key, weight);
+  for (FairPacketQueue* queue : fair_queues_) queue->set_weight(key, weight);
 }
 
 void VirtualChannel::on_packet_delivered(const Packet& packet) {
@@ -912,7 +831,7 @@ mad::TrafficStats VirtualChannel::stats() const {
     stats.flows[std::to_string(key.first) + "->" +
                 std::to_string(key.second)] = counters;
   }
-  for (const auto& queue : fair_queues_) {
+  for (const FairPacketQueue* queue : fair_queues_) {
     for (const auto& [key, fstats] : queue->flow_stats()) {
       const std::string name =
           std::to_string(FairPacketQueue::flow_src(key)) + "->" +
@@ -941,13 +860,13 @@ void VirtualChannel::export_metrics(obs::MetricsRegistry& registry) const {
     registry.set_value(prefix + ".packets",
                        static_cast<std::int64_t>(flow.packets));
   }
-  for (const auto& pump : pumps_) {
-    if (pump.fair == nullptr) continue;
+  for (std::size_t i = 0; i < fair_queues_.size(); ++i) {
+    const GatewayPump& pump = pumps_[i];
     const std::string prefix =
         def_.name + ".gw" + std::to_string(pump.gateway) + "." +
         std::to_string(pump.hop_in) + "to" + std::to_string(pump.hop_out);
     registry.set_value(prefix + ".queue_depth_hwm",
-                       static_cast<std::int64_t>(pump.fair->depth_hwm()));
+                       static_cast<std::int64_t>(fair_queues_[i]->depth_hwm()));
   }
   if (resilient()) {
     const std::string prefix = def_.name + ".routing";
@@ -977,13 +896,9 @@ const mad::CongestionWindow* VirtualChannel::flow_window(
 std::vector<std::size_t> VirtualChannel::gateway_queue_depths() const {
   std::vector<std::size_t> depths;
   depths.reserve(pumps_.size());
-  for (const auto& pump : pumps_) {
-    if (pump.fair != nullptr) {
-      depths.push_back(pump.fair->depth());
-    } else if (pump.pipe != nullptr) {
-      depths.push_back(pump.pipe->size());
-    }
+  for (const GatewayPump& pump : pumps_) {
     // store-and-forward pumps hold no queue: nothing to report.
+    if (pump.queue != nullptr) depths.push_back(pump.queue->depth());
   }
   return depths;
 }

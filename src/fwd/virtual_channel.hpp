@@ -58,6 +58,7 @@
 namespace mad2::fwd {
 
 class FairPacketQueue;
+class PacketQueue;
 
 struct VirtualChannelDef {
   std::string name;
@@ -107,7 +108,8 @@ struct VirtualChannelDef {
 /// events weave back into cross-node spans).
 struct HopStamp {
   /// Longest traceable route: sender + 4 gateways + receiver. Longer
-  /// routes truncate (push becomes a no-op) rather than corrupt.
+  /// routes truncate (push becomes a no-op) rather than corrupt: a
+  /// gateway stamps dequeue/wire only on a hop it pushed itself.
   static constexpr std::uint32_t kMaxHops = 6;
   struct Hop {
     std::uint32_t node = 0;
@@ -412,9 +414,7 @@ class VirtualChannel {
   [[nodiscard]] const mad::CongestionWindow* flow_window(
       std::uint32_t src, std::uint32_t dst) const;
   /// Current depth of every gateway pump queue (drain evidence for
-  /// tests): the fair queues under congestion control, the pipeline
-  /// queues otherwise. Empty only in store-and-forward mode
-  /// (pipeline_depth <= 1), which holds no queue at all.
+  /// tests). Empty in store-and-forward mode, which holds no queue.
   [[nodiscard]] std::vector<std::size_t> gateway_queue_depths() const;
 
   // --- internals shared with endpoints/gateway pumps ---------------------
@@ -473,6 +473,19 @@ class VirtualChannel {
   friend class VirtualConnection;
   void spawn_gateway(std::uint32_t gateway, std::size_t hop_in,
                      std::size_t hop_out);
+  /// One gateway pump direction: packets landed on `hop_in` leave on
+  /// `hop_out`, through `queue` (FIFO pipeline or DRR) or, with none,
+  /// inline from the receiving fiber (store-and-forward).
+  struct GatewayPump {
+    std::uint32_t gateway;
+    std::size_t hop_in;
+    std::size_t hop_out;
+    PacketQueue* queue;
+  };
+  /// The tx half shared by every pump mode: route, stamp this gateway's
+  /// hop, and re-send the landed gather list on `out`.
+  void forward_packet(const GatewayPump& pump, mad::ChannelEndpoint& out,
+                      Packet& packet);
 
   /// One retained (sent but unconfirmed) packet of a resilient flow: the
   /// payload flattened to owned bytes (piece granularity is free to
@@ -566,7 +579,7 @@ class VirtualChannel {
   mad::FailureDomain on_network_failure(const mad::NetworkFailure& failure);
   sim::Mutex& send_mutex(std::uint32_t src);
   void trim_unacked(FlowControl& flow);
-  void note_gateway_packet(std::uint32_t gateway);
+  void note_gateway_packet();
   void drain_gateway_queues(std::uint32_t gateway);
   void replay_pending_flows();
 
@@ -586,23 +599,15 @@ class VirtualChannel {
   std::vector<std::uint16_t> terminal_table_;  // [dense]; kNoHop = gateway
   std::vector<std::vector<NextHop>> next_table_;  // [hop][dst_dense]
   // Declared before every Packet holder below so recycling handles in
-  // endpoints_/gateway_queues_/flows_ still find the pool during
-  // destruction.
+  // endpoints_/queues_/flows_ still find the pool during destruction.
   PacketPool pool_;
   std::map<std::uint32_t, std::unique_ptr<VirtualEndpoint>> endpoints_;
-  std::vector<std::unique_ptr<sim::BoundedChannel<Packet>>> gateway_queues_;
+  std::vector<std::unique_ptr<PacketQueue>> queues_;  // every pump's queue
   // Congestion-control / failover state (empty/idle when both are off).
   std::map<std::pair<std::uint32_t, std::uint32_t>, FlowControl> flows_;
-  std::vector<std::unique_ptr<FairPacketQueue>> fair_queues_;
-  /// Every gateway pump direction, uniformly across the three modes:
-  /// exactly one of pipe/fair is set (neither in store-and-forward).
-  struct GatewayPump {
-    std::uint32_t gateway;
-    std::size_t hop_in;
-    std::size_t hop_out;
-    sim::BoundedChannel<Packet>* pipe = nullptr;
-    FairPacketQueue* fair = nullptr;
-  };
+  /// The DRR queues of queues_. Under congestion control every pump has
+  /// one, so fair_queues_[i] belongs to pumps_[i].
+  std::vector<FairPacketQueue*> fair_queues_;
   std::vector<GatewayPump> pumps_;
   // --- resilient-mode machinery ---
   RoutingCounters counters_;

@@ -89,10 +89,7 @@ void Connection::begin_unpacking_message() {
 
 void Connection::build_dispatch() {
   dispatch_built_ = true;
-  std::optional<std::vector<std::size_t>> breaks =
-      endpoint_->pmm().selection_breakpoints();
-  if (!breaks.has_value()) return;  // PMM keeps the per-call query
-  dispatch_breaks_ = std::move(*breaks);
+  dispatch_breaks_ = endpoint_->pmm().selection_breakpoints();
   std::sort(dispatch_breaks_.begin(), dispatch_breaks_.end());
   dispatch_breaks_.erase(
       std::unique(dispatch_breaks_.begin(), dispatch_breaks_.end()),
@@ -114,28 +111,29 @@ void Connection::build_dispatch() {
       }
     }
   }
-  dispatch_enabled_ = true;
 }
 
-Connection::DispatchEntry* Connection::dispatch_entry(std::size_t len,
+Connection::DispatchEntry& Connection::dispatch_entry(std::size_t len,
                                                       SendMode smode,
                                                       ReceiveMode rmode) {
   if (!dispatch_built_) build_dispatch();
-  if (!dispatch_enabled_) return nullptr;
   const std::size_t classes = dispatch_breaks_.size() + 1;
   std::size_t c = 0;
   while (c < dispatch_breaks_.size() && len > dispatch_breaks_[c]) ++c;
-  return &dispatch_[mode_pair(smode, rmode) * classes + c];
+  return dispatch_[mode_pair(smode, rmode) * classes + c];
+}
+
+void Connection::bind_recv(DispatchEntry& entry) {
+  if (entry.recv_bmm != nullptr) return;
+  entry.recv_bmm = recv_bmm_for(entry.tm, entry.kind);
+  entry.received = &stats_.received_by_tm[std::string(entry.tm->name())];
 }
 
 Connection::SwitchDecision Connection::probe_switch(std::size_t len,
                                                     SendMode smode,
                                                     ReceiveMode rmode) {
-  if (DispatchEntry* entry = dispatch_entry(len, smode, rmode)) {
-    return SwitchDecision{entry->tm, entry->kind, true};
-  }
-  Tm& tm = endpoint_->pmm().select_tm(len, smode, rmode);
-  return SwitchDecision{&tm, select_bmm_kind(tm, smode, rmode), false};
+  const DispatchEntry& entry = dispatch_entry(len, smode, rmode);
+  return SwitchDecision{entry.tm, entry.kind};
 }
 
 SendBmm* Connection::send_bmm_for(Tm* tm, BmmKind kind) {
@@ -203,39 +201,22 @@ void Connection::pack_impl(std::span<const std::byte> data, SendMode smode,
     return;
   }
 
-  // The Switch (paper Fig. 3): pick the best TM, then route to the BMM
-  // the policy dictates. The dispatch table answers when the PMM declared
-  // its size classes; otherwise fall back to the per-call virtual query.
-  // A TM or BMM change flushes the previous BMM (*commit*) so delivery
-  // order is preserved.
-  Tm* tm;
-  BmmKind kind;
-  SendBmm* bmm;
-  TmCounters* counters;
-  if (DispatchEntry* entry = dispatch_entry(data.size(), smode, rmode)) {
-    ++stats_.switching.fast_selects;
-    if (entry->send_bmm == nullptr) {
-      entry->send_bmm = send_bmm_for(entry->tm, entry->kind);
-      entry->sent = &stats_.sent_by_tm[std::string(entry->tm->name())];
-    }
-    tm = entry->tm;
-    kind = entry->kind;
-    bmm = entry->send_bmm;
-    counters = entry->sent;
-  } else {
-    ++stats_.switching.legacy_selects;
-    tm = &endpoint_->pmm().select_tm(data.size(), smode, rmode);
-    kind = select_bmm_kind(*tm, smode, rmode);
-    bmm = send_bmm_for(tm, kind);
-    counters = &stats_.sent_by_tm[std::string(tm->name())];
+  // The Switch (paper Fig. 3): the dispatch table names the best TM and
+  // the BMM the policy dictates. A TM or BMM change flushes the previous
+  // BMM (*commit*) so delivery order is preserved.
+  DispatchEntry& entry = dispatch_entry(data.size(), smode, rmode);
+  ++stats_.switching.fast_selects;
+  if (entry.send_bmm == nullptr) {
+    entry.send_bmm = send_bmm_for(entry.tm, entry.kind);
+    entry.sent = &stats_.sent_by_tm[std::string(entry.tm->name())];
   }
   if (obs_on) {
     // TM names are string literals, so the pointer is safe to retain.
     obs::trace_event(obs::Category::kSwitch, "switch.tm_select",
-                     tm->name().data(), data.size(),
-                     static_cast<std::uint64_t>(kind));
+                     entry.tm->name().data(), data.size(),
+                     static_cast<std::uint64_t>(entry.kind));
   }
-  if (bmm != send_bmm_ || tm != send_tm_) {
+  if (entry.send_bmm != send_bmm_ || entry.tm != send_tm_) {
     if (send_bmm_ != nullptr) {
       if (obs_on) {
         obs::trace_event(obs::Category::kSwitch, "switch.flush",
@@ -243,12 +224,12 @@ void Connection::pack_impl(std::span<const std::byte> data, SendMode smode,
       }
       send_bmm_->commit(*this, *send_tm_);
     }
-    send_tm_ = tm;
-    send_bmm_ = bmm;
+    send_tm_ = entry.tm;
+    send_bmm_ = entry.send_bmm;
   }
-  ++counters->blocks;
-  counters->bytes += data.size();
-  bmm->pack(*this, *tm, data, smode, rmode);
+  ++entry.sent->blocks;
+  entry.sent->bytes += data.size();
+  send_bmm_->pack(*this, *send_tm_, data, smode, rmode);
 }
 
 void Connection::end_packing() {
@@ -327,37 +308,19 @@ void Connection::unpack_impl(std::span<std::byte> out, SendMode smode,
     return;
   }
 
-  // Mirror of the send-side Switch: the same pure selection functions run
-  // on the same (mandatorily symmetric) arguments, so the TM sequence
-  // matches the sender's without any mode information on the wire. The
-  // dispatch table replays the same resolved decisions.
-  Tm* tm;
-  BmmKind kind;
-  RecvBmm* bmm;
-  TmCounters* counters;
-  if (DispatchEntry* entry = dispatch_entry(out.size(), smode, rmode)) {
-    ++stats_.switching.fast_selects;
-    if (entry->recv_bmm == nullptr) {
-      entry->recv_bmm = recv_bmm_for(entry->tm, entry->kind);
-      entry->received = &stats_.received_by_tm[std::string(entry->tm->name())];
-    }
-    tm = entry->tm;
-    kind = entry->kind;
-    bmm = entry->recv_bmm;
-    counters = entry->received;
-  } else {
-    ++stats_.switching.legacy_selects;
-    tm = &endpoint_->pmm().select_tm(out.size(), smode, rmode);
-    kind = select_bmm_kind(*tm, smode, rmode);
-    bmm = recv_bmm_for(tm, kind);
-    counters = &stats_.received_by_tm[std::string(tm->name())];
-  }
+  // Mirror of the send-side Switch: the table replays the same resolved
+  // decisions on the same (mandatorily symmetric) arguments, so the TM
+  // sequence matches the sender's without any mode information on the
+  // wire.
+  DispatchEntry& entry = dispatch_entry(out.size(), smode, rmode);
+  ++stats_.switching.fast_selects;
+  bind_recv(entry);
   if (obs_on) {
     obs::trace_event(obs::Category::kSwitch, "switch.tm_replay",
-                     tm->name().data(), out.size(),
-                     static_cast<std::uint64_t>(kind));
+                     entry.tm->name().data(), out.size(),
+                     static_cast<std::uint64_t>(entry.kind));
   }
-  if (bmm != recv_bmm_ || tm != recv_tm_) {
+  if (entry.recv_bmm != recv_bmm_ || entry.tm != recv_tm_) {
     if (recv_bmm_ != nullptr) {
       if (obs_on) {
         obs::trace_event(obs::Category::kSwitch, "switch.checkout",
@@ -365,12 +328,12 @@ void Connection::unpack_impl(std::span<std::byte> out, SendMode smode,
       }
       recv_bmm_->checkout(*this, *recv_tm_);
     }
-    recv_tm_ = tm;
-    recv_bmm_ = bmm;
+    recv_tm_ = entry.tm;
+    recv_bmm_ = entry.recv_bmm;
   }
-  ++counters->blocks;
-  counters->bytes += out.size();
-  bmm->unpack(*this, *tm, out, smode, rmode);
+  ++entry.received->blocks;
+  entry.received->bytes += out.size();
+  recv_bmm_->unpack(*this, *recv_tm_, out, smode, rmode);
 }
 
 bool Connection::unpack_borrow(std::size_t len, SendMode smode,
@@ -389,32 +352,26 @@ bool Connection::unpack_borrow(std::size_t len, SendMode smode,
   }
   // Replay the Switch decision *before* touching any state, so a refusal
   // leaves the stream exactly where a copying unpack expects it.
-  const SwitchDecision decision = probe_switch(len, smode, rmode);
-  Tm& tm = *decision.tm;
-  const BmmKind kind = decision.kind;
+  DispatchEntry& entry = dispatch_entry(len, smode, rmode);
   // A refused borrow falls back to a copying unpack, which re-runs the
   // selection and counts it there; counting the probe too would tally
   // the same block twice. Only an accepted borrow owns its count.
-  if (kind != BmmKind::kStaticCopy) return false;
-  if (decision.from_table) {
-    ++stats_.switching.fast_selects;
-  } else {
-    ++stats_.switching.legacy_selects;
-  }
+  if (entry.kind != BmmKind::kStaticCopy) return false;
+  ++stats_.switching.fast_selects;
 
   node().charge_cpu(endpoint_->costs().unpack);
   stats_.switching.unpack_cpu_ticks +=
       static_cast<std::uint64_t>(endpoint_->costs().unpack);
-  RecvBmm* bmm = recv_bmm_for(&tm, kind);
-  if (bmm != recv_bmm_ || &tm != recv_tm_) {
+  bind_recv(entry);
+  if (entry.recv_bmm != recv_bmm_ || entry.tm != recv_tm_) {
     if (recv_bmm_ != nullptr) recv_bmm_->checkout(*this, *recv_tm_);
-    recv_tm_ = &tm;
-    recv_bmm_ = bmm;
+    recv_tm_ = entry.tm;
+    recv_bmm_ = entry.recv_bmm;
   }
-  TmCounters& counters = stats_.received_by_tm[std::string(tm.name())];
-  ++counters.blocks;
-  counters.bytes += len;
-  const bool borrowed = bmm->unpack_borrow(*this, tm, len, rmode, out);
+  ++entry.received->blocks;
+  entry.received->bytes += len;
+  const bool borrowed =
+      recv_bmm_->unpack_borrow(*this, *recv_tm_, len, rmode, out);
   MAD2_CHECK(borrowed, "static-copy BMM refused a borrow");
   return true;
 }

@@ -91,12 +91,10 @@ class Connection {
 
   /// Resolve the Switch decision for a hypothetical block without touching
   /// any message state — the dispatch-table equivalence sweep in
-  /// tests/fastpath_test.cpp compares this against the legacy query.
-  /// `from_table` says whether the flat dispatch table answered.
+  /// tests/fastpath_test.cpp compares this against Pmm::select_tm.
   struct SwitchDecision {
     Tm* tm = nullptr;
     BmmKind kind{};
-    bool from_table = false;
   };
   [[nodiscard]] SwitchDecision probe_switch(std::size_t len, SendMode smode,
                                             ReceiveMode rmode);
@@ -127,14 +125,12 @@ class Connection {
 
   // --- flat dispatch table (docs/PERFORMANCE.md) --------------------------
   // The Switch decision — TM, BMM kind, BMM instance, stats counters — is
-  // a pure function of (size class, send mode, receive mode), so for PMMs
-  // that declare their size-class boundaries (Pmm::selection_breakpoints)
-  // it is resolved once here and the per-block hot path becomes a bounded
-  // scan over at most a handful of boundaries plus one indexed load: no
-  // virtual select_tm call, no std::map find, no per-block string key.
-  // Entries resolve through send_bmm_for/recv_bmm_for, so the table and
-  // the legacy path share BMM instances and the flush-on-change pointer
-  // comparisons stay exact. Built lazily on first use (after setup).
+  // a pure function of (size class, send mode, receive mode), and every
+  // PMM declares its size classes (Pmm::selection_breakpoints), so it is
+  // resolved once here: the per-block hot path is a bounded scan over a
+  // handful of boundaries plus one indexed load. Entries of one (TM, kind)
+  // share a BMM (send_bmm_for/recv_bmm_for), so the flush-on-change
+  // pointer comparisons stay exact. Built lazily on first use.
   struct DispatchEntry {
     Tm* tm = nullptr;
     BmmKind kind{};
@@ -144,8 +140,10 @@ class Connection {
     TmCounters* received = nullptr;
   };
   void build_dispatch();
-  [[nodiscard]] DispatchEntry* dispatch_entry(std::size_t len, SendMode smode,
+  [[nodiscard]] DispatchEntry& dispatch_entry(std::size_t len, SendMode smode,
                                               ReceiveMode rmode);
+  /// Resolve `entry`'s receive-side BMM and stats row on first use.
+  void bind_recv(DispatchEntry& entry);
   static constexpr std::size_t kModePairs = 6;  // 3 send x 2 receive modes
   static std::size_t mode_pair(SendMode smode, ReceiveMode rmode) {
     return static_cast<std::size_t>(smode) * 2 +
@@ -212,7 +210,6 @@ class Connection {
 
   // Flat dispatch table state (see build_dispatch).
   bool dispatch_built_ = false;
-  bool dispatch_enabled_ = false;
   std::vector<std::size_t> dispatch_breaks_;  // sorted class upper bounds
   std::vector<DispatchEntry> dispatch_;  // [mode_pair * classes + class]
 };

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -46,14 +45,10 @@ class Pmm {
   /// tables (see Connection): each value `b` marks that the verdict may
   /// change between `len <= b` and `len > b`, and the verdict must be
   /// constant on every interval between consecutive boundaries (for every
-  /// send/receive-mode pair). An engaged empty vector means selection is
-  /// size-independent. Returning nullopt (the default) keeps the Switch on
-  /// the per-call virtual query — the right answer for PMMs whose
-  /// selection cannot be described as size intervals.
-  [[nodiscard]] virtual std::optional<std::vector<std::size_t>>
-  selection_breakpoints() const {
-    return std::nullopt;
-  }
+  /// send/receive-mode pair). An empty vector means selection is
+  /// size-independent.
+  [[nodiscard]] virtual std::vector<std::size_t> selection_breakpoints()
+      const = 0;
 
   /// Block until the first packet of a new incoming message is available
   /// on this channel; returns the remote global node id. Called by

@@ -101,9 +101,9 @@ class BipPmm final : public Pmm {
   void finish_setup() override;
   Tm& select_tm(std::size_t len, SendMode smode, ReceiveMode rmode) override;
   /// Two TMs split at the driver's short capacity.
-  [[nodiscard]] std::optional<std::vector<std::size_t>> selection_breakpoints()
+  [[nodiscard]] std::vector<std::size_t> selection_breakpoints()
       const override {
-    return std::vector<std::size_t>{short_capacity()};
+    return {short_capacity()};
   }
   std::uint32_t wait_incoming() override;
   [[nodiscard]] double bandwidth_hint_mbs() const override;

@@ -169,9 +169,9 @@ class IbPmm final : public Pmm {
   void finish_setup() override;
   Tm& select_tm(std::size_t len, SendMode smode, ReceiveMode rmode) override;
   /// Eager vs rendezvous, split at the eager cutoff.
-  [[nodiscard]] std::optional<std::vector<std::size_t>> selection_breakpoints()
+  [[nodiscard]] std::vector<std::size_t> selection_breakpoints()
       const override {
-    return std::vector<std::size_t>{options_.eager_cutoff};
+    return {options_.eager_cutoff};
   }
   std::uint32_t wait_incoming() override;
   [[nodiscard]] double bandwidth_hint_mbs() const override;

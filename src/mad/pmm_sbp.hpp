@@ -63,9 +63,9 @@ class SbpPmm final : public Pmm {
   void finish_setup() override;
   Tm& select_tm(std::size_t len, SendMode smode, ReceiveMode rmode) override;
   /// Single (static-buffer) TM: selection is size-independent.
-  [[nodiscard]] std::optional<std::vector<std::size_t>> selection_breakpoints()
+  [[nodiscard]] std::vector<std::size_t> selection_breakpoints()
       const override {
-    return std::vector<std::size_t>{};
+    return {};
   }
   std::uint32_t wait_incoming() override;
   [[nodiscard]] double bandwidth_hint_mbs() const override;

@@ -96,7 +96,7 @@ Tm& SciPmm::select_tm(std::size_t len, SendMode, ReceiveMode) {
   return pio_tm_;
 }
 
-std::optional<std::vector<std::size_t>> SciPmm::selection_breakpoints()
+std::vector<std::size_t> SciPmm::selection_breakpoints()
     const {
   std::vector<std::size_t> breaks{options_.short_capacity};
   // The DMA cutoff is `len >= dma_min_bytes`, i.e. the verdict changes

@@ -91,7 +91,7 @@ class SciPmm final : public Pmm {
   void finish_setup() override;
   Tm& select_tm(std::size_t len, SendMode smode, ReceiveMode rmode) override;
   /// short | PIO | (optionally) DMA, split purely by length.
-  [[nodiscard]] std::optional<std::vector<std::size_t>> selection_breakpoints()
+  [[nodiscard]] std::vector<std::size_t> selection_breakpoints()
       const override;
   std::uint32_t wait_incoming() override;
   [[nodiscard]] double bandwidth_hint_mbs() const override;

@@ -110,7 +110,10 @@ void TcpTm::receive_sub_buffer_group(
     for (std::size_t k = 0; k < run.count; ++k) {
       auto out = group[run.first + k];
       connection.node().charge_memcpy(out.size());
-      std::memcpy(out.data(), scratch.data() + offset, out.size());
+      // An empty block may have no storage at all (null data pointer).
+      if (!out.empty()) {
+        std::memcpy(out.data(), scratch.data() + offset, out.size());
+      }
       offset += out.size();
     }
   }

@@ -67,9 +67,9 @@ class TcpPmm final : public Pmm {
   std::unique_ptr<ConnState> make_conn_state(std::uint32_t remote) override;
   Tm& select_tm(std::size_t len, SendMode smode, ReceiveMode rmode) override;
   /// Single TM: selection is size-independent.
-  [[nodiscard]] std::optional<std::vector<std::size_t>> selection_breakpoints()
+  [[nodiscard]] std::vector<std::size_t> selection_breakpoints()
       const override {
-    return std::vector<std::size_t>{};
+    return {};
   }
   /// Wires the fastpath when the session has the stanza: streams switch to
   /// staged receives and this PMM registers a flush client with the node's

@@ -111,9 +111,9 @@ class ViaPmm final : public Pmm {
   void finish_setup() override;
   Tm& select_tm(std::size_t len, SendMode smode, ReceiveMode rmode) override;
   /// Short vs rendezvous, split at the packet payload capacity.
-  [[nodiscard]] std::optional<std::vector<std::size_t>> selection_breakpoints()
+  [[nodiscard]] std::vector<std::size_t> selection_breakpoints()
       const override {
-    return std::vector<std::size_t>{kShortCapacity};
+    return {kShortCapacity};
   }
   std::uint32_t wait_incoming() override;
   [[nodiscard]] double bandwidth_hint_mbs() const override;

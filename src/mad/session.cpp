@@ -439,8 +439,6 @@ void Session::export_metrics(obs::MetricsRegistry& registry) {
                        u(total.messages_received));
     registry.set_value(prefix + "switch.fast_selects",
                        u(total.switching.fast_selects));
-    registry.set_value(prefix + "switch.legacy_selects",
-                       u(total.switching.legacy_selects));
     registry.set_value(prefix + "switch.pack_cpu_ticks",
                        u(total.switching.pack_cpu_ticks));
     registry.set_value(prefix + "switch.unpack_cpu_ticks",

@@ -164,12 +164,11 @@ std::string TrafficStats::to_string() const {
       out += line;
     }
   }
-  if (switching.fast_selects != 0 || switching.legacy_selects != 0) {
+  if (switching.fast_selects != 0) {
     std::snprintf(line, sizeof line,
-                  "  switch %8llu fast %8llu legacy selects "
+                  "  switch %8llu fast selects "
                   "%12llu/%llu pack/unpack cpu ticks\n",
                   static_cast<unsigned long long>(switching.fast_selects),
-                  static_cast<unsigned long long>(switching.legacy_selects),
                   static_cast<unsigned long long>(switching.pack_cpu_ticks),
                   static_cast<unsigned long long>(switching.unpack_cpu_ticks));
     out += line;

@@ -51,20 +51,17 @@ struct FlowCounters {
   std::uint64_t dup_drops = 0;
 };
 
-/// Hot-path Switch accounting (see docs/PERFORMANCE.md): how blocks were
-/// routed — through the flat per-connection dispatch table or the legacy
-/// per-call virtual query — plus the virtual CPU time the Switch's own
-/// bookkeeping charged. sim-ticks-per-message on the bench sidecars is
+/// Hot-path Switch accounting (see docs/PERFORMANCE.md): blocks routed
+/// through the flat per-connection dispatch table, plus the virtual CPU
+/// time the Switch's own bookkeeping charged. sim-ticks-per-message on the bench sidecars is
 /// (pack_cpu_ticks / messages_sent) on the sending side.
 struct SwitchCounters {
   std::uint64_t fast_selects = 0;    ///< blocks routed via the dispatch table
-  std::uint64_t legacy_selects = 0;  ///< blocks routed via select_tm()
   std::uint64_t pack_cpu_ticks = 0;  ///< begin/pack/end charges, send side
   std::uint64_t unpack_cpu_ticks = 0;  ///< mirror, receive side
 
   void merge(const SwitchCounters& other) {
     fast_selects += other.fast_selects;
-    legacy_selects += other.legacy_selects;
     pack_cpu_ticks += other.pack_cpu_ticks;
     unpack_cpu_ticks += other.unpack_cpu_ticks;
   }

@@ -61,6 +61,10 @@ class MpiPmm final : public mad::Pmm {
   mad::Tm& select_tm(std::size_t, mad::SendMode, mad::ReceiveMode) override {
     return tm_;
   }
+  [[nodiscard]] std::vector<std::size_t> selection_breakpoints()
+      const override {
+    return {};
+  }
 
   std::uint32_t wait_incoming() override {
     const RecvStatus status = comm().probe();

@@ -1,5 +1,5 @@
 // Fast-path suite (docs/PERFORMANCE.md): the Switch's flat dispatch
-// tables must agree with the legacy per-call query everywhere, the
+// tables must agree with the PMM's select_tm query everywhere, the
 // short-message path must be allocation-free in steady state, ordering
 // must hold across mixed deferred/direct sends, the vectorized util
 // kernels must be bit-identical to their scalar definitions, and the
@@ -33,18 +33,15 @@ SessionConfig one_network_config(NetworkKind kind, bool fastpath = false) {
 // ------------------------------------------------- dispatch equivalence ---
 
 /// Sweep sizes that straddle every declared breakpoint (plus the extremes)
-/// across all six mode pairs, asserting the dispatch table answers and
-/// answers exactly what the legacy virtual query would.
+/// across all six mode pairs, asserting the dispatch table answers exactly
+/// what the PMM's select_tm query would.
 void check_dispatch_equivalence(SessionConfig config) {
   Session session(std::move(config));
   Connection& conn = session.endpoint("ch0", 0).connection(1);
   Pmm& pmm = session.endpoint("ch0", 0).pmm();
 
-  const auto breaks = pmm.selection_breakpoints();
-  ASSERT_TRUE(breaks.has_value())
-      << pmm.name() << " no longer declares breakpoints";
   std::vector<std::size_t> sizes{0, 1, 2, 16, 1 << 20};
-  for (std::size_t b : *breaks) {
+  for (std::size_t b : pmm.selection_breakpoints()) {
     if (b > 0) sizes.push_back(b - 1);
     sizes.push_back(b);
     sizes.push_back(b + 1);
@@ -58,12 +55,10 @@ void check_dispatch_equivalence(SessionConfig config) {
         const Connection::SwitchDecision got = conn.probe_switch(len, s, r);
         Tm& want_tm = pmm.select_tm(len, s, r);
         const BmmKind want_kind = select_bmm_kind(want_tm, s, r);
-        EXPECT_TRUE(got.from_table)
-            << pmm.name() << " len=" << len << " fell back to legacy";
         EXPECT_EQ(got.tm, &want_tm)
             << pmm.name() << " len=" << len << " smode=" << to_string(s)
             << " rmode=" << to_string(r) << ": table picked "
-            << (got.tm != nullptr ? got.tm->name() : "null") << ", legacy "
+            << (got.tm != nullptr ? got.tm->name() : "null") << ", select_tm "
             << want_tm.name();
         EXPECT_EQ(got.kind, want_kind)
             << pmm.name() << " len=" << len << " smode=" << to_string(s)
@@ -114,9 +109,8 @@ TEST(FastPathDispatch, IbMatchesLegacy) {
 }
 
 TEST(FastPathDispatch, HotPathsUseTheTable) {
-  // After real traffic, every selection must have come from the table
-  // (fast_selects > 0, legacy_selects == 0) for a breakpoint-declaring
-  // driver — the legacy path would mean the table silently disengaged.
+  // After real traffic, the table counted every driver's selections
+  // (fast_selects > 0).
   for (NetworkKind kind : {NetworkKind::kTcp, NetworkKind::kBip,
                            NetworkKind::kSisci, NetworkKind::kVia,
                            NetworkKind::kSbp, NetworkKind::kIb}) {
@@ -142,7 +136,6 @@ TEST(FastPathDispatch, HotPathsUseTheTable) {
     for (std::uint32_t node : {0u, 1u}) {
       const TrafficStats stats = session.endpoint("ch0", node).stats();
       EXPECT_GT(stats.switching.fast_selects, 0u) << to_string(kind);
-      EXPECT_EQ(stats.switching.legacy_selects, 0u) << to_string(kind);
     }
   }
 }

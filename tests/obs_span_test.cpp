@@ -341,6 +341,69 @@ TEST(SpanSession, PropagationOffKeepsVirtualTimeIdentical) {
   }
 }
 
+/// One 512 B message 0 -> 8 over eight TCP segments: seven gateways, one
+/// more than a HopStamp has room for. Returns the 0->8 flow's per-hop
+/// histograms.
+std::map<std::string, obs::Histogram> run_long_chain(
+    std::size_t pipeline_depth) {
+  constexpr std::uint32_t kSegments = 8;
+  mad::SessionConfig config;
+  config.node_count = kSegments + 1;
+  fwd::VirtualChannelDef def;
+  def.name = "vc";
+  def.pipeline_depth = pipeline_depth;
+  def.propagation = true;
+  for (std::uint32_t i = 0; i < kSegments; ++i) {
+    mad::NetworkDef net;
+    net.name = "net" + std::to_string(i);
+    net.kind = mad::NetworkKind::kTcp;
+    net.nodes = {i, i + 1};
+    config.networks.push_back(net);
+    config.channels.emplace_back("ch" + std::to_string(i), net.name);
+    def.hops.push_back("ch" + std::to_string(i));
+  }
+  obs::MetricsRegistry registry;
+  obs::install_metrics(&registry);
+  {
+    mad::Session session(config);
+    fwd::VirtualChannel vc(session, def);
+    session.spawn(0, "sender", [&](mad::NodeRuntime&) {
+      std::vector<std::byte> payload(512, std::byte{0x5a});
+      auto& conn = vc.endpoint(0).begin_packing(kSegments);
+      conn.pack(payload);
+      conn.end_packing();
+    });
+    session.spawn(kSegments, "receiver", [&](mad::NodeRuntime&) {
+      std::vector<std::byte> payload(512);
+      auto& conn = vc.endpoint(kSegments).begin_unpacking();
+      conn.unpack(payload);
+      conn.end_unpacking();
+    });
+    EXPECT_TRUE(session.run().is_ok());
+  }
+  obs::uninstall_metrics(&registry);
+  return registry.histograms();
+}
+
+TEST(SpanSession, TruncatedRouteStampsOnlyItsOwnGatewayHops) {
+  // Gateways past HopStamp::kMaxHops record nothing; in particular they
+  // must not stamp their dequeue time onto the last recorded hop, which
+  // belongs to an earlier gateway. An uncontended message never waits in
+  // a gateway, so every recorded gateway hop has zero queue residency.
+  for (std::size_t depth : {1u, 2u}) {
+    SCOPED_TRACE("pipeline_depth " + std::to_string(depth));
+    const auto histograms = run_long_chain(depth);
+    for (std::uint32_t k = 1; k < fwd::HopStamp::kMaxHops; ++k) {
+      const std::string name = "vc.hop.0-8." + std::to_string(k) + ".queue";
+      ASSERT_TRUE(histograms.count(name)) << name;
+      EXPECT_EQ(histograms.at(name).count(), 1u) << name;
+      EXPECT_EQ(histograms.at(name).sum(), 0) << name;
+    }
+    EXPECT_FALSE(histograms.count(
+        "vc.hop.0-8." + std::to_string(fwd::HopStamp::kMaxHops) + ".queue"));
+  }
+}
+
 /// Per-hop {queue,wire} sums (ns) of the 0->3 flow from one chain run.
 struct HopSums {
   double queue[4] = {0, 0, 0, 0};

@@ -2,9 +2,13 @@
 // the sanitizer builds, covering the same invariants the `scale` tier
 // proves at 256/1024 nodes (tests/routing_scale_test.cpp) — healthy-path
 // gateway spreading, a mid-transfer gateway kill with exactly-once
-// in-order delivery, and drained-queue / packet-pool hygiene afterwards.
+// in-order delivery under every gateway pump mode (store-and-forward,
+// FIFO pipeline, DRR), and drained-queue / packet-pool hygiene
+// afterwards.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "fwd/virtual_channel.hpp"
@@ -66,10 +70,29 @@ TEST(RoutingSmoke, HealthyFatTreeDeliversAndSpreads) {
   EXPECT_GE(used, 2u) << "hashed spread left a cluster-0 gateway idle";
 }
 
-TEST(RoutingSmoke, KilledGatewayMidTransferKeepsEveryMessage) {
+/// One gateway pump mode: the queue between a gateway's rx and tx fibers.
+struct PumpMode {
+  const char* name;
+  std::size_t pipeline_depth;
+  bool congestion;  // DRR fair queue instead of the FIFO pipeline
+};
+// The default printer shows a PumpMode as raw bytes, including a pointer
+// that differs from run to run; print the mode name instead.
+void PrintTo(const PumpMode& mode, std::ostream* os) { *os << mode.name; }
+
+class RoutingSmokeKill : public testing::TestWithParam<PumpMode> {};
+
+TEST_P(RoutingSmokeKill, KilledGatewayMidTransferKeepsEveryMessage) {
   FatTreeBed bed = make_fat_tree(2, kLeaves, kGateways);
   Session session(bed.config);
-  VirtualChannel vc(session, smoke_vdef(bed));
+  VirtualChannelDef def = smoke_vdef(bed);
+  def.pipeline_depth = GetParam().pipeline_depth;
+  if (GetParam().congestion) {
+    mad::CongestionConfig congestion;
+    congestion.enabled = true;
+    def.congestion = congestion;
+  }
+  VirtualChannel vc(session, def);
 
   const std::vector<FlowSpec> flows = smoke_flows(bed, 6);
   // Kill the gateway flow 0 is actually routed through, a deterministic
@@ -85,7 +108,12 @@ TEST(RoutingSmoke, KilledGatewayMidTransferKeepsEveryMessage) {
   EXPECT_TRUE(failure->empty()) << *failure;
   EXPECT_EQ(check_channel_drained(vc), "");
 
-  EXPECT_EQ(vc.routing_counters().gateway_kills, 1u);
+  const VirtualChannel::RoutingCounters& counters = vc.routing_counters();
+  EXPECT_EQ(counters.gateway_kills, 1u);
+  EXPECT_GT(counters.replayed_packets, 0u);
+  RecordProperty("discarded", std::to_string(counters.discarded));
+  RecordProperty("replayed_packets",
+                 std::to_string(counters.replayed_packets));
   EXPECT_FALSE(session.hostdb().alive(victim));
   EXPECT_EQ(session.hostdb().dead_count(), 1u);
   for (std::size_t b = 0; b < vc.boundary_count(); ++b) {
@@ -94,6 +122,14 @@ TEST(RoutingSmoke, KilledGatewayMidTransferKeepsEveryMessage) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPumps, RoutingSmokeKill,
+    testing::Values(PumpMode{"store_forward", 1, false},
+                    PumpMode{"fifo", 2, false}, PumpMode{"drr", 2, true}),
+    [](const testing::TestParamInfo<PumpMode>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace mad2
