@@ -5,7 +5,7 @@
 
 #include "hw/node.hpp"
 #include "mad/connection.hpp"
-#include "mad/credit_window.hpp"
+#include "mad/static_slot_tm.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
@@ -135,6 +135,12 @@ class LaterRecvBmm final : public RecvBmm {
 // replays exactly the same boundaries from the symmetric unpack sequence
 // — no headers are needed (Section 2.2).
 
+StaticSlotTm& slots_of(Tm& tm) {
+  StaticSlotTm* slots = tm.static_slots();
+  MAD2_CHECK(slots != nullptr, "a static-buffer TM must be a StaticSlotTm");
+  return *slots;
+}
+
 class StaticCopySendBmm final : public SendBmm {
  public:
   void pack(Connection& connection, Tm& tm, std::span<const std::byte> data,
@@ -142,7 +148,7 @@ class StaticCopySendBmm final : public SendBmm {
     std::size_t done = 0;
     while (done < data.size()) {
       if (!have_buffer_) {
-        buffer_ = tm.obtain_static_buffer(connection);
+        buffer_ = slots_of(tm).obtain_static_buffer(connection);
         have_buffer_ = true;
       }
       const std::size_t room = buffer_.memory.size() - buffer_.used;
@@ -189,7 +195,7 @@ class StaticCopySendBmm final : public SendBmm {
     if (buffer_.used > 0) {
       MAD2_TRACE_EVENT(obs::Category::kBmm, "bmm.static_flush", nullptr,
                        buffer_.used, buffer_.memory.size());
-      tm.send_static_buffer(connection, buffer_);
+      slots_of(tm).send_static_buffer(connection, buffer_);
     }
     have_buffer_ = false;
     buffer_ = StaticBuffer{};
@@ -252,8 +258,8 @@ class StaticCopyRecvBmm final : public RecvBmm {
       }
       const std::size_t avail = buffer_.used - consumed_;
       const std::size_t chunk = std::min(avail, len - done);
-      CreditWindow* window = tm.credit_window(connection);
-      if (hold_ != nullptr || window == nullptr || window->try_retain()) {
+      if (hold_ != nullptr ||
+          slots_of(tm).credit_window(connection)->try_retain()) {
         out.push_back(BorrowedBlock{
             std::span<const std::byte>(buffer_.memory.data() + consumed_,
                                        chunk),
@@ -301,37 +307,35 @@ class StaticCopyRecvBmm final : public RecvBmm {
   // traffic — the protocol slot is abandoned there instead.
   struct Hold {
     Connection* connection;
-    Tm* tm;
+    StaticSlotTm* tm;
     StaticBuffer buffer;
-    Hold(Connection* connection, Tm* tm, StaticBuffer buffer)
+    Hold(Connection* connection, StaticSlotTm* tm, StaticBuffer buffer)
         : connection(connection), tm(tm), buffer(buffer) {}
     Hold(const Hold&) = delete;
     Hold& operator=(const Hold&) = delete;
     ~Hold() {
       if (connection->simulator().current() == nullptr) return;
-      if (CreditWindow* window = tm->credit_window(*connection)) {
-        window->unretain();
-      }
+      tm->credit_window(*connection)->unretain();
       tm->release_static_buffer(*connection, buffer);
     }
   };
 
   void obtain(Connection& connection, Tm& tm) {
-    buffer_ = tm.receive_static_buffer(connection);
+    buffer_ = slots_of(tm).receive_static_buffer(connection);
     consumed_ = 0;
     have_buffer_ = true;
   }
 
   std::shared_ptr<Hold> hold_for(Connection& connection, Tm& tm) {
     if (hold_ == nullptr) {
-      hold_ = std::make_shared<Hold>(&connection, &tm, buffer_);
+      hold_ = std::make_shared<Hold>(&connection, &slots_of(tm), buffer_);
     }
     return hold_;
   }
 
   void release(Connection& connection, Tm& tm) {
     if (hold_ == nullptr) {
-      tm.release_static_buffer(connection, buffer_);
+      slots_of(tm).release_static_buffer(connection, buffer_);
     }
     hold_.reset();  // borrowed: the views own the release now
     have_buffer_ = false;

@@ -16,7 +16,7 @@
 //   kLater      blocks recorded by reference and read only at commit
 //               (send_LATER semantics)
 //   kStaticCopy user data copied through protocol buffers
-//               (obtain/release_static_buffer TMs: BIP-short, VIA-short)
+//               (StaticSlotTm: BIP-short, VIA-short, SBP, IB-eager)
 #pragma once
 
 #include <memory>

@@ -1,6 +1,6 @@
-// Credit-based flow control of the static-buffer TMs (paper Section
-// 5.2.2): one window per connection for BIP-short, VIA-short, SBP and
-// IB-eager, whose drivers only say how a credit packet travels. It holds
+// Credit-based flow control of the static-slot TM (paper Section 5.2.2):
+// one window per connection for BIP-short, VIA-short, SBP and IB-eager,
+// all run by StaticSlotTm (static_slot_tm.hpp). It holds
 // the send side's credits toward the peer and the receive side's owed
 // count and retained slots for traffic from it. docs/PROTOCOLS.md
 // ("Credit window") states the invariant the tests check.
@@ -60,11 +60,6 @@ class CreditWindow {
   /// credit returns is due.
   [[nodiscard]] bool count_release() { return ++owed_ >= batch_; }
 
-  /// count_release, then the owed count to send if a batch is due, else 0.
-  [[nodiscard]] std::size_t release() {
-    return count_release() ? take_owed() : 0;
-  }
-
   /// Everything owed, zeroed before the caller sends it: the send can
   /// block, and releases that land meanwhile must stay owed. Also the
   /// flush before blocking on an empty receive queue, since the sender
@@ -90,6 +85,7 @@ class CreditWindow {
   [[nodiscard]] std::size_t credits() const { return credits_; }
   [[nodiscard]] std::size_t owed() const { return owed_; }
   [[nodiscard]] std::size_t retained() const { return retained_; }
+  [[nodiscard]] bool closed() const { return closed_; }
 
  private:
   std::size_t window_;

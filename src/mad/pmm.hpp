@@ -8,7 +8,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "mad/tm.hpp"
@@ -61,6 +63,50 @@ class Pmm {
   /// runtime from measured per-segment throughput); never used for TM
   /// selection, which stays a pure function of (len, modes).
   [[nodiscard]] virtual double bandwidth_hint_mbs() const { return 100.0; }
+};
+
+/// wait_incoming's choice among a channel's peers: each scan resumes just
+/// past the peer it last returned, so one busy sender cannot starve the
+/// others. `Peer` is whatever the driver's has_incoming test reads (its
+/// per-connection state, a stream).
+template <typename Peer>
+class PeerScan {
+ public:
+  void add(std::uint32_t remote, Peer peer) {
+    peers_.emplace_back(remote, peer);
+  }
+
+  /// The next peer, in round-robin order, for which `has_incoming(peer)`
+  /// holds; nullopt if there is none.
+  template <typename HasIncoming>
+  std::optional<std::uint32_t> next(HasIncoming&& has_incoming) {
+    for (std::size_t k = 0; k < peers_.size(); ++k) {
+      const std::size_t idx = (rr_next_ + k) % peers_.size();
+      if (has_incoming(peers_[idx].second)) {
+        rr_next_ = (idx + 1) % peers_.size();
+        return peers_[idx].first;
+      }
+    }
+    return std::nullopt;
+  }
+
+  /// next(), calling `sleep()` until some peer has input.
+  template <typename HasIncoming, typename Sleep>
+  std::uint32_t wait(HasIncoming&& has_incoming, Sleep&& sleep) {
+    for (;;) {
+      if (const auto remote = next(has_incoming)) return *remote;
+      sleep();
+    }
+  }
+
+  [[nodiscard]] const std::vector<std::pair<std::uint32_t, Peer>>& peers()
+      const {
+    return peers_;
+  }
+
+ private:
+  std::vector<std::pair<std::uint32_t, Peer>> peers_;
+  std::size_t rr_next_ = 0;
 };
 
 }  // namespace mad2::mad

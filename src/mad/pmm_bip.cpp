@@ -13,7 +13,7 @@ namespace mad2::mad {
 BipPmm::BipPmm(ChannelEndpoint& endpoint, BipPmmOptions options)
     : endpoint_(endpoint),
       options_(options),
-      short_tm_(this),
+      short_tm_(this, "bip-short", "bip.credit_wait"),
       long_tm_(this) {
   NetworkInstance& network = endpoint_.channel().network();
   MAD2_CHECK(network.bip != nullptr, "BipPmm on a non-BIP network");
@@ -46,24 +46,15 @@ std::unique_ptr<Pmm::ConnState> BipPmm::make_conn_state(
   state->remote_port = endpoint_.channel().network().port(remote);
   states_[remote] = state.get();
   by_port_[state->remote_port] = remote;
-  peer_order_.push_back(remote);
+  scan_.add(remote, state.get());
   return state;
 }
 
 void BipPmm::finish_setup() {
-  // Pre-size the pools so the steady state never allocates: the credit
-  // window caps the slots a peer can have in flight or checked out at
-  // `credits` (retained borrows stay under credits/2 on top), and staging
-  // buffers are released right after each send. Growth past these sizes
-  // is still possible and is then counted against the node.
-  const std::size_t peers = states_.size();
-  const std::size_t slots = peers * options_.credits * 2;
-  slot_slab_.resize(slots);
-  slot_free_.reserve(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    slot_free_.push_back(static_cast<std::uint32_t>(i));
-  }
-  const std::size_t stages = peers * 4;
+  // Pre-size the staging pool so the steady state never allocates:
+  // staging buffers are released right after each send. Growth past this
+  // size is still possible and is then counted against the node.
+  const std::size_t stages = states_.size() * 4;
   staging_.reserve(stages);
   staging_free_.reserve(stages);
   for (std::size_t i = 0; i < stages; ++i) {
@@ -89,11 +80,7 @@ void BipPmm::finish_setup() {
 }
 
 void BipPmm::flush_owed_credits() {
-  for (auto& [remote, state] : states_) {
-    if (const std::size_t owed = state->window.take_owed()) {
-      send_ctrl(*state, CtrlKind::kCredit, owed);
-    }
-  }
+  for (auto& [remote, state] : states_) short_tm_.flush_owed(*state);
 }
 
 Tm& BipPmm::select_tm(std::size_t len, SendMode, ReceiveMode) {
@@ -147,8 +134,7 @@ void BipPmm::pump_loop() {
             break;
         }
       } else {
-        state.data_slots.push_back(slot);
-        state.recv_wq.notify_all();
+        state.deliver(slot.data, slot.slot_id);
       }
       incoming_wq_->notify_all();
 
@@ -166,17 +152,11 @@ void BipPmm::pump_loop() {
 }
 
 std::uint32_t BipPmm::wait_incoming() {
-  for (;;) {
-    for (std::size_t k = 0; k < peer_order_.size(); ++k) {
-      const std::size_t idx = (rr_next_ + k) % peer_order_.size();
-      State& state = *states_.at(peer_order_[idx]);
-      if (!state.data_slots.empty() || !state.reqs.empty()) {
-        rr_next_ = (idx + 1) % peer_order_.size();
-        return peer_order_[idx];
-      }
-    }
-    incoming_wq_->wait();
-  }
+  return scan_.wait(
+      [](const State* state) {
+        return !state->rx.empty() || !state->reqs.empty();
+      },
+      [this] { incoming_wq_->wait(); });
 }
 
 void BipPmm::send_ctrl(State& state, CtrlKind kind, std::uint64_t value) {
@@ -188,7 +168,7 @@ void BipPmm::send_ctrl(State& state, CtrlKind kind, std::uint64_t value) {
   port_->send_short(state.remote_port, ctrl_tag(my_port), packet);
 }
 
-StaticBuffer BipPmm::obtain_staging() {
+StaticBuffer BipPmm::tx_slot() {
   std::size_t index;
   if (!staging_free_.empty()) {
     index = staging_free_.back();
@@ -204,115 +184,35 @@ StaticBuffer BipPmm::obtain_staging() {
                       /*handle=*/index + 1};
 }
 
-void BipPmm::release_staging(StaticBuffer& buffer) {
-  MAD2_CHECK(buffer.handle != 0, "releasing a non-staging buffer");
-  staging_free_.push_back(buffer.handle - 1);
-  buffer = StaticBuffer{};
-}
-
-StaticBuffer BipPmm::wrap_slot(net::BipShortSlot slot) {
-  std::uint32_t index;
-  if (!slot_free_.empty()) {
-    index = slot_free_.back();
-    slot_free_.pop_back();
-  } else {
-    // Slab exhausted (never in steady state — the credit window bounds
-    // checked-out slots): grow, and charge the allocation to the node.
-    index = static_cast<std::uint32_t>(slot_slab_.size());
-    slot_slab_.emplace_back();
-    endpoint_.node().count_alloc();
-  }
-  slot_slab_[index] = slot;
-  StaticBuffer buffer;
-  // The slot's backing store is owned by the driver until release; the
-  // receive BMM only reads from it, so the const_cast is contained here.
-  buffer.memory = std::span<std::byte>(
-      const_cast<std::byte*>(slot.data.data()), slot.data.size());
-  buffer.used = slot.data.size();
-  buffer.handle = index + 1;
-  return buffer;
-}
-
-net::BipShortSlot BipPmm::unwrap_slot(const StaticBuffer& buffer) {
-  MAD2_CHECK(buffer.handle != 0 && buffer.handle <= slot_slab_.size(),
-             "unknown static buffer handle");
-  const std::size_t index = buffer.handle - 1;
-  net::BipShortSlot slot = slot_slab_[index];
-  MAD2_CHECK(slot.data.data() != nullptr, "stale static buffer handle");
-  slot_slab_[index] = net::BipShortSlot{};
-  slot_free_.push_back(static_cast<std::uint32_t>(index));
-  return slot;
-}
-
-// ------------------------------------------------------------- BipShortTm ---
-
-void BipShortTm::send_buffer(Connection&, std::span<const std::byte>) {
-  MAD2_CHECK(false, "BIP short TM only moves static buffers");
-}
-
-void BipShortTm::receive_buffer(Connection&, std::span<std::byte>) {
-  MAD2_CHECK(false, "BIP short TM only moves static buffers");
-}
-
-StaticBuffer BipShortTm::obtain_static_buffer(Connection&) {
-  return pmm_->obtain_staging();
-}
-
-void BipShortTm::send_static_buffer(Connection& connection,
-                                    StaticBuffer& buffer) {
-  auto& state = connection.state<BipPmm::State>();
-  // Credit-based flow control: never exceed the receiver's preallocated
-  // buffer pool (the paper's short-TM algorithm).
-  state.window.acquire("bip.credit_wait", buffer.used);
-  MAD2_TRACE_EVENT(obs::Category::kTm, "bip.send_short", nullptr,
-                   buffer.used, state.window.credits());
+void BipPmm::post_slot(StaticSlotTm::Slots& slots, StaticBuffer& slot) {
+  auto& state = static_cast<State&>(slots);
+  MAD2_TRACE_EVENT(obs::Category::kTm, "bip.send_short", nullptr, slot.used,
+                   state.window.credits());
   const std::uint32_t my_port =
-      pmm_->endpoint().channel().network().port(pmm_->endpoint().local());
-  pmm_->port().send_short(state.remote_port, pmm_->data_tag(my_port),
-                          buffer.memory.subspan(0, buffer.used));
-  pmm_->release_staging(buffer);
+      endpoint_.channel().network().port(endpoint_.local());
+  port_->send_short(state.remote_port, data_tag(my_port),
+                    slot.memory.subspan(0, slot.used));
+  staging_free_.push_back(slot.handle - 1);
 }
 
-StaticBuffer BipShortTm::receive_static_buffer(Connection& connection) {
-  auto& state = connection.state<BipPmm::State>();
-  if (state.data_slots.empty()) {
-    // About to block for the next short: flush owed credits first.
-    if (const std::size_t owed = state.window.take_owed()) {
-      pmm_->send_ctrl(state, BipPmm::CtrlKind::kCredit, owed);
-    }
-  }
-  while (state.data_slots.empty()) state.recv_wq.wait();
-  net::BipShortSlot slot = state.data_slots.front();
-  state.data_slots.pop_front();
-  return pmm_->wrap_slot(slot);
+void BipPmm::return_slot(StaticSlotTm::Slots&, StaticBuffer& slot) {
+  net::BipShortSlot driver_slot;
+  driver_slot.slot_id = slot.handle;
+  port_->release_short(driver_slot);
 }
 
-void BipShortTm::release_static_buffer(Connection& connection,
-                                       StaticBuffer& buffer) {
-  auto& state = connection.state<BipPmm::State>();
-  net::BipShortSlot slot = pmm_->unwrap_slot(buffer);
-  pmm_->port().release_short(slot);
-  buffer = StaticBuffer{};
-  // Return credits in batches to amortize the control traffic. Fastpath:
-  // the progress tick sends one coalesced return per indebted peer; the
-  // flush-before-block net in receive_static_buffer covers stragglers.
-  if (pmm_->defer_credits()) {
-    if (state.window.count_release()) pmm_->ring_doorbell();
-  } else if (const std::size_t owed = state.window.release()) {
-    pmm_->send_ctrl(state, BipPmm::CtrlKind::kCredit, owed);
-  }
+void BipPmm::send_credits(StaticSlotTm::Slots& slots, std::size_t count) {
+  send_ctrl(static_cast<State&>(slots), CtrlKind::kCredit, count);
 }
 
-CreditWindow* BipShortTm::credit_window(Connection& connection) {
-  return &connection.state<BipPmm::State>().window;
+bool BipPmm::defer_credit_return() {
+  // The tick sends one coalesced return per indebted peer; the flush
+  // before blocking on an empty queue covers stragglers.
+  if (defer_credits_) engine_->ring(doorbell_);
+  return defer_credits_;
 }
 
 // -------------------------------------------------------------- BipLongTm ---
-
-void BipLongTm::send_buffer(Connection& connection,
-                            std::span<const std::byte> data) {
-  send_buffer_group(connection, {data});
-}
 
 void BipLongTm::send_buffer_group(
     Connection& connection,
@@ -339,12 +239,6 @@ void BipLongTm::send_buffer_group(
     pmm_->port().send_long(state.remote_port, pmm_->data_tag(my_port),
                            block);
   }
-}
-
-void BipLongTm::receive_buffer(Connection& connection,
-                               std::span<std::byte> out) {
-  std::vector<std::span<std::byte>> group{out};
-  receive_sub_buffer_group(connection, group);
 }
 
 void BipLongTm::receive_sub_buffer_group(

@@ -3,7 +3,7 @@
 // Two transmission modules, exactly as the paper describes:
 //  - the *short message* TM uses BIP's preallocated receive buffers behind
 //    a credit-based flow-control algorithm (so the finite buffer pool can
-//    never overflow);
+//    never overflow): a StaticSlotTm over this PMM's hooks;
 //  - the *long message* TM implements the receiver-acknowledgment
 //    rendezvous BIP requires before a long message may be transmitted
 //    (zero-copy delivery into the posted user buffer).
@@ -22,47 +22,23 @@
 #include <vector>
 
 #include "mad/bip_options.hpp"
-#include "mad/credit_window.hpp"
 #include "mad/pmm.hpp"
 #include "mad/session.hpp"
+#include "mad/static_slot_tm.hpp"
 #include "net/bip.hpp"
 
 namespace mad2::mad {
 
 class BipPmm;
 
-class BipShortTm final : public Tm {
- public:
-  explicit BipShortTm(BipPmm* pmm) : pmm_(pmm) {}
-  [[nodiscard]] std::string_view name() const override { return "bip-short"; }
-  [[nodiscard]] bool uses_static_buffers() const override { return true; }
-
-  void send_buffer(Connection&, std::span<const std::byte>) override;
-  void receive_buffer(Connection&, std::span<std::byte>) override;
-  StaticBuffer obtain_static_buffer(Connection& connection) override;
-  void send_static_buffer(Connection& connection,
-                          StaticBuffer& buffer) override;
-  StaticBuffer receive_static_buffer(Connection& connection) override;
-  void release_static_buffer(Connection& connection,
-                             StaticBuffer& buffer) override;
-  CreditWindow* credit_window(Connection& connection) override;
-
- private:
-  BipPmm* pmm_;
-};
-
-class BipLongTm final : public Tm {
+class BipLongTm final : public GroupTm {
  public:
   explicit BipLongTm(BipPmm* pmm) : pmm_(pmm) {}
   [[nodiscard]] std::string_view name() const override { return "bip-long"; }
 
-  void send_buffer(Connection& connection,
-                   std::span<const std::byte> data) override;
   void send_buffer_group(
       Connection& connection,
       const std::vector<std::span<const std::byte>>& group) override;
-  void receive_buffer(Connection& connection,
-                      std::span<std::byte> out) override;
   void receive_sub_buffer_group(
       Connection& connection,
       const std::vector<std::span<std::byte>>& group) override;
@@ -71,7 +47,7 @@ class BipLongTm final : public Tm {
   BipPmm* pmm_;
 };
 
-class BipPmm final : public Pmm {
+class BipPmm final : public Pmm, private StaticSlotTm::Driver {
  public:
   /// Tag-space stride: tags encode (channel, data|ctrl, sender port).
   static constexpr std::uint32_t kMaxPorts = 64;
@@ -80,21 +56,18 @@ class BipPmm final : public Pmm {
 
   [[nodiscard]] std::string_view name() const override { return "bip"; }
 
-  struct State : ConnState {
+  /// The short TM's slots, plus the rendezvous state of the long TM.
+  struct State : StaticSlotTm::Slots {
     State(sim::Simulator* simulator, const BipPmmOptions& options)
-        : window(simulator, options.credits, options.credit_batch),
-          ack_wq(simulator),
-          recv_wq(simulator) {}
+        : Slots(simulator, options.credits, options.credit_batch),
+          ack_wq(simulator) {}
     std::uint32_t remote = 0;
     std::uint32_t remote_port = 0;
-    CreditWindow window;  // the short TM's, both directions
     // --- send side ---
     std::size_t acks = 0;
     sim::WaitQueue ack_wq;
-    // --- receive side (filled by the pump) ---
-    std::deque<net::BipShortSlot> data_slots;
+    // --- receive side (filled by the pump; woken through recv_wq) ---
     std::deque<std::uint64_t> reqs;  // announced rendezvous sizes
-    sim::WaitQueue recv_wq;
   };
 
   std::unique_ptr<ConnState> make_conn_state(std::uint32_t remote) override;
@@ -118,19 +91,16 @@ class BipPmm final : public Pmm {
   enum class CtrlKind : std::uint8_t { kCredit = 1, kReq = 2, kAck = 3 };
   void send_ctrl(State& state, CtrlKind kind, std::uint64_t value);
 
-  /// Staging buffers for outgoing shorts.
-  StaticBuffer obtain_staging();
-  void release_staging(StaticBuffer& buffer);
-  /// Stash a received driver slot behind a StaticBuffer handle.
-  StaticBuffer wrap_slot(net::BipShortSlot slot);
-  net::BipShortSlot unwrap_slot(const StaticBuffer& buffer);
-
-  /// Deferred credit returns (fastpath): true when owed credits should
-  /// accumulate for the progress tick instead of going out inline.
-  [[nodiscard]] bool defer_credits() const { return defer_credits_; }
-  void ring_doorbell() { engine_->ring(doorbell_); }
-
  private:
+  // --- StaticSlotTm::Driver: staging buffers out, driver slots in. A
+  // received slot's StaticBuffer handle is its driver slot id. ---
+  StaticBuffer tx_slot() override;
+  void post_slot(StaticSlotTm::Slots& slots, StaticBuffer& slot) override;
+  void return_slot(StaticSlotTm::Slots& slots, StaticBuffer& slot) override;
+  void send_credits(StaticSlotTm::Slots& slots, std::size_t count) override;
+  /// Fastpath: owed credits accumulate for the progress tick.
+  bool defer_credit_return() override;
+
   void pump_loop();
   /// Progress-tick client: return every connection's owed credits, one
   /// control packet per indebted peer.
@@ -139,23 +109,17 @@ class BipPmm final : public Pmm {
   ChannelEndpoint& endpoint_;
   BipPmmOptions options_;
   net::BipPort* port_;
-  BipShortTm short_tm_;
+  StaticSlotTm short_tm_;
   BipLongTm long_tm_;
   std::map<std::uint32_t, State*> states_;        // remote -> state
   std::map<std::uint32_t, std::uint32_t> by_port_;  // remote port -> remote
   std::unique_ptr<sim::WaitQueue> incoming_wq_;
-  std::vector<std::uint32_t> peer_order_;  // round-robin for wait_incoming
-  std::size_t rr_next_ = 0;
+  PeerScan<const State*> scan_;
   // Staging pool for outgoing short buffers. Pre-sized at finish_setup so
   // the steady state never allocates; growth past the pre-size is counted
   // against the node (hw::MemCounters::alloc_count).
   std::vector<std::vector<std::byte>> staging_;
   std::vector<std::size_t> staging_free_;
-  // Checked-out incoming slots: a fixed slab indexed by StaticBuffer::
-  // handle - 1 plus a free list — no per-receive map-node allocation. An
-  // empty data span marks a vacant slab entry (driver slots never are).
-  std::vector<net::BipShortSlot> slot_slab_;
-  std::vector<std::uint32_t> slot_free_;
   // Fastpath state (inert without the session stanza).
   ProgressEngine* engine_ = nullptr;
   std::size_t doorbell_ = 0;

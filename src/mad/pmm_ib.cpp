@@ -25,7 +25,7 @@ std::uint64_t imm_value(std::uint64_t imm) { return imm >> 8; }
 IbPmm::IbPmm(ChannelEndpoint& endpoint, IbPmmOptions options)
     : endpoint_(endpoint),
       options_(options),
-      eager_tm_(this),
+      eager_tm_(this, "ib-eager", "ib.credit_wait"),
       write_tm_(this),
       read_tm_(this) {
   NetworkInstance& network = endpoint_.channel().network();
@@ -74,9 +74,8 @@ std::unique_ptr<Pmm::ConnState> IbPmm::make_conn_state(std::uint32_t remote) {
     (void)port_->register_memory(buffer);
     port_->post_recv(state->remote_port, qp(), buffer);
   }
-  states_[remote] = state.get();
-  by_port_[state->remote_port] = remote;
-  peer_order_.push_back(remote);
+  by_port_[state->remote_port] = state.get();
+  scan_.add(remote, state.get());
   return state;
 }
 
@@ -90,7 +89,7 @@ void IbPmm::finish_setup() {
   port_->add_link_down_callback(
       [this](std::uint32_t peer, const Status& status) {
         const auto it = by_port_.find(peer);
-        if (it != by_port_.end()) mark_dead(*states_.at(it->second), status);
+        if (it != by_port_.end()) mark_dead(*it->second, status);
       });
   Session& session = endpoint_.session();
   if (session.config().fastpath.has_value()) {
@@ -116,19 +115,16 @@ Tm& IbPmm::select_tm(std::size_t len, SendMode, ReceiveMode rmode) {
 }
 
 std::uint32_t IbPmm::wait_incoming() {
-  for (;;) {
-    drain_cq();
-    for (std::size_t k = 0; k < peer_order_.size(); ++k) {
-      const std::size_t idx = (rr_next_ + k) % peer_order_.size();
-      State& state = *states_.at(peer_order_[idx]);
-      if (!state.data_pkts.empty() || !state.rts.empty() ||
-          !state.rts_read.empty()) {
-        rr_next_ = (idx + 1) % peer_order_.size();
-        return peer_order_[idx];
-      }
-    }
-    incoming_wq_->wait();
-  }
+  drain_cq();
+  return scan_.wait(
+      [](const State* state) {
+        return !state->rx.empty() || !state->rts.empty() ||
+               !state->rts_read.empty();
+      },
+      [this] {
+        incoming_wq_->wait();
+        drain_cq();
+      });
 }
 
 double IbPmm::bandwidth_hint_mbs() const {
@@ -137,7 +133,7 @@ double IbPmm::bandwidth_hint_mbs() const {
 }
 
 IbPmm::State& IbPmm::state_of_port(std::uint32_t port) {
-  return *states_.at(by_port_.at(port));
+  return *by_port_.at(port);
 }
 
 std::size_t IbPmm::pool_index(State& state, const std::byte* data) {
@@ -189,7 +185,7 @@ bool IbPmm::wait_or_give_up(State& state, sim::WaitQueue& wq,
 }
 
 void IbPmm::pump_loop() {
-  if (states_.empty()) return;
+  if (by_port_.empty()) return;
   for (;;) {
     net::IbCompletion completion = port_->wait_cq(qp());
     dispatch(completion);
@@ -216,8 +212,9 @@ void IbPmm::dispatch(const net::IbCompletion& completion) {
       const std::size_t index = pool_index(state, completion.buffer.data());
       switch (kind) {
         case MsgKind::kData:
-          state.data_pkts.emplace_back(index, completion.bytes);
-          state.recv_wq.notify_all();
+          state.deliver(std::span<const std::byte>(state.pool[index])
+                            .first(completion.bytes),
+                        index + 1);
           break;  // buffer handed to the app; reposted on release
         case MsgKind::kCredit:
           state.window.grant(value);
@@ -300,98 +297,44 @@ void IbPmm::send_ctrl(State& state, MsgKind kind, std::uint64_t value,
                          encode_imm(kind, value));
 }
 
-// -------------------------------------------------------------- IbEagerTm ---
+// ------------------------------------------------------ eager-TM hooks ---
 
-void IbEagerTm::send_buffer(Connection&, std::span<const std::byte>) {
-  MAD2_CHECK(false, "IB eager TM only moves static buffers");
-}
-
-void IbEagerTm::receive_buffer(Connection&, std::span<std::byte>) {
-  MAD2_CHECK(false, "IB eager TM only moves static buffers");
-}
-
-StaticBuffer IbEagerTm::obtain_static_buffer(Connection&) {
+StaticBuffer IbPmm::tx_slot() {
   std::size_t index;
-  if (!pmm_->staging_free_.empty()) {
-    index = pmm_->staging_free_.back();
-    pmm_->staging_free_.pop_back();
+  if (!staging_free_.empty()) {
+    index = staging_free_.back();
+    staging_free_.pop_back();
   } else {
-    index = pmm_->staging_.size();
-    pmm_->staging_.emplace_back(pmm_->options().eager_cutoff);
-    (void)pmm_->port().register_memory(pmm_->staging_.back());
+    index = staging_.size();
+    staging_.emplace_back(options_.eager_cutoff);
+    (void)port_->register_memory(staging_.back());
   }
-  return StaticBuffer{std::span<std::byte>(pmm_->staging_[index]), 0,
-                      index + 1};
+  return StaticBuffer{std::span<std::byte>(staging_[index]), 0, index + 1};
 }
 
-void IbEagerTm::send_static_buffer(Connection& connection,
-                                   StaticBuffer& buffer) {
-  auto& state = connection.state<IbPmm::State>();
-  const std::size_t index = buffer.handle - 1;
-  // A poisoned port closes the window (mark_dead) before we would sleep.
-  if (state.window.credits() == 0) pmm_->check_dead(state);
-  if (!state.window.acquire("ib.credit_wait", buffer.used,
-                            [this] { pmm_->drain_cq(); })) {
-    // Link died while we waited for credits: the session is failing, so
-    // drop the message and recycle the staging slot instead of re-sleeping
-    // on a credit that can never arrive.
-    pmm_->staging_free_.push_back(index);
-    buffer = StaticBuffer{};
-    return;
-  }
+void IbPmm::post_slot(StaticSlotTm::Slots& slots, StaticBuffer& slot) {
+  auto& state = static_cast<State&>(slots);
   // post_send copies at post time: the staging buffer recycles at once.
-  (void)pmm_->port().post_send(
-      state.remote_port, pmm_->qp(),
-      std::span<const std::byte>(pmm_->staging_[index]).first(buffer.used),
-      IbPmm::encode_imm(IbPmm::MsgKind::kData, 0));
-  pmm_->staging_free_.push_back(index);
-  buffer = StaticBuffer{};
+  (void)port_->post_send(state.remote_port, qp(),
+                         std::span<const std::byte>(slot.memory).first(
+                             slot.used),
+                         encode_imm(MsgKind::kData, 0));
+  staging_free_.push_back(slot.handle - 1);
 }
 
-StaticBuffer IbEagerTm::receive_static_buffer(Connection& connection) {
-  auto& state = connection.state<IbPmm::State>();
-  pmm_->drain_cq();
-  if (state.data_pkts.empty()) {
-    // About to block: flush owed credits first.
-    if (const std::size_t owed = state.window.take_owed()) {
-      pmm_->send_ctrl(state, IbPmm::MsgKind::kCredit, owed);
-    }
-  }
-  while (state.data_pkts.empty() && !state.dead) state.recv_wq.wait();
-  if (state.data_pkts.empty()) {
-    // Link died with nothing queued (already-landed data still drains
-    // above): hand back an empty buffer so the caller's unwind runs
-    // instead of wedging this fiber forever.
-    return StaticBuffer{};
-  }
-  auto [index, bytes] = state.data_pkts.front();
-  state.data_pkts.pop_front();
-  return StaticBuffer{std::span<std::byte>(state.pool[index]).first(bytes),
-                      bytes, index + 1};
+void IbPmm::drop_slot(StaticBuffer& slot) {
+  staging_free_.push_back(slot.handle - 1);
 }
 
-void IbEagerTm::release_static_buffer(Connection& connection,
-                                      StaticBuffer& buffer) {
-  auto& state = connection.state<IbPmm::State>();
-  if (buffer.handle == 0) return;  // dead-link receive: nothing to repost
-  const std::size_t index = buffer.handle - 1;
-  pmm_->repost(state, index);
-  buffer = StaticBuffer{};
-  if (const std::size_t owed = state.window.release()) {
-    pmm_->send_ctrl(state, IbPmm::MsgKind::kCredit, owed);
-  }
+void IbPmm::return_slot(StaticSlotTm::Slots& slots, StaticBuffer& slot) {
+  repost(static_cast<State&>(slots), slot.handle - 1);
 }
 
-CreditWindow* IbEagerTm::credit_window(Connection& connection) {
-  return &connection.state<IbPmm::State>().window;
+void IbPmm::send_credits(StaticSlotTm::Slots& slots, std::size_t count) {
+  send_ctrl(static_cast<State&>(slots), MsgKind::kCredit, count);
 }
 
 // ---------------------------------------------------------- IbRdmaWriteTm ---
-
-void IbRdmaWriteTm::send_buffer(Connection& connection,
-                                std::span<const std::byte> data) {
-  send_buffer_group(connection, {data});
-}
 
 void IbRdmaWriteTm::send_buffer_group(
     Connection& connection,
@@ -437,12 +380,6 @@ void IbRdmaWriteTm::send_buffer_group(
   }
   if (state.write_acks >= group.size()) state.write_acks -= group.size();
   for (const net::IbMr& mr : mrs) pmm_->port().reg_cache().release(mr);
-}
-
-void IbRdmaWriteTm::receive_buffer(Connection& connection,
-                                   std::span<std::byte> out) {
-  std::vector<std::span<std::byte>> group{out};
-  receive_sub_buffer_group(connection, group);
 }
 
 void IbRdmaWriteTm::receive_sub_buffer_group(
@@ -493,11 +430,6 @@ void IbRdmaWriteTm::receive_sub_buffer_group(
 
 // ----------------------------------------------------------- IbRdmaReadTm ---
 
-void IbRdmaReadTm::send_buffer(Connection& connection,
-                               std::span<const std::byte> data) {
-  send_buffer_group(connection, {data});
-}
-
 void IbRdmaReadTm::send_buffer_group(
     Connection& connection,
     const std::vector<std::span<const std::byte>>& group) {
@@ -534,12 +466,6 @@ void IbRdmaReadTm::send_buffer_group(
   }
   if (state.read_done_acks > 0) --state.read_done_acks;
   for (const net::IbMr& mr : mrs) pmm_->port().reg_cache().release(mr);
-}
-
-void IbRdmaReadTm::receive_buffer(Connection& connection,
-                                  std::span<std::byte> out) {
-  std::vector<std::span<std::byte>> group{out};
-  receive_sub_buffer_group(connection, group);
 }
 
 void IbRdmaReadTm::receive_sub_buffer_group(

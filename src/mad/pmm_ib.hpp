@@ -6,7 +6,8 @@
 //  - the *eager* TM copies short messages through pre-registered,
 //    pre-posted buffers under a credit window sized by the QP depth (a
 //    send with no posted receive breaks the QP, so the window is load-
-//    bearing); the message kind rides in the 64-bit immediate;
+//    bearing); the message kind rides in the 64-bit immediate. It is a
+//    StaticSlotTm over this PMM's hooks;
 //  - the *rendezvous-write* TM: RTS announces the block, the receiver
 //    pins the landing area through the registration cache and answers CTS
 //    with its rkeys, the sender RDMA-writes straight from (cache-pinned)
@@ -32,48 +33,24 @@
 #include <memory>
 #include <vector>
 
-#include "mad/credit_window.hpp"
 #include "mad/ib_options.hpp"
 #include "mad/pmm.hpp"
 #include "mad/session.hpp"
+#include "mad/static_slot_tm.hpp"
 #include "net/ib.hpp"
 
 namespace mad2::mad {
 
 class IbPmm;
 
-class IbEagerTm final : public Tm {
- public:
-  explicit IbEagerTm(IbPmm* pmm) : pmm_(pmm) {}
-  [[nodiscard]] std::string_view name() const override { return "ib-eager"; }
-  [[nodiscard]] bool uses_static_buffers() const override { return true; }
-
-  void send_buffer(Connection&, std::span<const std::byte>) override;
-  void receive_buffer(Connection&, std::span<std::byte>) override;
-  StaticBuffer obtain_static_buffer(Connection& connection) override;
-  void send_static_buffer(Connection& connection,
-                          StaticBuffer& buffer) override;
-  StaticBuffer receive_static_buffer(Connection& connection) override;
-  void release_static_buffer(Connection& connection,
-                             StaticBuffer& buffer) override;
-  CreditWindow* credit_window(Connection& connection) override;
-
- private:
-  IbPmm* pmm_;
-};
-
-class IbRdmaWriteTm final : public Tm {
+class IbRdmaWriteTm final : public GroupTm {
  public:
   explicit IbRdmaWriteTm(IbPmm* pmm) : pmm_(pmm) {}
   [[nodiscard]] std::string_view name() const override { return "ib-write"; }
 
-  void send_buffer(Connection& connection,
-                   std::span<const std::byte> data) override;
   void send_buffer_group(
       Connection& connection,
       const std::vector<std::span<const std::byte>>& group) override;
-  void receive_buffer(Connection& connection,
-                      std::span<std::byte> out) override;
   void receive_sub_buffer_group(
       Connection& connection,
       const std::vector<std::span<std::byte>>& group) override;
@@ -82,18 +59,14 @@ class IbRdmaWriteTm final : public Tm {
   IbPmm* pmm_;
 };
 
-class IbRdmaReadTm final : public Tm {
+class IbRdmaReadTm final : public GroupTm {
  public:
   explicit IbRdmaReadTm(IbPmm* pmm) : pmm_(pmm) {}
   [[nodiscard]] std::string_view name() const override { return "ib-read"; }
 
-  void send_buffer(Connection& connection,
-                   std::span<const std::byte> data) override;
   void send_buffer_group(
       Connection& connection,
       const std::vector<std::span<const std::byte>>& group) override;
-  void receive_buffer(Connection& connection,
-                      std::span<std::byte> out) override;
   void receive_sub_buffer_group(
       Connection& connection,
       const std::vector<std::span<std::byte>>& group) override;
@@ -102,7 +75,7 @@ class IbRdmaReadTm final : public Tm {
   IbPmm* pmm_;
 };
 
-class IbPmm final : public Pmm {
+class IbPmm final : public Pmm, private StaticSlotTm::Driver {
  public:
   IbPmm(ChannelEndpoint& endpoint, IbPmmOptions options);
 
@@ -136,28 +109,26 @@ class IbPmm final : public Pmm {
     std::vector<RemoteBlock> blocks;
   };
 
-  struct State : ConnState {
+  /// The eager TM's slots (window = IbParams::qp_depth), plus the
+  /// rendezvous state of the write and read TMs.
+  struct State : StaticSlotTm::Slots {
     State(sim::Simulator* simulator, std::size_t depth, std::size_t batch)
-        : window(simulator, depth, batch),
-          rdv_wq(simulator),
-          recv_wq(simulator) {}
+        : Slots(simulator, depth, batch), rdv_wq(simulator) {}
     std::uint32_t remote = 0;
     std::uint32_t remote_port = 0;
-    CreditWindow window;  // the eager TM's (= IbParams::qp_depth), both ways
     // --- send side ---
     std::deque<Cts> cts_queue;       // answers to our RTS
     std::size_t write_acks = 0;      // kRdmaWrite completions reaped
     std::size_t read_done_acks = 0;  // kDone messages received
     sim::WaitQueue rdv_wq;
-    // --- receive side (filled by the CQ dispatch) ---
-    std::deque<std::pair<std::size_t, std::size_t>> data_pkts;
+    // --- receive side (filled by the CQ dispatch; woken via recv_wq) ---
     std::deque<std::uint64_t> rts;           // announced write totals
     std::deque<std::vector<ReadBlock>> rts_read;
     std::deque<std::uint64_t> write_imms;    // landed write seqs
     std::size_t read_dones = 0;              // kRdmaRead completions
-    sim::WaitQueue recv_wq;
     std::uint64_t next_seq = 1;
-    // Pre-registered, pre-posted eager receive pool.
+    // Pre-registered, pre-posted eager receive pool. A received slot's
+    // StaticBuffer handle is its index here plus one.
     std::vector<std::vector<std::byte>> pool;
     // Set once the link died (error CQE or give-up deadline); every
     // checked wait bails with dead_status.
@@ -210,6 +181,20 @@ class IbPmm final : public Pmm {
                               std::span<std::byte> out);
 
  private:
+  // --- StaticSlotTm::Driver: registered staging out, posted pool in ---
+  StaticBuffer tx_slot() override;
+  void post_slot(StaticSlotTm::Slots& slots, StaticBuffer& slot) override;
+  void return_slot(StaticSlotTm::Slots& slots, StaticBuffer& slot) override;
+  void send_credits(StaticSlotTm::Slots& slots, std::size_t count) override;
+  void poll() override { drain_cq(); }
+  /// A poisoned port closes the window (mark_dead) before we would sleep.
+  void check_link(StaticSlotTm::Slots& slots) override {
+    check_dead(static_cast<State&>(slots));
+  }
+  /// The link died while the slot waited for a credit: the session is
+  /// failing, so the message is dropped.
+  void drop_slot(StaticBuffer& slot) override;
+
   void pump_loop();
   void dispatch(const net::IbCompletion& completion);
   State& state_of_port(std::uint32_t port);
@@ -225,13 +210,11 @@ class IbPmm final : public Pmm {
   ChannelEndpoint& endpoint_;
   IbPmmOptions options_;
   net::IbPort* port_;
-  IbEagerTm eager_tm_;
+  StaticSlotTm eager_tm_;
   IbRdmaWriteTm write_tm_;
   IbRdmaReadTm read_tm_;
-  std::map<std::uint32_t, State*> states_;          // remote -> state
-  std::map<std::uint32_t, std::uint32_t> by_port_;  // remote port -> remote
-  std::vector<std::uint32_t> peer_order_;
-  std::size_t rr_next_ = 0;
+  std::map<std::uint32_t, State*> by_port_;  // remote port -> state
+  PeerScan<const State*> scan_;
   std::unique_ptr<sim::WaitQueue> incoming_wq_;
   // Staging pool for outgoing eager buffers (registered once).
   std::vector<std::vector<std::byte>> staging_;
@@ -242,7 +225,6 @@ class IbPmm final : public Pmm {
   bool engine_mode_ = false;
   bool drain_active_ = false;
 
-  friend class IbEagerTm;
   friend class IbRdmaWriteTm;
   friend class IbRdmaReadTm;
 };

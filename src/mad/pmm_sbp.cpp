@@ -8,7 +8,7 @@
 namespace mad2::mad {
 
 SbpPmm::SbpPmm(ChannelEndpoint& endpoint)
-    : endpoint_(endpoint), tm_(this) {
+    : endpoint_(endpoint), tm_(this, "sbp", "sbp.credit_wait") {
   NetworkInstance& network = endpoint_.channel().network();
   MAD2_CHECK(network.sbp != nullptr, "SbpPmm on a non-SBP network");
   port_ = &network.sbp->port(network.port(endpoint_.local()));
@@ -31,9 +31,8 @@ std::unique_ptr<Pmm::ConnState> SbpPmm::make_conn_state(
   auto state = std::make_unique<State>(&endpoint_.session().simulator());
   state->remote = remote;
   state->remote_port = endpoint_.channel().network().port(remote);
-  states_[remote] = state.get();
-  by_port_[state->remote_port] = remote;
-  peer_order_.push_back(remote);
+  by_port_[state->remote_port] = state.get();
+  scan_.add(remote, state.get());
   return state;
 }
 
@@ -48,7 +47,7 @@ Tm& SbpPmm::select_tm(std::size_t, SendMode, ReceiveMode) { return tm_; }
 
 void SbpPmm::pump_loop() {
   std::vector<std::uint32_t> tags;
-  for (const auto& [port, remote] : by_port_) {
+  for (const auto& [port, state] : by_port_) {
     tags.push_back(data_tag(port));
     tags.push_back(ctrl_tag(port));
   }
@@ -64,136 +63,55 @@ void SbpPmm::pump_loop() {
     const bool is_ctrl = tag >= ctrl_base;
     const std::uint32_t sender_port =
         is_ctrl ? tag - ctrl_base : tag - data_base;
-    auto remote_it = by_port_.find(sender_port);
-    MAD2_CHECK(remote_it != by_port_.end(), "packet from unknown port");
-    State& state = *states_.at(remote_it->second);
+    const auto it = by_port_.find(sender_port);
+    MAD2_CHECK(it != by_port_.end(), "packet from unknown port");
+    State& state = *it->second;
 
     if (is_ctrl) {
       MAD2_CHECK(buffer.data.size() == 8, "malformed SBP credit packet");
       state.window.grant(load_u64(buffer.data.data()));
       port_->release(buffer);
     } else {
-      state.incoming.push_back(buffer);
-      state.recv_wq.notify_all();
+      state.deliver(buffer.data, buffer.handle);
     }
     incoming_wq_->notify_all();
   }
 }
 
 std::uint32_t SbpPmm::wait_incoming() {
-  for (;;) {
-    for (std::size_t k = 0; k < peer_order_.size(); ++k) {
-      const std::size_t idx = (rr_next_ + k) % peer_order_.size();
-      State& state = *states_.at(peer_order_[idx]);
-      if (!state.incoming.empty()) {
-        rr_next_ = (idx + 1) % peer_order_.size();
-        return peer_order_[idx];
-      }
-    }
-    incoming_wq_->wait();
-  }
+  return scan_.wait([](const State* state) { return !state->rx.empty(); },
+                    [this] { incoming_wq_->wait(); });
 }
 
-void SbpPmm::send_credits(State& state, std::uint64_t count) {
+// ---------------------------------------------------------- TM hooks ---
+
+StaticBuffer SbpPmm::tx_slot() {
+  const net::SbpTxBuffer buffer = port_->acquire_tx_buffer();
+  return StaticBuffer{buffer.memory, 0, buffer.handle};
+}
+
+void SbpPmm::post_slot(StaticSlotTm::Slots& slots, StaticBuffer& slot) {
+  auto& state = static_cast<State&>(slots);
+  const std::uint32_t my_port =
+      endpoint_.channel().network().port(endpoint_.local());
+  port_->send(state.remote_port, data_tag(my_port),
+              net::SbpTxBuffer{slot.memory, slot.handle}, slot.used);
+}
+
+void SbpPmm::return_slot(StaticSlotTm::Slots&, StaticBuffer& slot) {
+  net::SbpRxBuffer buffer;
+  buffer.handle = slot.handle;
+  port_->release(buffer);
+}
+
+void SbpPmm::send_credits(StaticSlotTm::Slots& slots, std::size_t count) {
+  auto& state = static_cast<State&>(slots);
   net::SbpTxBuffer buffer = port_->acquire_tx_buffer();
   store_u64(buffer.memory.data(), count);
   const std::uint32_t my_port =
       endpoint_.channel().network().port(endpoint_.local());
   port_->send(state.remote_port, ctrl_tag(my_port), buffer, 8);
 }
-
-StaticBuffer SbpPmm::wrap(net::SbpRxBuffer buffer) {
-  const std::uint64_t handle = next_handle_++;
-  StaticBuffer wrapped;
-  wrapped.memory = std::span<std::byte>(
-      const_cast<std::byte*>(buffer.data.data()), buffer.data.size());
-  wrapped.used = buffer.data.size();
-  wrapped.handle = handle;
-  checked_out_rx_.emplace(handle, buffer);
-  return wrapped;
-}
-
-net::SbpRxBuffer SbpPmm::unwrap(const StaticBuffer& buffer) {
-  auto it = checked_out_rx_.find(buffer.handle);
-  MAD2_CHECK(it != checked_out_rx_.end(), "unknown rx buffer handle");
-  net::SbpRxBuffer raw = it->second;
-  checked_out_rx_.erase(it);
-  return raw;
-}
-
-StaticBuffer SbpPmm::wrap_tx(net::SbpTxBuffer buffer) {
-  const std::uint64_t handle = next_handle_++;
-  StaticBuffer wrapped;
-  wrapped.memory = buffer.memory;
-  wrapped.used = 0;
-  wrapped.handle = handle;
-  checked_out_tx_.emplace(handle, buffer);
-  return wrapped;
-}
-
-net::SbpTxBuffer SbpPmm::unwrap_tx(const StaticBuffer& buffer) {
-  auto it = checked_out_tx_.find(buffer.handle);
-  MAD2_CHECK(it != checked_out_tx_.end(), "unknown tx buffer handle");
-  net::SbpTxBuffer raw = it->second;
-  checked_out_tx_.erase(it);
-  return raw;
-}
-
-// -------------------------------------------------------------------- TM ---
-
-void SbpTm::send_buffer(Connection&, std::span<const std::byte>) {
-  MAD2_CHECK(false, "SBP moves data through static buffers only");
-}
-
-void SbpTm::receive_buffer(Connection&, std::span<std::byte>) {
-  MAD2_CHECK(false, "SBP moves data through static buffers only");
-}
-
-StaticBuffer SbpTm::obtain_static_buffer(Connection&) {
-  return pmm_->wrap_tx(pmm_->port().acquire_tx_buffer());
-}
-
-void SbpTm::send_static_buffer(Connection& connection,
-                               StaticBuffer& buffer) {
-  auto& state = connection.state<SbpPmm::State>();
-  state.window.acquire("sbp.credit_wait", buffer.used);
-  net::SbpTxBuffer raw = pmm_->unwrap_tx(buffer);
-  const std::uint32_t my_port = pmm_->endpoint().channel().network().port(
-      pmm_->endpoint().local());
-  pmm_->port().send(state.remote_port, pmm_->data_tag(my_port), raw,
-                    buffer.used);
-  buffer = StaticBuffer{};
-}
-
-StaticBuffer SbpTm::receive_static_buffer(Connection& connection) {
-  auto& state = connection.state<SbpPmm::State>();
-  if (state.incoming.empty()) {
-    // About to block: flush owed credits first.
-    if (const std::size_t owed = state.window.take_owed()) {
-      pmm_->send_credits(state, owed);
-    }
-  }
-  while (state.incoming.empty()) state.recv_wq.wait();
-  net::SbpRxBuffer buffer = state.incoming.front();
-  state.incoming.pop_front();
-  return pmm_->wrap(buffer);
-}
-
-void SbpTm::release_static_buffer(Connection& connection,
-                                  StaticBuffer& buffer) {
-  auto& state = connection.state<SbpPmm::State>();
-  net::SbpRxBuffer raw = pmm_->unwrap(buffer);
-  pmm_->port().release(raw);
-  buffer = StaticBuffer{};
-  if (const std::size_t owed = state.window.release()) {
-    pmm_->send_credits(state, owed);
-  }
-}
-
-CreditWindow* SbpTm::credit_window(Connection& connection) {
-  return &connection.state<SbpPmm::State>().window;
-}
-
 
 double SbpPmm::bandwidth_hint_mbs() const {
   const net::SbpParams& p = endpoint_.channel().network().sbp->params();

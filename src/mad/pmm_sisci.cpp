@@ -40,7 +40,7 @@ std::unique_ptr<Pmm::ConnState> SciPmm::make_conn_state(
   state->rx_ring = port_->create_segment(ring_bytes());
   state->tx_feedback = port_->create_segment(8);  // u32 short, u32 bulk
   states_[remote] = state.get();
-  peer_order_.push_back(remote);
+  scan_.add(remote, state.get());
   return state;
 }
 
@@ -126,27 +126,19 @@ std::uint32_t SciPmm::wait_incoming() {
   // peer may need those credits to produce the very unit we wait for).
   // Skipped when a unit already arrived — then nobody is starved and the
   // counters ride the next progress tick.
-  if (defer_feedback_) {
-    bool ready = false;
-    for (const std::uint32_t remote : peer_order_) {
-      if (incoming_ready(*states_.at(remote))) {
-        ready = true;
-        break;
-      }
-    }
-    if (!ready) flush_owed_feedback();
+  const auto ready = [this](const State* state) {
+    return incoming_ready(*state);
+  };
+  if (defer_feedback_ &&
+      std::none_of(scan_.peers().begin(), scan_.peers().end(),
+                   [&](const auto& peer) { return ready(peer.second); })) {
+    flush_owed_feedback();
   }
   std::uint32_t found = 0;
   port_->wait_delivery([&] {
-    for (std::size_t k = 0; k < peer_order_.size(); ++k) {
-      const std::size_t idx = (rr_next_ + k) % peer_order_.size();
-      if (incoming_ready(*states_.at(peer_order_[idx]))) {
-        found = peer_order_[idx];
-        rr_next_ = (idx + 1) % peer_order_.size();
-        return true;
-      }
-    }
-    return false;
+    const auto remote = scan_.next(ready);
+    if (remote) found = *remote;
+    return remote.has_value();
   });
   return found;
 }

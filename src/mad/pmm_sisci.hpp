@@ -133,8 +133,7 @@ class SciPmm final : public Pmm {
   SciBulkTm pio_tm_;
   SciBulkTm dma_tm_;
   std::map<std::uint32_t, State*> states_;
-  std::vector<std::uint32_t> peer_order_;
-  std::size_t rr_next_ = 0;
+  PeerScan<const State*> scan_;
   // Fastpath feedback deferral (docs/PERFORMANCE.md).
   ProgressEngine* engine_ = nullptr;
   std::size_t doorbell_ = 0;

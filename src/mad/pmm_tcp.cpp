@@ -135,8 +135,7 @@ std::unique_ptr<Pmm::ConnState> TcpPmm::make_conn_state(
   NetworkInstance& network = endpoint_.channel().network();
   state->stream =
       &port_->stream(network.port(remote), endpoint_.channel().id());
-  peers_.push_back(remote);
-  peer_streams_.push_back(state->stream);
+  scan_.add(remote, state->stream);
   return state;
 }
 
@@ -150,26 +149,23 @@ void TcpPmm::finish_setup() {
   doorbell_ = engine_->register_client(this, [](void* ctx) {
     static_cast<TcpPmm*>(ctx)->flush_pending_streams();
   });
-  for (net::TcpStream* stream : peer_streams_) stream->set_fastpath(true);
+  for (const auto& [remote, stream] : scan_.peers()) {
+    stream->set_fastpath(true);
+  }
   fast_ = true;
 }
 
 void TcpPmm::flush_pending_streams() {
-  for (net::TcpStream* stream : peer_streams_) stream->flush_pending();
+  for (const auto& [remote, stream] : scan_.peers()) stream->flush_pending();
 }
 
 std::uint32_t TcpPmm::wait_incoming() {
   if (!incoming_pred_) {
     incoming_pred_ = [this] {
-      for (std::size_t k = 0; k < peers_.size(); ++k) {
-        const std::size_t idx = (rr_next_ + k) % peers_.size();
-        if (peer_streams_[idx]->readable()) {
-          incoming_found_ = peers_[idx];
-          rr_next_ = (idx + 1) % peers_.size();
-          return true;
-        }
-      }
-      return false;
+      const auto remote = scan_.next(
+          [](const net::TcpStream* stream) { return stream->readable(); });
+      if (remote) incoming_found_ = *remote;
+      return remote.has_value();
     };
   }
   port_->wait_any(incoming_pred_);

@@ -93,9 +93,7 @@ class TcpPmm final : public Pmm {
   ChannelEndpoint& endpoint_;
   net::TcpPort* port_;
   TcpTm tm_;
-  std::vector<std::uint32_t> peers_;  // global ids, for fair round-robin
-  std::vector<net::TcpStream*> peer_streams_;
-  std::size_t rr_next_ = 0;
+  PeerScan<net::TcpStream*> scan_;
   // wait_incoming's select predicate, built once (no per-message
   // std::function churn); the result passes through incoming_found_.
   std::function<bool()> incoming_pred_;

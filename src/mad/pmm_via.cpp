@@ -9,7 +9,9 @@
 namespace mad2::mad {
 
 ViaPmm::ViaPmm(ChannelEndpoint& endpoint)
-    : endpoint_(endpoint), short_tm_(this), bulk_tm_(this) {
+    : endpoint_(endpoint),
+      short_tm_(this, "via-short", "via.credit_wait"),
+      bulk_tm_(this) {
   NetworkInstance& network = endpoint_.channel().network();
   MAD2_CHECK(network.via != nullptr, "ViaPmm on a non-VIA network");
   port_ = &network.via->port(network.port(endpoint_.local()));
@@ -40,7 +42,7 @@ std::unique_ptr<Pmm::ConnState> ViaPmm::make_conn_state(
     port_->post_recv(state->remote_port, buffer, short_vi());
   }
   states_[remote] = state.get();
-  peer_order_.push_back(remote);
+  scan_.add(remote, state.get());
   return state;
 }
 
@@ -88,9 +90,10 @@ void ViaPmm::pump_loop() {
 
     switch (kind) {
       case PacketKind::kData:
-        ready->data_pkts.emplace_back(index,
-                                      completion.bytes - kHeaderBytes);
-        ready->recv_wq.notify_all();
+        ready->deliver(std::span<const std::byte>(ready->pool[index])
+                           .subspan(kHeaderBytes,
+                                    completion.bytes - kHeaderBytes),
+                       index + 1);
         break;
       case PacketKind::kReq:
         ready->reqs.push_back(value);
@@ -112,17 +115,11 @@ void ViaPmm::pump_loop() {
 }
 
 std::uint32_t ViaPmm::wait_incoming() {
-  for (;;) {
-    for (std::size_t k = 0; k < peer_order_.size(); ++k) {
-      const std::size_t idx = (rr_next_ + k) % peer_order_.size();
-      State& state = *states_.at(peer_order_[idx]);
-      if (!state.data_pkts.empty() || !state.reqs.empty()) {
-        rr_next_ = (idx + 1) % peer_order_.size();
-        return peer_order_[idx];
-      }
-    }
-    incoming_wq_->wait();
-  }
+  return scan_.wait(
+      [](const State* state) {
+        return !state->rx.empty() || !state->reqs.empty();
+      },
+      [this] { incoming_wq_->wait(); });
 }
 
 void ViaPmm::send_packet(State& state, PacketKind kind, std::uint64_t value,
@@ -138,90 +135,46 @@ void ViaPmm::send_packet(State& state, PacketKind kind, std::uint64_t value,
   port_->send(state.remote_port, packet, short_vi());
 }
 
-// -------------------------------------------------------------- ViaShortTm ---
+// ------------------------------------------------------ short-TM hooks ---
 
-void ViaShortTm::send_buffer(Connection&, std::span<const std::byte>) {
-  MAD2_CHECK(false, "VIA short TM only moves static buffers");
-}
-
-void ViaShortTm::receive_buffer(Connection&, std::span<std::byte>) {
-  MAD2_CHECK(false, "VIA short TM only moves static buffers");
-}
-
-StaticBuffer ViaShortTm::obtain_static_buffer(Connection&) {
+StaticBuffer ViaPmm::tx_slot() {
   std::size_t index;
-  if (!pmm_->staging_free_.empty()) {
-    index = pmm_->staging_free_.back();
-    pmm_->staging_free_.pop_back();
+  if (!staging_free_.empty()) {
+    index = staging_free_.back();
+    staging_free_.pop_back();
   } else {
-    index = pmm_->staging_.size();
-    pmm_->staging_.emplace_back(ViaPmm::kPacketBytes);
-    (void)pmm_->port().register_memory(pmm_->staging_.back());
+    index = staging_.size();
+    staging_.emplace_back(kPacketBytes);
+    (void)port_->register_memory(staging_.back());
   }
-  return StaticBuffer{
-      std::span<std::byte>(pmm_->staging_[index])
-          .subspan(ViaPmm::kHeaderBytes),
-      0, index + 1};
+  return StaticBuffer{std::span<std::byte>(staging_[index]).subspan(
+                          kHeaderBytes),
+                      0, index + 1};
 }
 
-void ViaShortTm::send_static_buffer(Connection& connection,
-                                    StaticBuffer& buffer) {
-  auto& state = connection.state<ViaPmm::State>();
-  const std::size_t index = buffer.handle - 1;
-  std::vector<std::byte>& packet = pmm_->staging_[index];
-  store_u32(packet.data(),
-            static_cast<std::uint32_t>(ViaPmm::PacketKind::kData));
-  store_u32(packet.data() + 4, static_cast<std::uint32_t>(buffer.used));
-
-  state.window.acquire("via.credit_wait", buffer.used);
-  pmm_->port().send(
-      state.remote_port,
-      std::span<const std::byte>(packet).subspan(
-          0, ViaPmm::kHeaderBytes + buffer.used),
-      pmm_->short_vi());
-  pmm_->staging_free_.push_back(index);
-  buffer = StaticBuffer{};
+void ViaPmm::post_slot(StaticSlotTm::Slots& slots, StaticBuffer& slot) {
+  auto& state = static_cast<State&>(slots);
+  std::vector<std::byte>& packet = staging_[slot.handle - 1];
+  store_u32(packet.data(), static_cast<std::uint32_t>(PacketKind::kData));
+  store_u32(packet.data() + 4, static_cast<std::uint32_t>(slot.used));
+  port_->send(state.remote_port,
+              std::span<const std::byte>(packet).subspan(
+                  0, kHeaderBytes + slot.used),
+              short_vi());
+  staging_free_.push_back(slot.handle - 1);
 }
 
-StaticBuffer ViaShortTm::receive_static_buffer(Connection& connection) {
-  auto& state = connection.state<ViaPmm::State>();
-  if (state.data_pkts.empty()) {
-    // About to block: flush owed credits first.
-    if (const std::size_t owed = state.window.take_owed()) {
-      pmm_->send_ctrl(state, ViaPmm::PacketKind::kCredit, owed);
-    }
-  }
-  while (state.data_pkts.empty()) state.recv_wq.wait();
-  auto [index, bytes] = state.data_pkts.front();
-  state.data_pkts.pop_front();
-  return StaticBuffer{
-      std::span<std::byte>(state.pool[index])
-          .subspan(ViaPmm::kHeaderBytes, bytes),
-      bytes, index + 1};
+void ViaPmm::return_slot(StaticSlotTm::Slots& slots, StaticBuffer& slot) {
+  auto& state = static_cast<State&>(slots);
+  port_->post_recv(state.remote_port, state.pool[slot.handle - 1],
+                   short_vi());
 }
 
-void ViaShortTm::release_static_buffer(Connection& connection,
-                                       StaticBuffer& buffer) {
-  auto& state = connection.state<ViaPmm::State>();
-  const std::size_t index = buffer.handle - 1;
-  pmm_->port().post_recv(state.remote_port, state.pool[index],
-                         pmm_->short_vi());
-  buffer = StaticBuffer{};
-  if (const std::size_t owed = state.window.release()) {
-    pmm_->send_ctrl(state, ViaPmm::PacketKind::kCredit, owed);
-  }
-}
-
-CreditWindow* ViaShortTm::credit_window(Connection& connection) {
-  return &connection.state<ViaPmm::State>().window;
+void ViaPmm::send_credits(StaticSlotTm::Slots& slots, std::size_t count) {
+  send_ctrl(static_cast<State&>(slots), PacketKind::kCredit, count);
 }
 
 // --------------------------------------------------------------- ViaBulkTm ---
-
-void ViaBulkTm::send_buffer(Connection& connection,
-                            std::span<const std::byte> data) {
-  send_buffer_group(connection, {data});
-}
 
 void ViaBulkTm::send_buffer_group(
     Connection& connection,
@@ -243,12 +196,6 @@ void ViaBulkTm::send_buffer_group(
     (void)pmm_->port().register_memory(block);
     pmm_->port().send(state.remote_port, block, pmm_->bulk_vi());
   }
-}
-
-void ViaBulkTm::receive_buffer(Connection& connection,
-                               std::span<std::byte> out) {
-  std::vector<std::span<std::byte>> group{out};
-  receive_sub_buffer_group(connection, group);
 }
 
 void ViaBulkTm::receive_sub_buffer_group(

@@ -5,7 +5,7 @@
 //    4 kB buffers (VIA requires registered memory), pre-posted at the
 //    receiver and governed by credits, with an 8-byte in-band header
 //    carrying the packet kind (data / rendezvous REQ / ACK / credit
-//    return);
+//    return): a StaticSlotTm over this PMM's hooks;
 //  - VI 1, the *bulk* TM: rendezvous through VI 0, then a direct send from
 //    (just-registered) user memory into the posted user buffer —
 //    zero-copy, at the cost of per-transfer registration.
@@ -17,47 +17,23 @@
 #include <memory>
 #include <vector>
 
-#include "mad/credit_window.hpp"
 #include "mad/pmm.hpp"
 #include "mad/session.hpp"
+#include "mad/static_slot_tm.hpp"
 #include "net/via.hpp"
 
 namespace mad2::mad {
 
 class ViaPmm;
 
-class ViaShortTm final : public Tm {
- public:
-  explicit ViaShortTm(ViaPmm* pmm) : pmm_(pmm) {}
-  [[nodiscard]] std::string_view name() const override { return "via-short"; }
-  [[nodiscard]] bool uses_static_buffers() const override { return true; }
-
-  void send_buffer(Connection&, std::span<const std::byte>) override;
-  void receive_buffer(Connection&, std::span<std::byte>) override;
-  StaticBuffer obtain_static_buffer(Connection& connection) override;
-  void send_static_buffer(Connection& connection,
-                          StaticBuffer& buffer) override;
-  StaticBuffer receive_static_buffer(Connection& connection) override;
-  void release_static_buffer(Connection& connection,
-                             StaticBuffer& buffer) override;
-  CreditWindow* credit_window(Connection& connection) override;
-
- private:
-  ViaPmm* pmm_;
-};
-
-class ViaBulkTm final : public Tm {
+class ViaBulkTm final : public GroupTm {
  public:
   explicit ViaBulkTm(ViaPmm* pmm) : pmm_(pmm) {}
   [[nodiscard]] std::string_view name() const override { return "via-bulk"; }
 
-  void send_buffer(Connection& connection,
-                   std::span<const std::byte> data) override;
   void send_buffer_group(
       Connection& connection,
       const std::vector<std::span<const std::byte>>& group) override;
-  void receive_buffer(Connection& connection,
-                      std::span<std::byte> out) override;
   void receive_sub_buffer_group(
       Connection& connection,
       const std::vector<std::span<std::byte>>& group) override;
@@ -66,7 +42,7 @@ class ViaBulkTm final : public Tm {
   ViaPmm* pmm_;
 };
 
-class ViaPmm final : public Pmm {
+class ViaPmm final : public Pmm, private StaticSlotTm::Driver {
  public:
   static constexpr std::uint32_t kPacketBytes = 4096;
   static constexpr std::uint32_t kHeaderBytes = 8;  // u32 kind, u32 value
@@ -87,23 +63,20 @@ class ViaPmm final : public Pmm {
     kCredit = 4,
   };
 
-  struct State : ConnState {
+  /// The short TM's slots, plus the rendezvous state of the bulk TM.
+  struct State : StaticSlotTm::Slots {
     explicit State(sim::Simulator* simulator)
-        : window(simulator, kInitialCredits, kCreditBatch),
-          ack_wq(simulator),
-          recv_wq(simulator) {}
+        : Slots(simulator, kInitialCredits, kCreditBatch),
+          ack_wq(simulator) {}
     std::uint32_t remote = 0;
     std::uint32_t remote_port = 0;
-    CreditWindow window;  // the short TM's, both directions
     // --- send side ---
     std::size_t acks = 0;
     sim::WaitQueue ack_wq;
-    // --- receive side (filled by the pump) ---
-    // Completed data packets: (posted buffer backing index, payload bytes).
-    std::deque<std::pair<std::size_t, std::size_t>> data_pkts;
+    // --- receive side (filled by the pump; woken through recv_wq) ---
     std::deque<std::uint64_t> reqs;
-    sim::WaitQueue recv_wq;
-    // Preregistered, pre-posted receive buffers for VI 0.
+    // Preregistered, pre-posted receive buffers for VI 0. A received
+    // slot's StaticBuffer handle is its index here plus one.
     std::vector<std::vector<std::byte>> pool;
   };
 
@@ -130,22 +103,24 @@ class ViaPmm final : public Pmm {
   }
 
  private:
+  // --- StaticSlotTm::Driver: registered staging out, posted pool in ---
+  StaticBuffer tx_slot() override;
+  void post_slot(StaticSlotTm::Slots& slots, StaticBuffer& slot) override;
+  void return_slot(StaticSlotTm::Slots& slots, StaticBuffer& slot) override;
+  void send_credits(StaticSlotTm::Slots& slots, std::size_t count) override;
+
   void pump_loop();
 
   ChannelEndpoint& endpoint_;
   net::ViaPort* port_;
-  ViaShortTm short_tm_;
+  StaticSlotTm short_tm_;
   ViaBulkTm bulk_tm_;
   std::map<std::uint32_t, State*> states_;
-  std::vector<std::uint32_t> peer_order_;
-  std::size_t rr_next_ = 0;
+  PeerScan<const State*> scan_;
   std::unique_ptr<sim::WaitQueue> incoming_wq_;
   // Staging for outgoing VI-0 packets (header + payload assembled here).
   std::vector<std::vector<std::byte>> staging_;
   std::vector<std::size_t> staging_free_;
-
-  friend class ViaShortTm;
-  friend class ViaBulkTm;
 };
 
 }  // namespace mad2::mad

@@ -1,7 +1,6 @@
 #include "mad/rail_set.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 
 #include "mad/connection.hpp"
@@ -525,25 +524,10 @@ Status RailSet::send_segment(std::size_t rail, std::uint32_t src,
     return static_cast<IbPmm&>(endpoint.pmm())
         .segment_send_checked(conn, data);
   }
-  Tm& tm = endpoint.pmm().select_tm(data.size(), SendMode::kCheaper,
-                                    ReceiveMode::kCheaper);
-  if (tm.uses_static_buffers()) {
-    // Static-buffer-only rail (e.g. SBP): chunk through driver slots. The
-    // receiver consumes whole buffers, so no chunk agreement is needed.
-    std::size_t offset = 0;
-    while (offset < data.size()) {
-      StaticBuffer buffer = tm.obtain_static_buffer(conn);
-      const std::size_t chunk =
-          std::min(buffer.memory.size(), data.size() - offset);
-      endpoint.node().charge_memcpy(chunk);
-      std::memcpy(buffer.memory.data(), data.data() + offset, chunk);
-      buffer.used = chunk;
-      tm.send_static_buffer(conn, buffer);
-      offset += chunk;
-    }
-    return Status::ok();
-  }
-  tm.send_buffer(conn, data);
+  // A static-buffer-only rail (e.g. SBP) copies through its slots.
+  endpoint.pmm()
+      .select_tm(data.size(), SendMode::kCheaper, ReceiveMode::kCheaper)
+      .send_buffer(conn, data);
   return Status::ok();
 }
 
@@ -572,21 +556,9 @@ Status RailSet::recv_segment(std::size_t rail, std::uint32_t src,
     if (status.is_ok()) *got = out.size();
     return status;
   }
-  Tm& tm = endpoint.pmm().select_tm(out.size(), SendMode::kCheaper,
-                                    ReceiveMode::kCheaper);
-  if (tm.uses_static_buffers()) {
-    while (*got < out.size()) {
-      StaticBuffer buffer = tm.receive_static_buffer(conn);
-      MAD2_CHECK(*got + buffer.used <= out.size(),
-                 "striped segment overran its slice");
-      endpoint.node().charge_memcpy(buffer.used);
-      std::memcpy(out.data() + *got, buffer.memory.data(), buffer.used);
-      *got += buffer.used;
-      tm.release_static_buffer(conn, buffer);
-    }
-    return Status::ok();
-  }
-  tm.receive_buffer(conn, out);
+  endpoint.pmm()
+      .select_tm(out.size(), SendMode::kCheaper, ReceiveMode::kCheaper)
+      .receive_buffer(conn, out);
   *got = out.size();
   return Status::ok();
 }

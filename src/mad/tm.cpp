@@ -1,7 +1,5 @@
 #include "mad/tm.hpp"
 
-#include "util/status.hpp"
-
 namespace mad2::mad {
 
 void Tm::send_buffer_group(
@@ -13,22 +11,6 @@ void Tm::send_buffer_group(
 void Tm::receive_sub_buffer_group(
     Connection& connection, const std::vector<std::span<std::byte>>& group) {
   for (const auto& buffer : group) receive_buffer(connection, buffer);
-}
-
-StaticBuffer Tm::obtain_static_buffer(Connection&) {
-  MAD2_CHECK(false, "this TM does not provide static buffers");
-}
-
-void Tm::send_static_buffer(Connection&, StaticBuffer&) {
-  MAD2_CHECK(false, "this TM does not provide static buffers");
-}
-
-StaticBuffer Tm::receive_static_buffer(Connection&) {
-  MAD2_CHECK(false, "this TM does not provide static buffers");
-}
-
-void Tm::release_static_buffer(Connection&, StaticBuffer&) {
-  MAD2_CHECK(false, "this TM does not provide static buffers");
 }
 
 }  // namespace mad2::mad

@@ -9,7 +9,10 @@
 //   obtain_static_buffer / release_static_buffer
 //     plus send_static_buffer / receive_static_buffer, which Table 2 folds
 //     into the buffer send/receive entries
-// Not every TM implements every function (the paper notes the same).
+// Every TM moves a user buffer; the static-buffer calls exist only on the
+// TM that has static buffers, StaticSlotTm, which moves a user buffer by
+// copying it through its slots. (The paper notes that not every TM
+// implements every function.)
 #pragma once
 
 #include <span>
@@ -22,6 +25,7 @@ namespace mad2::mad {
 
 class Connection;
 class CreditWindow;
+class StaticSlotTm;
 
 class Tm {
  public:
@@ -30,8 +34,11 @@ class Tm {
   [[nodiscard]] virtual std::string_view name() const = 0;
 
   /// True if this TM works through protocol-provided buffers (BMMs must
-  /// copy user data through obtain/send/receive/release_static_buffer).
+  /// copy user data through them, by way of static_slots()).
   [[nodiscard]] virtual bool uses_static_buffers() const { return false; }
+
+  /// The static-buffer calls of a static-buffer TM; nullptr otherwise.
+  virtual StaticSlotTm* static_slots() { return nullptr; }
 
   /// True if send_buffer_group is better than per-buffer sends (the group
   /// BMM aggregates when this holds).
@@ -56,27 +63,27 @@ class Tm {
   virtual void receive_sub_buffer_group(
       Connection& connection, const std::vector<std::span<std::byte>>& group);
 
-  // --- Static buffers (protocol memory; only if uses_static_buffers) -----
-  /// Get an empty protocol buffer to fill (send side).
-  virtual StaticBuffer obtain_static_buffer(Connection& connection);
-
-  /// Transmit a filled protocol buffer (`used` bytes).
-  virtual void send_static_buffer(Connection& connection,
-                                  StaticBuffer& buffer);
-
-  /// Blocking: the next incoming protocol buffer on this connection.
-  virtual StaticBuffer receive_static_buffer(Connection& connection);
-
-  /// Return a received protocol buffer to the protocol (receive side).
-  virtual void release_static_buffer(Connection& connection,
-                                     StaticBuffer& buffer);
-
   /// The credit window governing this TM's static buffers on
   /// `connection`, or nullptr for a TM without flow control. Zero-copy
   /// lending (RecvBmm::unpack_borrow) keeps a receive buffer past its
   /// consumption only when the window grants the retention.
   [[nodiscard]] virtual CreditWindow* credit_window(Connection&) {
     return nullptr;
+  }
+};
+
+/// A TM whose unit of transfer is a buffer group (the rendezvous TMs: one
+/// handshake announces the whole group): a single buffer travels as a
+/// group of one.
+class GroupTm : public Tm {
+ public:
+  void send_buffer(Connection& connection,
+                   std::span<const std::byte> data) final {
+    send_buffer_group(connection, {data});
+  }
+  void receive_buffer(Connection& connection,
+                      std::span<std::byte> out) final {
+    receive_sub_buffer_group(connection, {out});
   }
 };
 

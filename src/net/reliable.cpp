@@ -52,7 +52,8 @@ ReliableEndpoint::ReliableEndpoint(ReliableNetwork* network,
       window_room_(network->simulator_),
       ack_pending_(network->simulator_),
       timer_wakeup_(network->simulator_) {
-  const std::string tag = "." + std::to_string(rank_);
+  std::string tag = ".";
+  tag += std::to_string(rank_);
   network_->simulator_->spawn_daemon("rel.rx" + tag, [this] { rx_loop(); });
   network_->simulator_->spawn_daemon("rel.ack" + tag, [this] { ack_loop(); });
   network_->simulator_->spawn_daemon("rel.rto" + tag,

@@ -121,7 +121,8 @@ bool parse_histogram_summary(Cursor* cursor, HistogramSummary* out) {
 bool split_flow_name(std::string_view name, std::string_view kind,
                      std::string* channel, std::string* flow,
                      std::string* rest) {
-  const std::string sep = "." + std::string(kind) + ".";
+  std::string sep = ".";
+  sep.append(kind).append(".");
   const std::size_t at = name.find(sep);
   if (at == std::string_view::npos) return false;
   *channel = std::string(name.substr(0, at));

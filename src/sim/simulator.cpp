@@ -1,5 +1,7 @@
 #include "sim/simulator.hpp"
 
+#include <sys/mman.h>
+
 #include <string>
 
 #include "obs/trace.hpp"
@@ -16,10 +18,13 @@ Fiber::Fiber(Simulator* simulator, std::uint64_t id, std::string name,
       name_(std::move(name)),
       body_(std::move(body)),
       daemon_(daemon),
-      stack_(stack_bytes) {
+      stack_(mmap(nullptr, stack_bytes, PROT_READ | PROT_WRITE,
+                  MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0)),
+      stack_bytes_(stack_bytes) {
+  MAD2_CHECK(stack_ != MAP_FAILED, "fiber stack mmap failed");
   MAD2_CHECK(getcontext(&context_) == 0, "getcontext failed");
-  context_.uc_stack.ss_sp = stack_.data();
-  context_.uc_stack.ss_size = stack_.size();
+  context_.uc_stack.ss_sp = stack_;
+  context_.uc_stack.ss_size = stack_bytes_;
   context_.uc_link = nullptr;  // fibers never fall off the trampoline
   const auto self = reinterpret_cast<std::uintptr_t>(this);
   makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
@@ -27,7 +32,7 @@ Fiber::Fiber(Simulator* simulator, std::uint64_t id, std::string name,
               static_cast<unsigned>(self & 0xffffffffu));
 }
 
-Fiber::~Fiber() = default;
+Fiber::~Fiber() { munmap(stack_, stack_bytes_); }
 
 void Fiber::trampoline(unsigned hi, unsigned lo) {
   const std::uintptr_t self = (static_cast<std::uintptr_t>(hi) << 32) |

@@ -84,7 +84,9 @@ class Fiber {
   // wins (event-queue FIFO order) and the other becomes a no-op, so a
   // deadline armed before the racing notify reports a timeout.
   bool woke_by_timeout_ = false;
-  std::vector<char> stack_;
+  // An anonymous mapping, committed page by page as the fiber touches it.
+  void* stack_;
+  std::size_t stack_bytes_;
   ucontext_t context_{};
 };
 

@@ -226,7 +226,7 @@ TEST(DrrGate, WeightedFlowTakesProportionalShare) {
   // alternation: each pump only ever sees one waiter.)
   for (std::uint64_t flow = 0; flow < 2; ++flow) {
     for (int fiber = 0; fiber < 3; ++fiber) {
-      simulator.spawn("f" + std::to_string(flow) + "_" +
+      simulator.spawn(std::string("f").append(std::to_string(flow)) + "_" +
                           std::to_string(fiber),
                       [&, flow] {
                         for (int i = 0; i < 4; ++i) {

@@ -92,7 +92,8 @@ TEST(ChMad, NonblockingOverlapsBothDirections) {
   ChMadWorld world(session, "mpi");
   const std::size_t size = 50000;
   for (int me = 0; me < 2; ++me) {
-    session.spawn(me, "r" + std::to_string(me), [&, me](NodeRuntime&) {
+    const std::string rank = std::string("r").append(std::to_string(me));
+    session.spawn(me, rank, [&, me](NodeRuntime&) {
       const int other = 1 - me;
       auto payload = make_pattern_buffer(size, 10 + me);
       std::vector<std::byte> incoming(size);
@@ -110,7 +111,8 @@ TEST(ChMad, SendrecvExchanges) {
   Session session(mpi_config(NetworkKind::kSisci, 2));
   ChMadWorld world(session, "mpi");
   for (int me = 0; me < 2; ++me) {
-    session.spawn(me, "r" + std::to_string(me), [&, me](NodeRuntime&) {
+    const std::string rank = std::string("r").append(std::to_string(me));
+    session.spawn(me, rank, [&, me](NodeRuntime&) {
       const int other = 1 - me;
       std::uint64_t mine = 100 + me;
       std::uint64_t theirs = 0;
@@ -128,7 +130,8 @@ TEST(ChMad, BarrierSynchronizesRanks) {
   ChMadWorld world(session, "mpi");
   std::vector<sim::Time> after(4);
   for (int me = 0; me < 4; ++me) {
-    session.spawn(me, "r" + std::to_string(me), [&, me](NodeRuntime& rt) {
+    const std::string rank = std::string("r").append(std::to_string(me));
+    session.spawn(me, rank, [&, me](NodeRuntime& rt) {
       rt.simulator().advance(sim::microseconds(10 * (me + 1)));
       world.comm(me).barrier();
       after[me] = rt.simulator().now();
@@ -144,7 +147,8 @@ TEST(ChMad, BcastReachesAllRanks) {
   Session session(mpi_config(NetworkKind::kBip, 5));
   ChMadWorld world(session, "mpi");
   for (int me = 0; me < 5; ++me) {
-    session.spawn(me, "r" + std::to_string(me), [&, me](NodeRuntime&) {
+    const std::string rank = std::string("r").append(std::to_string(me));
+    session.spawn(me, rank, [&, me](NodeRuntime&) {
       std::vector<std::byte> data(10000);
       if (me == 2) fill_pattern(data, 123);
       world.comm(me).bcast(data, /*root=*/2);
@@ -158,7 +162,8 @@ TEST(ChMad, ReduceAndAllreduceSum) {
   Session session(mpi_config(NetworkKind::kSisci, 4));
   ChMadWorld world(session, "mpi");
   for (int me = 0; me < 4; ++me) {
-    session.spawn(me, "r" + std::to_string(me), [&, me](NodeRuntime&) {
+    const std::string rank = std::string("r").append(std::to_string(me));
+    session.spawn(me, rank, [&, me](NodeRuntime&) {
       std::vector<double> data{static_cast<double>(me),
                                static_cast<double>(me) * 10.0};
       world.comm(me).allreduce_sum(data);
@@ -173,7 +178,8 @@ TEST(ChMad, GatherCollectsChunks) {
   Session session(mpi_config(NetworkKind::kBip, 3));
   ChMadWorld world(session, "mpi");
   for (int me = 0; me < 3; ++me) {
-    session.spawn(me, "r" + std::to_string(me), [&, me](NodeRuntime&) {
+    const std::string rank = std::string("r").append(std::to_string(me));
+    session.spawn(me, rank, [&, me](NodeRuntime&) {
       std::vector<std::byte> chunk(100);
       fill_pattern(chunk, 50 + me);
       std::vector<std::byte> out(me == 0 ? 300 : 0);

@@ -3,6 +3,8 @@
 // through the per-TM traffic statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "credit_balance.hpp"
 #include "mad/madeleine.hpp"
 #include "util/bytes.hpp"
@@ -140,6 +142,60 @@ TEST(PmmProtocol, ParanoidModeChangesTmTrafficOnly) {
   EXPECT_EQ(stats.sent_by_tm.at("bip-long").blocks, 1u);
   EXPECT_EQ(stats.sent_by_tm.at("bip-short").blocks, 3u);
   EXPECT_EQ(stats.sent_by_tm.at("bip-short").bytes, 64u + 2 * 12u);
+}
+
+TEST(PmmProtocol, AnySourceReceiveServesSendersRoundRobin) {
+  // Three senders stream to one receiver that unpacks from any source
+  // and works on each message, so every sender always has messages queued
+  // at it. wait_incoming resumes its peer scan just past the peer it last
+  // served, so until a sender runs dry none may fall more than one full
+  // round behind another.
+  constexpr std::uint32_t kSenders = 3;
+  constexpr int kMessages = 40;
+  for (NetworkKind kind : {NetworkKind::kBip, NetworkKind::kIb,
+                           NetworkKind::kSbp, NetworkKind::kSisci,
+                           NetworkKind::kTcp, NetworkKind::kVia}) {
+    SessionConfig config = one_net(kind);
+    config.node_count = kSenders + 1;
+    config.networks[0].nodes = {0, 1, 2, 3};
+    Session session(std::move(config));
+    std::vector<std::uint32_t> order;
+    for (std::uint32_t sender = 1; sender <= kSenders; ++sender) {
+      session.spawn(sender, "tx" + std::to_string(sender),
+                    [&](NodeRuntime& rt) {
+                      for (int i = 0; i < kMessages; ++i) {
+                        std::uint32_t value = i;
+                        auto& conn = rt.channel("ch").begin_packing(0);
+                        mad_pack_value(conn, value);
+                        conn.end_packing();
+                      }
+                    });
+    }
+    session.spawn(0, "rx", [&](NodeRuntime& rt) {
+      rt.simulator().advance(sim::from_us(1000));  // let every sender queue
+      std::vector<std::uint32_t> next(kSenders + 1, 0);
+      for (int i = 0; i < kMessages * static_cast<int>(kSenders); ++i) {
+        std::uint32_t value = 0;
+        auto& conn = rt.channel("ch").begin_unpacking();
+        mad_unpack_value(conn, value);
+        conn.end_unpacking();
+        EXPECT_EQ(value, next[conn.remote()]++);
+        order.push_back(conn.remote());
+        rt.simulator().advance(sim::from_us(50));
+      }
+    });
+    ASSERT_TRUE(session.run().is_ok()) << to_string(kind);
+    ASSERT_EQ(order.size(), kMessages * kSenders) << to_string(kind);
+
+    std::vector<int> served(kSenders + 1, 0);
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      if (++served[order[k]] == kMessages) break;  // a sender ran dry
+      const auto [least, most] =
+          std::minmax_element(served.begin() + 1, served.end());
+      EXPECT_LE(*most - *least, 1)
+          << to_string(kind) << ": after " << k + 1 << " receives";
+    }
+  }
 }
 
 TEST(PmmProtocol, MessagesCountPerDirection) {

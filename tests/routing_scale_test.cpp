@@ -8,6 +8,7 @@
 // gateway kill -> replay); and a >= 200-schedule madcheck exploration of
 // the failover window itself.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -52,6 +53,21 @@ std::vector<FlowSpec> cross_cluster_flows(const FatTreeBed& bed,
   return flows;
 }
 
+/// Peak resident set of this test process in MB (ru_maxrss is in kB).
+/// Each large test asserts it under a cap, so a footprint regression fails
+/// by name instead of as an OOM kill. ctest runs one test per process.
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
+// Measured alone (4 vCPU x86-64, GCC 12 Release, lazily committed fiber
+// stacks), each 256-node test peaks at about 420 MB and the 1024-node
+// torus at about 770 MB; the caps leave roughly 40 % and 30 % headroom.
+constexpr double kFatTree256RssCapMb = 600;
+constexpr double kTorus1024RssCapMb = 1024;
+
 // ------------------------------------------------------ 256-node fat tree
 
 constexpr std::size_t kFtLeaves = 124;
@@ -79,6 +95,7 @@ TEST(RoutingScale, FatTree256SpreadsFlowsAcrossGateways) {
     if (vc.gateway_forwarded(bed.gateway(0, g)) > 0) ++used;
   }
   EXPECT_GE(used, 2u) << "hashed spread left all flows on one gateway";
+  EXPECT_LT(peak_rss_mb(), kFatTree256RssCapMb);
 }
 
 TEST(RoutingScale, FatTree256KilledGatewayMidTransfer) {
@@ -107,6 +124,7 @@ TEST(RoutingScale, FatTree256KilledGatewayMidTransfer) {
       EXPECT_NE(g, victim) << "dead gateway still in a healthy set";
     }
   }
+  EXPECT_LT(peak_rss_mb(), kFatTree256RssCapMb);
 }
 
 TEST(RoutingScale, FatTree256MadreportConsolidatedReport) {
@@ -177,6 +195,7 @@ TEST(RoutingScale, FatTree256MadreportConsolidatedReport) {
   std::ofstream out(dir / "ft256_madreport.json");
   out << json;
   ASSERT_TRUE(out.good());
+  EXPECT_LT(peak_rss_mb(), kFatTree256RssCapMb);
 }
 
 // -------------------------------------------------- 1024-node torus ring
@@ -207,6 +226,7 @@ TEST(RoutingScale, Torus1024KilledGatewayMidTransfer) {
   EXPECT_EQ(check_channel_drained(vc), "");
   EXPECT_EQ(vc.routing_counters().gateway_kills, 1u);
   EXPECT_FALSE(session.hostdb().alive(victim));
+  EXPECT_LT(peak_rss_mb(), kTorus1024RssCapMb);
 }
 
 // ------------------------------------------------- killed-gateway sweeps

@@ -17,7 +17,7 @@ TEST(SimStress, AThousandFibersInterleave) {
   sim::Simulator simulator;
   std::uint64_t sum = 0;
   for (int i = 0; i < 1000; ++i) {
-    simulator.spawn("f" + std::to_string(i), [&, i] {
+    simulator.spawn(std::string("f").append(std::to_string(i)), [&, i] {
       for (int k = 0; k < 10; ++k) {
         simulator.advance(sim::microseconds((i % 7) + 1));
         sum += 1;
@@ -73,7 +73,7 @@ TEST(SimStress, ContendedResourceConservesWork) {
   const int fibers = 20;
   const std::uint64_t bytes_each = 64 * 1024;
   for (int i = 0; i < fibers; ++i) {
-    simulator.spawn("t" + std::to_string(i), [&, i] {
+    simulator.spawn(std::string("t").append(std::to_string(i)), [&, i] {
       bus.transfer(bytes_each, 100.0,
                    i % 2 == 0 ? hw::TxClass::kDma : hw::TxClass::kPio,
                    static_cast<std::uint64_t>(i));

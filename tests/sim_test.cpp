@@ -288,7 +288,7 @@ TEST(Sync, BarrierReleasesAllPartiesTogether) {
   Barrier barrier(&simulator, 3);
   std::vector<Time> arrival;
   for (int i = 0; i < 3; ++i) {
-    simulator.spawn("p" + std::to_string(i), [&, i] {
+    simulator.spawn(std::string("p").append(std::to_string(i)), [&, i] {
       simulator.advance(microseconds(10 * (i + 1)));
       barrier.arrive_and_wait();
       arrival.push_back(simulator.now());
@@ -304,7 +304,7 @@ TEST(Sync, BarrierIsReusable) {
   Barrier barrier(&simulator, 2);
   int rounds_done = 0;
   for (int i = 0; i < 2; ++i) {
-    simulator.spawn("p" + std::to_string(i), [&, i] {
+    simulator.spawn(std::string("p").append(std::to_string(i)), [&, i] {
       for (int round = 0; round < 3; ++round) {
         simulator.advance(microseconds(i + 1));
         barrier.arrive_and_wait();
@@ -592,7 +592,7 @@ TEST(Explore, MutexAndCondVarInvariantsHoldUnderAnySchedule) {
     int max_inside = 0;
     int turn = 0;         // round-robin baton passed via the condvar
     for (int f = 0; f < 4; ++f) {
-      simulator.spawn("f" + std::to_string(f), [&, f] {
+      simulator.spawn(std::string("f").append(std::to_string(f)), [&, f] {
         LockGuard lock(mutex);
         while (turn != f) cond.wait(mutex);
         ++inside;
@@ -631,7 +631,7 @@ TEST(Explore, BarrierAndSemaphoreHoldUnderAnySchedule) {
     int max_in_resource = 0;
     int through = 0;
     for (int f = 0; f < 3; ++f) {
-      simulator.spawn("w" + std::to_string(f), [&] {
+      simulator.spawn(std::string("w").append(std::to_string(f)), [&] {
         for (int round = 0; round < 2; ++round) {
           tokens.acquire();
           ++in_resource;

@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# Mutation check: every patch in tests/mutants/ plants a known bug, and the
+# tests it names must catch it.
+#
+#   tools/mutants.sh [build-type]      (default: Release)
+#
+# The tracked and untracked-but-not-ignored files are copied to a scratch
+# directory, so the checkout itself is never modified. There the named
+# test binary is built and run once on the clean tree (it must pass), then
+# once per patch with the patch applied (it must fail). Exits nonzero if a
+# clean run fails or a mutant survives.
+#
+# A patch file starts with three header lines before its diff:
+#   Mutant: <what the bug is>
+#   Target: <test binary, a target in tests/CMakeLists.txt>
+#   Kills: <gtest filter naming the tests that must fail>
+set -euo pipefail
+
+repo="$(cd "$(dirname "$0")/.." && pwd)"
+build_type="${1:-Release}"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+
+(cd "$repo" && git ls-files -co --exclude-standard -z |
+   tar --null -T - -cf -) | tar -xf - -C "$work"
+cmake -S "$work" -B "$work/build" -DCMAKE_BUILD_TYPE="$build_type" >/dev/null
+
+header() { sed -n "s/^$1: //p" "$2" | head -n 1; }
+
+run_target() {  # run_target <target> <filter>; returns the test's status
+  cmake --build "$work/build" -j"$(nproc)" --target "$1" >/dev/null
+  "$work/build/tests/$1" --gtest_filter="$2" >"$work/last.log" 2>&1
+}
+
+failed=0
+for patch in "$repo"/tests/mutants/*.patch; do
+  name="$(basename "$patch" .patch)"
+  target="$(header Target "$patch")"
+  filter="$(header Kills "$patch")"
+  if ! run_target "$target" "$filter"; then
+    echo "FAIL  $name: the clean tree already fails $filter"
+    tail -n 20 "$work/last.log"
+    failed=1
+    continue
+  fi
+  git -C "$work" apply "$patch"
+  if run_target "$target" "$filter"; then
+    echo "FAIL  $name survived: $(header Mutant "$patch")"
+    failed=1
+  else
+    echo "ok    $name killed by $filter"
+  fi
+  git -C "$work" apply -R "$patch"
+done
+exit "$failed"
