@@ -5,6 +5,7 @@
 // every network.
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "util/table.hpp"
@@ -57,11 +58,16 @@ int main() {
   const std::size_t size = 4096;
   Table table({"combination", "bip (us)", "sisci (us)", "tcp (us)",
                "via (us)"});
-  for (SendMode s :
-       {mad::send_SAFER, mad::send_LATER, mad::send_CHEAPER}) {
-    for (ReceiveMode r : {mad::receive_EXPRESS, mad::receive_CHEAPER}) {
-      std::vector<std::string> row{std::string(to_string(s)) + " + " +
-                                   std::string(to_string(r))};
+  const std::pair<SendMode, const char*> sends[] = {
+      {mad::send_SAFER, "send_SAFER"},
+      {mad::send_LATER, "send_LATER"},
+      {mad::send_CHEAPER, "send_CHEAPER"}};
+  const std::pair<ReceiveMode, const char*> receives[] = {
+      {mad::receive_EXPRESS, "receive_EXPRESS"},
+      {mad::receive_CHEAPER, "receive_CHEAPER"}};
+  for (const auto& [s, s_name] : sends) {
+    for (const auto& [r, r_name] : receives) {
+      std::vector<std::string> row{std::string(s_name) + " + " + r_name};
       for (auto kind : {mad::NetworkKind::kBip, mad::NetworkKind::kSisci,
                         mad::NetworkKind::kTcp, mad::NetworkKind::kVia}) {
         row.push_back(format_us(mode_one_way_us(kind, s, r, size)));

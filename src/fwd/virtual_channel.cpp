@@ -37,6 +37,39 @@ T resolve(const std::optional<T>& def_value,
   return def_value.value_or(session_value.value_or(T{}));
 }
 
+/// Hands the riding fields of `ext` to `field` in wire order (stamp ->
+/// seq -> hop trail). Encoder, decoder and the size count all walk this
+/// one list, so they cannot disagree on the layout.
+template <typename Ext, typename Field>
+void walk_ext(Ext& ext, const PacketExt::Layout& layout, Field field) {
+  if (layout.stamp) field(ext.stamp);
+  if (layout.seq) field(ext.seq);
+  if (!layout.hops) return;
+  field(ext.hops.hop_count);
+  for (auto& hop : ext.hops.hops) {
+    field(hop.node);
+    field(hop.enqueue);
+    field(hop.dequeue);
+    field(hop.wire);
+  }
+}
+
+void encode_ext(const PacketExt::Layout& layout, const PacketExt& ext,
+                std::byte* out) {
+  walk_ext(ext, layout, [&out](const auto& value) {
+    std::memcpy(out, &value, sizeof(value));
+    out += sizeof(value);
+  });
+}
+
+void decode_ext(const PacketExt::Layout& layout, const std::byte* in,
+                PacketExt& ext) {
+  walk_ext(ext, layout, [&in](auto& value) {
+    std::memcpy(&value, in, sizeof(value));
+    in += sizeof(value);
+  });
+}
+
 }  // namespace
 
 // ---------------------------------------------------------- VirtualChannel ---
@@ -55,6 +88,15 @@ VirtualChannel::VirtualChannel(mad::Session& session, VirtualChannelDef def)
     MAD2_CHECK(topology_.replay_quota > 0,
                "topology replay_quota must be positive");
   }
+  // Every node of the channel resolves the same layout, so the block
+  // needs no presence mask.
+  ext_layout_.stamp = congestion_.enabled;
+  ext_layout_.seq = topology_.enabled || propagation_;
+  ext_layout_.hops = propagation_;
+  const PacketExt sizing;
+  walk_ext(sizing, ext_layout_, [this](const auto& value) {
+    ext_layout_.bytes += sizeof(value);
+  });
   for (const std::string& hop : def_.hops) {
     hop_channels_.push_back(&session_->channel(hop));
   }
@@ -258,8 +300,7 @@ std::size_t VirtualChannel::terminal_hop(std::uint32_t node) const {
 void VirtualChannel::send_packet(
     mad::ChannelEndpoint& hop_endpoint, std::uint32_t to, PacketHeader header,
     std::span<const std::span<const std::byte>> pieces,
-    std::vector<std::uint32_t>& sizes_scratch, sim::Time stamp,
-    std::uint64_t seq, const HopStamp* trace) {
+    std::vector<std::uint32_t>& sizes_scratch, const PacketExt& ext) {
   header.n_pieces = static_cast<std::uint32_t>(pieces.size());
   sizes_scratch.clear();
   std::uint64_t total = 0;
@@ -278,27 +319,15 @@ void VirtualChannel::send_packet(
   span.args(header.payload_len, header.dst);
   mad::Connection& conn = hop_endpoint.begin_packing(to);
   mad::mad_pack_value(conn, header, mad::send_CHEAPER, mad::receive_EXPRESS);
-  if (congestion_.enabled) {
-    // Congestion control rides the send timestamp as its own EXPRESS
-    // block; with the feature off the byte stream is bit-identical to the
-    // pre-congestion wire format.
-    mad::mad_pack_value(conn, stamp, mad::send_CHEAPER,
-                        mad::receive_EXPRESS);
-  }
-  if (topology_.enabled) {
-    // Resilient routing rides the per-flow sequence the same way: an
-    // extra EXPRESS block only when the feature is on.
-    mad::mad_pack_value(conn, seq, mad::send_CHEAPER, mad::receive_EXPRESS);
-  }
-  if (propagation_) {
-    // Trace-context propagation rides the hop stamps as one more EXPRESS
-    // block, after the seq and before the size list — never a payload
-    // piece, so it can never become an unpack_borrow candidate and never
-    // enters the copies-per-byte accounting. Off keeps the wire
-    // bit-identical, same rule as the stamp and seq above.
-    static const HopStamp kEmptyStamp{};
-    mad::mad_pack_value(conn, trace != nullptr ? *trace : kEmptyStamp,
-                        mad::send_CHEAPER, mad::receive_EXPRESS);
+  // The extension is EXPRESS and never a payload piece, so it is never an
+  // unpack_borrow candidate and stays out of the copies-per-byte
+  // accounting. Its bytes (a subset of the struct's) live until
+  // end_packing below.
+  std::byte ext_wire[sizeof(PacketExt)];
+  if (ext_layout_.bytes > 0) {
+    encode_ext(ext_layout_, ext, ext_wire);
+    conn.pack(std::span<const std::byte>(ext_wire, ext_layout_.bytes),
+              mad::send_CHEAPER, mad::receive_EXPRESS);
   }
   if (!sizes_scratch.empty()) {
     conn.pack(std::as_bytes(std::span(sizes_scratch)), mad::send_CHEAPER,
@@ -321,31 +350,11 @@ Packet VirtualChannel::receive_packet(mad::ChannelEndpoint& hop_endpoint,
   PacketBuffer& buffer = *packet.storage;
   mad::mad_unpack_value(conn, packet.header, mad::send_CHEAPER,
                         mad::receive_EXPRESS);
-  if (congestion_.enabled) {
-    mad::mad_unpack_value(conn, packet.stamp, mad::send_CHEAPER,
-                          mad::receive_EXPRESS);
-  }
-  bool in_sequence = true;
-  if (topology_.enabled) {
-    mad::mad_unpack_value(conn, packet.seq, mad::send_CHEAPER,
-                          mad::receive_EXPRESS);
-    if (at_destination) {
-      // The sequence unpacks before any payload lands, so an
-      // out-of-order packet (replay duplicate or a packet that overtook
-      // a replayed one) is known up front and must stage everything —
-      // demand landing would put its bytes into user memory out of
-      // stream order.
-      const FlowControl& flow =
-          flow_control(packet.header.src, packet.header.dst);
-      in_sequence = packet.seq == flow.expected_seq;
-    }
-  }
-  if (propagation_) {
-    // The hop stamps unpack EXPRESS before the payload landing loop, so
-    // (like the stamp and seq) they are structurally outside the borrow /
-    // demand-landing machinery and the copies-per-byte accounting.
-    mad::mad_unpack_value(conn, packet.trace, mad::send_CHEAPER,
-                          mad::receive_EXPRESS);
+  if (ext_layout_.bytes > 0) {
+    std::byte ext_wire[sizeof(PacketExt)];
+    conn.unpack(std::span<std::byte>(ext_wire, ext_layout_.bytes),
+                mad::send_CHEAPER, mad::receive_EXPRESS);
+    decode_ext(ext_layout_, ext_wire, packet.ext);
   }
   // The stream is self-described, so a corrupted or hostile header could
   // otherwise drive the landing loop past the fixed-MTU buffer.
@@ -353,6 +362,16 @@ Packet VirtualChannel::receive_packet(mad::ChannelEndpoint& hop_endpoint,
              "malformed virtual packet: payload length exceeds the MTU");
   MAD2_CHECK(packet.header.n_pieces <= def_.mtu,
              "malformed virtual packet: piece count exceeds the MTU");
+  // The seq unpacks before any payload lands, so an out-of-order packet
+  // (replay duplicate or a packet that overtook a replayed one) is known
+  // up front and must stage everything — demand landing would put its
+  // bytes into user memory out of stream order.
+  bool in_sequence = true;
+  if (topology_.enabled && at_destination) {
+    in_sequence = packet.ext.seq ==
+                  flow_control(packet.header.src, packet.header.dst)
+                      .expected_seq;
+  }
   buffer.sizes.resize(packet.header.n_pieces);
   if (!buffer.sizes.empty()) {
     conn.unpack(std::as_writable_bytes(std::span(buffer.sizes)),
@@ -457,7 +476,8 @@ void VirtualChannel::spawn_gateway(std::uint32_t gateway, std::size_t hop_in,
                    "forwarding packet addressed to the gateway itself");
         if (propagation_) {
           // Residency opens on landing; forward_packet closes it.
-          packet.trace.push(pump.gateway, session_->simulator().now(), 0, 0);
+          packet.ext.hops.push(pump.gateway, session_->simulator().now(), 0,
+                               0);
         }
         if (pump.queue == nullptr) {
           forward_packet(pump, ep_out, packet);
@@ -507,12 +527,12 @@ void VirtualChannel::forward_packet(const GatewayPump& pump,
                                         : "pipelined");
   hop.args(packet.header.payload_len, packet.header.dst);
   ++forwarded_by_gateway_[pump.gateway];
-  HopStamp& trace = packet.trace;
+  HopStamp& trail = packet.ext.hops;
   // A route longer than HopStamp::kMaxHops stopped recording hops: the
   // last one then belongs to an earlier gateway and must stay as it is.
-  if (propagation_ && trace.hop_count > 0 &&
-      trace.hops[trace.hop_count - 1].node == pump.gateway) {
-    HopStamp::Hop& here = trace.hops[trace.hop_count - 1];
+  if (propagation_ && trail.hop_count > 0 &&
+      trail.hops[trail.hop_count - 1].node == pump.gateway) {
+    HopStamp::Hop& here = trail.hops[trail.hop_count - 1];
     here.dequeue = session_->simulator().now();
     here.wire = here.dequeue;
   }
@@ -520,7 +540,7 @@ void VirtualChannel::forward_packet(const GatewayPump& pump,
   // send_buffer_group. The received size list is dead by now, so it
   // doubles as the send-side scratch.
   send_packet(out, to, packet.header, packet.storage->pieces,
-              packet.storage->sizes, packet.stamp, packet.seq, &trace);
+              packet.storage->sizes, packet.ext);
 }
 
 sim::Mutex& VirtualChannel::send_mutex(std::uint32_t src) {
@@ -539,7 +559,7 @@ void VirtualChannel::trim_unacked(FlowControl& flow) {
   // expected_seq was delivered exactly once. Only the sender/repair fiber
   // (holding the send mutex) pops, so replay iteration by index is safe.
   while (!flow.unacked.empty() &&
-         flow.unacked.front().seq < flow.expected_seq) {
+         flow.unacked.front().ext.seq < flow.expected_seq) {
     flow.unacked.pop_front();
   }
 }
@@ -655,7 +675,7 @@ void VirtualChannel::replay_pending_flows() {
     // instead of replayed as guaranteed duplicates.
     for (std::size_t i = 0; i < flow.unacked.size(); ++i) {
       RetainedPacket& retained = flow.unacked[i];
-      if (retained.seq < flow.expected_seq) continue;
+      if (retained.ext.seq < flow.expected_seq) continue;
       const std::uint32_t to = next_node(hop, src, dst);
       one_piece[0] = std::span<const std::byte>(retained.bytes);
       // A retained bare `last` marker has no payload: replay it with an
@@ -666,11 +686,11 @@ void VirtualChannel::replay_pending_flows() {
               : std::span<const std::span<const std::byte>>(one_piece);
       MAD2_TRACE_SPAN(span, obs::Category::kFwd, "fwd.replay");
       span.args(static_cast<std::uint32_t>(retained.bytes.size()), dst);
-      // The retained trace stamp re-ships as-is: the replay inherits the
+      // The retained extension re-ships as-is: the replay inherits the
       // original packet's trace identity, so the weaved span shows the
       // journey that actually delivered.
       send_packet(ep, to, retained.header, pieces, sizes_scratch,
-                  retained.stamp, retained.seq, &retained.trace);
+                  retained.ext);
       ++counters_.replayed_packets;
       counters_.replayed_bytes += retained.bytes.size();
       ++flow.replays;
@@ -759,7 +779,7 @@ void VirtualChannel::on_packet_delivered(const Packet& packet) {
   flow.bytes += packet.header.payload_len;
   if (flow.window == nullptr) return;  // resilient-only: no windowing
   const sim::Duration delay =
-      session_->simulator().now() - packet.stamp;
+      session_->simulator().now() - packet.ext.stamp;
   flow.window->on_delivered(delay);
   if (obs::MetricsRegistry* registry = obs::metrics()) {
     registry->histogram(flow.hist_name)->record(delay);
@@ -770,7 +790,7 @@ void VirtualChannel::note_packet_trace(Packet& packet) {
   if (!propagation_) return;
   const sim::Time now = session_->simulator().now();
   // The delivery hop: landing time only, no queue and no outgoing wire.
-  packet.trace.push(packet.header.dst, now, now, 0);
+  packet.ext.hops.push(packet.header.dst, now, now, 0);
 
   obs::TraceRecorder* rec = obs::recorder();
   const bool record_events = rec != nullptr &&
@@ -782,14 +802,14 @@ void VirtualChannel::note_packet_trace(Packet& packet) {
   FlowControl& flow = flow_control(packet.header.src, packet.header.dst);
   const std::uint64_t id =
       obs::flow_id(packet.header.src, packet.header.dst);
-  const HopStamp& trace = packet.trace;
-  for (std::uint32_t k = 0; k < trace.hop_count; ++k) {
-    const HopStamp::Hop& hop = trace.hops[k];
-    const bool last = k + 1 == trace.hop_count;
+  const HopStamp& trail = packet.ext.hops;
+  for (std::uint32_t k = 0; k < trail.hop_count; ++k) {
+    const HopStamp::Hop& hop = trail.hops[k];
+    const bool last = k + 1 == trail.hop_count;
     const sim::Duration queue_ns = hop.dequeue - hop.enqueue;
     const sim::Duration wire_ns =
-        last ? 0 : trace.hops[k + 1].enqueue - hop.wire;
-    const std::uint64_t arg = obs::hop_arg(trace.seq, hop.node, k);
+        last ? 0 : trail.hops[k + 1].enqueue - hop.wire;
+    const std::uint64_t arg = obs::hop_arg(packet.ext.seq, hop.node, k);
     if (record_events) {
       // Explicit timestamps: the events are written at delivery but dated
       // back to when each hop actually happened, so the weaved timeline
@@ -942,40 +962,37 @@ std::uint32_t VirtualEndpoint::fetch_packet(Demand* demand) {
         channel_->receive_packet(*terminal_ep_, demand, resilient);
     MAD2_CHECK(packet.header.dst == local_,
                "virtual packet delivered to the wrong node");
-    if (resilient) {
-      VirtualChannel::FlowControl& flow =
-          channel_->flow_control(packet.header.src, local_);
-      if (packet.seq < flow.expected_seq ||
-          flow.ooo.count(packet.seq) != 0) {
-        // Replay duplicate of something already delivered or already
-        // stashed: drop it (the buffer recycles right here) and keep
-        // waiting for the cursor packet.
-        ++flow.dup_drops;
-        ++channel_->counters_.dup_drops;
-        continue;
-      }
-      if (packet.seq > flow.expected_seq) {
-        // A later packet overtook the cursor across the re-route. Park
-        // it whole (demand landing was disabled for it) until the gap
-        // fills; delivery order per flow never deviates from seq order.
-        ++channel_->counters_.stashed;
-        flow.ooo.emplace(packet.seq, std::move(packet));
-        continue;
-      }
-    }
     const std::uint32_t src = packet.header.src;
+    if (!resilient) {
+      deliver_packet(std::move(packet));
+      return src;
+    }
+    VirtualChannel::FlowControl& flow = channel_->flow_control(src, local_);
+    if (packet.ext.seq < flow.expected_seq ||
+        flow.ooo.count(packet.ext.seq) != 0) {
+      // Replay duplicate of something already delivered or already
+      // stashed: drop it (the buffer recycles right here) and keep
+      // waiting for the cursor packet.
+      ++flow.dup_drops;
+      ++channel_->counters_.dup_drops;
+      continue;
+    }
+    if (packet.ext.seq > flow.expected_seq) {
+      // A later packet overtook the cursor across the re-route. Park it
+      // whole (demand landing was disabled for it) until the gap fills;
+      // delivery order per flow never deviates from seq order.
+      ++channel_->counters_.stashed;
+      flow.ooo.emplace(packet.ext.seq, std::move(packet));
+      continue;
+    }
+    // In sequence: deliver it, then drain every consecutive stashed
+    // successor behind the moved cursor.
     deliver_packet(std::move(packet));
-    if (resilient) {
-      // The cursor moved: drain every consecutive stashed successor of
-      // this flow behind it.
-      VirtualChannel::FlowControl& flow =
-          channel_->flow_control(src, local_);
-      auto next = flow.ooo.begin();
-      while (next != flow.ooo.end() && next->first == flow.expected_seq) {
-        Packet stashed = std::move(next->second);
-        next = flow.ooo.erase(next);
-        deliver_packet(std::move(stashed));
-      }
+    auto next = flow.ooo.begin();
+    while (next != flow.ooo.end() && next->first == flow.expected_seq) {
+      Packet stashed = std::move(next->second);
+      next = flow.ooo.erase(next);
+      deliver_packet(std::move(stashed));
     }
     return src;
   }
@@ -995,7 +1012,7 @@ void VirtualEndpoint::deliver_packet(Packet packet) {
     // sender: its retain buffer trims against this watermark.
     VirtualChannel::FlowControl& flow =
         channel_->flow_control(packet.header.src, local_);
-    flow.expected_seq = packet.seq + 1;
+    flow.expected_seq = packet.ext.seq + 1;
     channel_->retention_freed_->notify_all();
   }
   const std::uint32_t src = packet.header.src;
@@ -1136,8 +1153,8 @@ void VirtualConnection::pack(std::span<const std::byte> data,
 }
 
 void VirtualConnection::flush_packet(bool last) {
-  const std::size_t mtu = endpoint_->channel().def().mtu;
-  std::size_t take = std::min(pending_bytes_, mtu);
+  VirtualChannel& channel = endpoint_->channel();
+  const std::size_t take = std::min(pending_bytes_, channel.def().mtu);
 
   // Gather pieces off the front of the queue, splitting the last one at
   // the packet boundary. The gather list reuses this connection's scratch
@@ -1160,30 +1177,23 @@ void VirtualConnection::flush_packet(bool last) {
   }
   pending_bytes_ -= taken;
 
-  VirtualChannel::PacketHeader header{};
-  header.src = endpoint_->local();
-  header.dst = remote_;
-  header.last = last ? 1 : 0;
-
-  VirtualChannel& channel = endpoint_->channel();
-  const std::size_t hop = channel.hop_of(endpoint_->local(), remote_);
+  sim::Simulator& simulator = channel.session().simulator();
   const std::uint32_t local = endpoint_->local();
-  mad::ChannelEndpoint& ep =
-      channel.session().channel(channel.def().hops[hop]).endpoint(local);
-
+  const std::size_t hop = channel.hop_of(local, remote_);
+  mad::ChannelEndpoint& ep = channel.hop_channels_[hop]->endpoint(local);
+  const VirtualChannel::PacketHeader header{local, remote_, 0,
+                                            last ? 1u : 0u, 0};
+  const bool tracing = channel.propagation_enabled();
   // Trace-context propagation: hop 0 opens at flush entry, so pacing,
   // window admission and (resilient) mutex waits below all show up as
   // sender-side queue residency instead of being misattributed to the
   // wire.
-  HopStamp trace;
-  const bool tracing = channel.propagation_enabled();
-  const sim::Time flush_enter =
-      tracing ? channel.session().simulator().now() : 0;
+  const sim::Time flush_enter = simulator.now();
+  PacketExt ext;
 
   // Bandwidth control (paper future work): pace packet departures so the
   // inbound flow at the gateway stays below the configured rate.
   if (channel.def().sender_rate_mbs > 0.0 && taken > 0) {
-    sim::Simulator& simulator = channel.session().simulator();
     if (simulator.now() < pace_next_send_) {
       simulator.advance(pace_next_send_ - simulator.now());
     }
@@ -1198,74 +1208,61 @@ void VirtualConnection::flush_packet(bool last) {
   // Admission happens BEFORE the send mutex below: a failover replay
   // needs that mutex to redeliver the lost packets that free the window,
   // so blocking on the window while holding it would deadlock.
-  sim::Time stamp = 0;
   if (channel.congestion_enabled() && taken > 0) {
-    VirtualChannel::FlowControl& flow = channel.flow_control(local, remote_);
-    flow.window->before_send();
-    stamp = channel.session().simulator().now();
+    channel.flow_control(local, remote_).window->before_send();
+    ext.stamp = simulator.now();
   }
 
-  if (!channel.resilient()) {
-    const std::uint32_t to = channel.next_node(hop, local, remote_);
-    if (tracing) {
-      VirtualChannel::FlowControl& flow =
-          channel.flow_control(local, remote_);
-      trace.seq = flow.trace_seq++;
-      const sim::Time t = channel.session().simulator().now();
-      trace.push(local, flush_enter, t, t);
-    }
-    channel.send_packet(ep, to, header, gather_scratch_, sizes_scratch_,
-                        stamp, 0, &trace);
-  } else {
-    // Resilient send: serialize with the repair fiber, then sequence and
-    // retain the packet before it leaves, so a gateway death at any
-    // point can replay it. Empty `last` markers are sequenced too —
-    // losing one would wedge the receiver cursor forever.
-    sim::Mutex& mutex = channel.send_mutex(local);
-    mutex.lock();
-    VirtualChannel::FlowControl& flow = channel.flow_control(local, remote_);
+  // Resilient send: serialize with the repair fiber, then sequence and
+  // retain the packet before it leaves, so a gateway death at any point
+  // can replay it.
+  const bool resilient = channel.resilient();
+  sim::Mutex* mutex = resilient ? &channel.send_mutex(local) : nullptr;
+  VirtualChannel::FlowControl* flow =
+      resilient || tracing ? &channel.flow_control(local, remote_) : nullptr;
+  if (resilient) {
+    mutex->lock();
     for (;;) {
-      channel.trim_unacked(flow);
-      if (!flow.replay_pending &&
-          flow.unacked.size() < channel.topology().replay_quota) {
+      channel.trim_unacked(*flow);
+      if (!flow->replay_pending &&
+          flow->unacked.size() < channel.topology().replay_quota) {
         break;
       }
       // A failover is mid-replay for this flow, or the retain buffer is
       // full of unconfirmed packets: park until the repair fiber settles
       // / the receiver cursor advances, re-checking from scratch (the
       // kill may land exactly in this window).
-      mutex.unlock();
-      (flow.replay_pending ? channel.replay_settled_
-                           : channel.retention_freed_)
+      mutex->unlock();
+      (flow->replay_pending ? channel.replay_settled_
+                            : channel.retention_freed_)
           ->wait();
-      mutex.lock();
+      mutex->lock();
     }
-    const std::uint64_t seq = flow.next_seq++;
-    if (tracing) {
-      trace.seq = flow.trace_seq++;
-      const sim::Time t = channel.session().simulator().now();
-      trace.push(local, flush_enter, t, t);
-    }
-    VirtualChannel::RetainedPacket retained;
-    retained.header = header;
-    retained.seq = seq;
-    retained.stamp = stamp;
-    retained.trace = trace;
+  }
+  // One seq per flushed packet, the resilient order key and the trace
+  // identity at once. Empty `last` markers are sequenced too — losing one
+  // would wedge the receiver cursor forever.
+  if (flow != nullptr) ext.seq = flow->next_seq++;
+  if (tracing) {
+    const sim::Time now = simulator.now();
+    ext.hops.push(local, flush_enter, now, now);
+  }
+  if (resilient) {
+    VirtualChannel::RetainedPacket retained{header, ext, {}};
     retained.bytes.reserve(taken);
     for (const auto& piece : gather_scratch_) {
       retained.bytes.insert(retained.bytes.end(), piece.begin(),
                             piece.end());
     }
     channel.session().node(local).charge_memcpy(taken);
-    flow.unacked.push_back(std::move(retained));
-    // Route picked under the mutex, against the current healthy sets: a
-    // kill that already happened re-routes this packet, a kill that
-    // lands later replays it from the retain buffer.
-    const std::uint32_t to = channel.next_node(hop, local, remote_);
-    channel.send_packet(ep, to, header, gather_scratch_, sizes_scratch_,
-                        stamp, seq, &trace);
-    mutex.unlock();
+    flow->unacked.push_back(std::move(retained));
   }
+  // Route picked under the mutex, against the current healthy sets: a
+  // kill that already happened re-routes this packet, a kill that lands
+  // later replays it from the retain buffer.
+  const std::uint32_t to = channel.next_node(hop, local, remote_);
+  channel.send_packet(ep, to, header, gather_scratch_, sizes_scratch_, ext);
+  if (resilient) mutex->unlock();
   // The packet is fully on the wire (end_packing committed every piece);
   // now the consumed meta buffers can go.
   for (std::size_t i = 0; i < metas_consumed; ++i) metas_.pop_front();

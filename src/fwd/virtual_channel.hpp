@@ -97,15 +97,12 @@ struct VirtualChannelDef {
   std::optional<bool> propagation;
 };
 
-/// Per-packet trace context for distributed madtrace: the identity of the
-/// flow plus enqueue/dequeue/wire timestamps for every hop the packet has
-/// crossed so far. Travels as one extra EXPRESS block (after the
-/// congestion stamp and the resilient seq) ONLY when trace-context
-/// propagation is on — same bit-identical-wire rule as those blocks.
-/// Senders stamp hop 0, every gateway pump appends its hop, and the
-/// delivering endpoint appends the final hop and replays the whole
-/// journey into the trace ring (see obs/span_weaver.hpp for how the ring
-/// events weave back into cross-node spans).
+/// Hop trail for distributed madtrace: enqueue/dequeue/wire timestamps for
+/// every hop the packet has crossed so far. Senders stamp hop 0, every
+/// gateway pump appends its hop, and the delivering endpoint appends the
+/// final hop and replays the whole journey into the trace ring (see
+/// obs/span_weaver.hpp for how the ring events weave back into cross-node
+/// spans).
 struct HopStamp {
   /// Longest traceable route: sender + 4 gateways + receiver. Longer
   /// routes truncate (push becomes a no-op) rather than corrupt: a
@@ -117,10 +114,6 @@ struct HopStamp {
     sim::Time dequeue = 0;  ///< left the queue (admitted / scheduled)
     sim::Time wire = 0;     ///< handed to the outgoing wire
   };
-  /// Per-flow packet counter (trace identity, NOT the resilient protocol
-  /// seq — replays reuse the original trace seq so a replayed packet
-  /// weaves into the same span).
-  std::uint64_t seq = 0;
   std::uint32_t hop_count = 0;
   Hop hops[kMaxHops] = {};
 
@@ -129,6 +122,28 @@ struct HopStamp {
     if (hop_count >= kMaxHops) return;
     hops[hop_count++] = Hop{node, enqueue, dequeue, wire};
   }
+};
+
+/// What a channel's opt-in features attach to each packet. The fields
+/// that ride are fixed per channel at construction, in the order stamp ->
+/// seq -> hops, and travel as one EXPRESS block after the header; with
+/// every feature off nothing rides (docs/FORWARDING.md, "Packet format").
+struct PacketExt {
+  /// Send time, for the congestion control's end-to-end delay feedback.
+  sim::Time stamp = 0;
+  /// Per-flow packet number: the resilient order / dedup key and the
+  /// trace identity (a replay reuses it, so it weaves into the same span).
+  std::uint64_t seq = 0;
+  /// Hop trail; unlike stamp and seq, gateways append to it in flight.
+  HopStamp hops;
+
+  /// The fields a channel's wire carries, derived once from its features.
+  struct Layout {
+    bool stamp = false;
+    bool seq = false;
+    bool hops = false;
+    std::size_t bytes = 0;  // encoded size; 0 = no extension block
+  };
 };
 
 class VirtualChannel;
@@ -214,22 +229,7 @@ struct Packet {
     std::uint32_t last;      // last packet of the message
     std::uint32_t n_pieces;  // gather-list entries in this packet
   } header;
-  /// Send timestamp for the end-to-end delay feedback. Travels as a
-  /// separate EXPRESS block after the header — and ONLY when congestion
-  /// control is enabled, so the wire byte stream of existing sessions is
-  /// bit-identical. Gateways forward it unchanged.
-  sim::Time stamp = 0;
-  /// Per-flow sequence number for resilient routing. Travels as its own
-  /// EXPRESS block (after the stamp, when both features are on) ONLY in
-  /// resilient mode — same bit-identical-wire rule as the stamp.
-  /// Gateways forward it unchanged; the receiving endpoint uses it to
-  /// drop replay duplicates and re-order around a failover.
-  std::uint64_t seq = 0;
-  /// Hop-by-hop trace context; on the wire ONLY with trace-context
-  /// propagation enabled (an EXPRESS block after the seq). Unlike the
-  /// stamp/seq, gateways MUTATE it in flight — each pump appends its own
-  /// hop before re-sending.
-  HopStamp trace;
+  PacketExt ext;
   PooledBuffer storage;
 };
 
@@ -347,10 +347,8 @@ class VirtualChannel {
   [[nodiscard]] bool resilient() const { return topology_.enabled; }
 
   /// Resolved trace-context propagation: the def's override, else the
-  /// session trace stanza's `propagation` flag, else off. When on, every
-  /// packet carries a HopStamp and deliveries replay per-hop events into
-  /// the trace ring; when off the wire is bit-identical to an untraced
-  /// session.
+  /// session trace stanza's `propagation` flag, else off. When on, packets
+  /// carry a hop trail that deliveries replay into the trace ring.
   [[nodiscard]] bool propagation_enabled() const { return propagation_; }
 
   /// Declare gateway `node` dead right now (resilient mode only): mark it
@@ -441,21 +439,15 @@ class VirtualChannel {
   /// The hop channel on which `node` receives virtual-channel traffic.
   [[nodiscard]] std::size_t terminal_hop(std::uint32_t node) const;
 
-  /// Ship one packet: header + piece-size list (EXPRESS), then the pieces
-  /// (CHEAPER — ridden zero-copy by the underlying TMs where possible).
-  /// `sizes_scratch` is caller-owned reusable scratch for the size list.
-  /// With congestion control on, `stamp` (the flow's send time) rides as
-  /// an extra EXPRESS block right after the header; in resilient mode
-  /// `seq` rides likewise.
-  /// With trace-context propagation on, `trace` (the hop stamps gathered
-  /// so far) rides as one more EXPRESS block; null packs an empty stamp
-  /// so the wire shape stays uniform within a propagation-enabled run.
+  /// Ship one packet: header, the riding fields of `ext` and the
+  /// piece-size list (EXPRESS), then the pieces (CHEAPER — ridden
+  /// zero-copy by the underlying TMs where possible). `sizes_scratch` is
+  /// caller-owned reusable scratch for the size list.
   void send_packet(mad::ChannelEndpoint& hop_endpoint, std::uint32_t to,
                    PacketHeader header,
                    std::span<const std::span<const std::byte>> pieces,
                    std::vector<std::uint32_t>& sizes_scratch,
-                   sim::Time stamp = 0, std::uint64_t seq = 0,
-                   const HopStamp* trace = nullptr);
+                   const PacketExt& ext);
   /// Receive one packet into a pooled buffer. Pieces land, in order:
   /// directly in `demand`'s window (when given, the source matches, and
   /// the piece fits — endpoints only), as borrowed driver slots (static-
@@ -493,12 +485,7 @@ class VirtualChannel {
   /// as a single piece over a surviving gateway on failover.
   struct RetainedPacket {
     PacketHeader header;
-    std::uint64_t seq = 0;
-    sim::Time stamp = 0;
-    /// Sender-hop trace context, kept so a failover replay re-ships the
-    /// packet under its original trace identity (the replay then weaves
-    /// into the same cross-node span as the lost original).
-    HopStamp trace;
+    PacketExt ext;  // re-shipped as-is: same seq, same trace identity
     std::vector<std::byte> bytes;
   };
 
@@ -516,18 +503,14 @@ class VirtualChannel {
     std::string hist_name;  // per-flow e2e histogram in the registry
     std::uint64_t packets = 0;
     std::uint64_t bytes = 0;
-    // --- resilient-mode state ---
-    std::uint64_t next_seq = 0;      // sender: next sequence to assign
+    // --- resilient / propagation state ---
+    std::uint64_t next_seq = 0;      // sender: next PacketExt::seq
     std::uint64_t expected_seq = 0;  // receiver cursor / confirm watermark
     bool replay_pending = false;     // failover marked; sender must wait
     std::deque<RetainedPacket> unacked;
     std::map<std::uint64_t, Packet> ooo;  // seq -> stashed future packet
     std::uint64_t replays = 0;
     std::uint64_t dup_drops = 0;
-    // --- trace-context propagation state ---
-    /// Sender-side trace identity counter (independent of the resilient
-    /// protocol seq so propagation works without the topology stanza).
-    std::uint64_t trace_seq = 0;
     /// Receiver-side cache of the per-hop attribution histograms
     /// ("<vc>.hop.<src>-<dst>.<k>.{queue,wire}"): registry pointers are
     /// stable, so after warm-up a delivery costs no string building.
@@ -536,7 +519,7 @@ class VirtualChannel {
   FlowControl& flow_control(std::uint32_t src, std::uint32_t dst);
   void on_packet_delivered(const Packet& packet);
   /// Delivery-side half of trace-context propagation: append the final
-  /// hop to `packet.trace`, replay the whole journey into the trace ring
+  /// hop to `packet.ext.hops`, replay the whole journey into the trace ring
   /// as hop.queue / hop.wire events (explicit timestamps — nothing here
   /// charges virtual time), and feed the per-(src,dst,hop) attribution
   /// histograms. No-op with propagation off.
@@ -588,6 +571,7 @@ class VirtualChannel {
   mad::CongestionConfig congestion_;  // resolved (def > session > off)
   mad::TopologyConfig topology_;      // resolved (def > session > off)
   bool propagation_ = false;          // resolved (def > session > off)
+  PacketExt::Layout ext_layout_;      // derived from the three above
   std::vector<mad::Channel*> hop_channels_;
   std::vector<Boundary> boundaries_;  // boundaries_[i] joins hop i, i+1
   std::vector<std::uint32_t> nodes_;

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
 
 namespace mad2::mad {
 
@@ -39,9 +38,6 @@ inline constexpr SendMode send_LATER = SendMode::kLater;
 inline constexpr SendMode send_CHEAPER = SendMode::kCheaper;
 inline constexpr ReceiveMode receive_EXPRESS = ReceiveMode::kExpress;
 inline constexpr ReceiveMode receive_CHEAPER = ReceiveMode::kCheaper;
-
-std::string_view to_string(SendMode mode);
-std::string_view to_string(ReceiveMode mode);
 
 /// A protocol-level buffer handed out by a Transmission Module
 /// (obtain_static_buffer / receive_static_buffer in Table 2). The memory

@@ -167,14 +167,7 @@ struct TcpStream::TxWriter {
 };
 
 void TcpStream::send(std::span<const std::byte> data) {
-  TxWriter writer(*this);
-  // Re-check pending under the writer turn: a tick's flush may have been
-  // in flight when we arrived, and more bytes may have been staged while
-  // we waited for it. Flushing here keeps byte order.
-  flush_pending_locked();
-  const TcpParams& params = port_->network_->params_;
-  port_->node_->charge_cpu(params.send_syscall);
-  enqueue_tx(data);
+  (void)send_checked(data);  // a poisoned stream black-holes the rest
 }
 
 void TcpStream::send_deferred(std::span<const std::byte> data) {
@@ -201,11 +194,11 @@ void TcpStream::flush_pending_locked() {
   // (empty, capacitated) flush buffer keeps both capacities alive, so
   // steady-state batches allocate nothing.
   pending_.swap(pending_flushing_);
-  enqueue_tx(pending_flushing_);
+  (void)enqueue_tx(pending_flushing_);
   pending_flushing_.clear();
 }
 
-void TcpStream::enqueue_tx(std::span<const std::byte> data) {
+Status TcpStream::enqueue_tx(std::span<const std::byte> data) {
   const TcpParams& params = port_->network_->params_;
   // Kernel copies user data into the socket buffer (checksum + copy).
   std::size_t done = 0;
@@ -218,7 +211,7 @@ void TcpStream::enqueue_tx(std::span<const std::byte> data) {
     // keep running after a link death, and a sender wedged inside send()
     // would hold its flow's send mutex across the failover (the replay
     // machinery redelivers whatever the dead link swallowed).
-    if (!failed_.is_ok()) return;
+    if (!failed_.is_ok()) return failed_;
     const std::size_t room = params.socket_buffer - tx_buffer_.size();
     const std::size_t chunk = std::min(room, data.size() - done);
     port_->node_->charge_memcpy(chunk);
@@ -227,6 +220,7 @@ void TcpStream::enqueue_tx(std::span<const std::byte> data) {
     done += chunk;
     tx_data_->notify_all();
   }
+  return Status::ok();
 }
 
 void TcpStream::tx_loop() {
@@ -342,24 +336,13 @@ void TcpStream::fail(const Status& status) {
 
 Status TcpStream::send_checked(std::span<const std::byte> data) {
   TxWriter writer(*this);
-  flush_pending_locked();  // keep byte order (see send())
+  // Re-check pending under the writer turn: a tick's flush may have been
+  // in flight when we arrived, and more bytes may have been staged while
+  // we waited for it. Flushing here keeps byte order.
+  flush_pending_locked();
   const TcpParams& params = port_->network_->params_;
   port_->node_->charge_cpu(params.send_syscall);
-  std::size_t done = 0;
-  while (done < data.size()) {
-    while (failed_.is_ok() && tx_buffer_.size() >= params.socket_buffer) {
-      tx_room_->wait();
-    }
-    if (!failed_.is_ok()) return failed_;
-    const std::size_t room = params.socket_buffer - tx_buffer_.size();
-    const std::size_t chunk = std::min(room, data.size() - done);
-    port_->node_->charge_memcpy(chunk);
-    tx_buffer_.insert(tx_buffer_.end(), data.begin() + done,
-                      data.begin() + done + chunk);
-    done += chunk;
-    tx_data_->notify_all();
-  }
-  return Status::ok();
+  return enqueue_tx(data);
 }
 
 Status TcpStream::recv_some_checked(std::span<std::byte> out,

@@ -173,7 +173,8 @@ class TcpStream {
   void fail(const Status& status);
   /// send() minus the syscall charge: checksum+copy into the socket
   /// buffer, blocking while it is full. Caller holds the TxWriter turn.
-  void enqueue_tx(std::span<const std::byte> data);
+  /// A poisoned stream stops the copy and returns the link Status.
+  Status enqueue_tx(std::span<const std::byte> data);
   /// flush_pending() body; caller holds the TxWriter turn.
   void flush_pending_locked();
 

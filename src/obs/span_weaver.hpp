@@ -1,10 +1,10 @@
 // SpanWeaver: cross-node causal span reassembly for distributed madtrace.
 //
 // With trace-context propagation on (`trace propagation` stanza), every
-// virtual-channel packet carries a HopStamp — per-hop enqueue/dequeue/wire
-// timestamps — and the delivering endpoint replays the stamp into the
-// trace ring as per-hop `hop.queue` / `hop.wire` events (one pair per hop
-// the packet crossed). Each event encodes its packet identity in the two
+// virtual-channel packet carries its flow seq and a HopStamp — per-hop
+// enqueue/dequeue/wire timestamps — and the delivering endpoint replays
+// the stamp into the trace ring as per-hop `hop.queue` / `hop.wire`
+// events (one pair per hop the packet crossed). Each event encodes its packet identity in the two
 // numeric args:
 //
 //   a0 = flow id            ((src << 32) | dst)

@@ -97,10 +97,10 @@ struct TraceConfig {
   /// Channel names the Switch-level instrumentation is restricted to;
   /// empty means every channel. Other categories ignore this filter.
   std::vector<std::string> channels;
-  /// Trace-context propagation: virtual channels stamp every packet with
-  /// a per-hop HopStamp (an extra EXPRESS block, like the congestion
-  /// send-stamp) and rail lanes emit segment-boundary events. Off keeps
-  /// the wire byte stream bit-identical to an untraced session.
+  /// Trace-context propagation: virtual-channel packets carry a hop trail
+  /// in their extension block and rail lanes emit segment-boundary
+  /// events. Off keeps the wire byte stream bit-identical to an untraced
+  /// session.
   bool propagation = false;
   /// SLO watchdog thresholds, checked after the session runs.
   std::vector<SloRule> slo;

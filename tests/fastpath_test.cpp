@@ -56,13 +56,15 @@ void check_dispatch_equivalence(SessionConfig config) {
         Tm& want_tm = pmm.select_tm(len, s, r);
         const BmmKind want_kind = select_bmm_kind(want_tm, s, r);
         EXPECT_EQ(got.tm, &want_tm)
-            << pmm.name() << " len=" << len << " smode=" << to_string(s)
-            << " rmode=" << to_string(r) << ": table picked "
+            << pmm.name() << " len=" << len
+            << " smode=" << static_cast<int>(s)
+            << " rmode=" << static_cast<int>(r) << ": table picked "
             << (got.tm != nullptr ? got.tm->name() : "null") << ", select_tm "
             << want_tm.name();
         EXPECT_EQ(got.kind, want_kind)
-            << pmm.name() << " len=" << len << " smode=" << to_string(s)
-            << " rmode=" << to_string(r);
+            << pmm.name() << " len=" << len
+            << " smode=" << static_cast<int>(s)
+            << " rmode=" << static_cast<int>(r);
       }
     }
   }

@@ -99,8 +99,8 @@ TEST_P(MadOverDriver, AllModeCombinationsRoundTrip) {
           conn.unpack(out, s, r);
           conn.end_unpacking();
           EXPECT_TRUE(verify_pattern(out, size + 7))
-              << "size " << size << " " << to_string(s) << " "
-              << to_string(r);
+              << "size " << size << " smode " << static_cast<int>(s)
+              << " rmode " << static_cast<int>(r);
         }
       }
     }
