@@ -246,16 +246,14 @@ VirtualEndpoint& VirtualChannel::endpoint(std::uint32_t node) {
 }
 
 std::uint32_t VirtualChannel::dense_index(std::uint32_t node) const {
-  MAD2_CHECK(node < node_index_.size() && node_index_[node] != kNoIndex,
-             "node not on this virtual channel");
+  MAD2_CHECK(has_node(node), "node not on this virtual channel");
   return node_index_[node];
 }
 
 std::size_t VirtualChannel::hop_of(std::uint32_t node,
                                    std::uint32_t dst) const {
   const std::uint32_t ni = dense_index(node);
-  MAD2_CHECK(dst < node_index_.size() && node_index_[dst] != kNoIndex,
-             "destination not on this virtual channel");
+  MAD2_CHECK(has_node(dst), "destination not on this virtual channel");
   return hop_table_[static_cast<std::size_t>(ni) * nodes_.size() +
                     node_index_[dst]];
 }
@@ -281,8 +279,7 @@ std::uint32_t VirtualChannel::pick_gateway(std::uint32_t boundary,
 
 std::uint32_t VirtualChannel::next_node(std::size_t hop, std::uint32_t src,
                                         std::uint32_t dst) const {
-  MAD2_CHECK(dst < node_index_.size() && node_index_[dst] != kNoIndex,
-             "destination not on this virtual channel");
+  MAD2_CHECK(has_node(dst), "destination not on this virtual channel");
   const NextHop& cell = next_table_[hop][node_index_[dst]];
   MAD2_CHECK(cell.kind != NextHop::Kind::kUnreachable,
              "no route to destination");
@@ -715,12 +712,9 @@ mad::FailureDomain VirtualChannel::on_network_failure(
   // The unresponsive end decides whether this is our failure to absorb:
   // a dead leaf is a node-domain problem however it was reported, so
   // anything but a gateway with healthy siblings passes through.
-  const auto attributable = [this](std::uint32_t node) {
-    return node != mad::NetworkFailure::kNoNode &&
-           node < node_index_.size() && node_index_[node] != kNoIndex;
-  };
+  // (NetworkFailure::kNoNode is never a member.)
   const std::uint32_t dst = failure.dst_node;
-  if (!attributable(dst)) return mad::FailureDomain::kUnknown;
+  if (!has_node(dst)) return mad::FailureDomain::kUnknown;
   if (session_->hostdb().alive(dst)) {
     if (!can_absorb_gateway(dst)) return mad::FailureDomain::kUnknown;
     kill_gateway(dst);
@@ -733,7 +727,7 @@ mad::FailureDomain VirtualChannel::on_network_failure(
   // of a boundary it stays, and flows hashed there are on their own;
   // there is no failover left to run.
   const std::uint32_t src = failure.src_node;
-  if (attributable(src) && session_->hostdb().alive(src) &&
+  if (has_node(src) && session_->hostdb().alive(src) &&
       can_absorb_gateway(src)) {
     kill_gateway(src);
   }
@@ -931,18 +925,23 @@ std::uint64_t VirtualChannel::gateway_forwarded(std::uint32_t gateway) const {
 // --------------------------------------------------------- VirtualEndpoint ---
 
 VirtualEndpoint::VirtualEndpoint(VirtualChannel* channel, std::uint32_t local)
-    : channel_(channel), local_(local) {
-  for (std::uint32_t node : channel_->nodes()) {
-    if (node == local_) continue;
-    connections_.emplace(node, std::unique_ptr<VirtualConnection>(
-                                   new VirtualConnection(this, node)));
+    : channel_(channel), local_(local) {}
+
+VirtualConnection& VirtualEndpoint::connection(std::uint32_t remote) {
+  auto it = connections_.find(remote);
+  if (it == connections_.end()) {
+    MAD2_CHECK(remote != local_ && channel_->has_node(remote),
+               "unknown virtual destination");
+    it = connections_
+             .emplace(remote, std::unique_ptr<VirtualConnection>(
+                                  new VirtualConnection(this, remote)))
+             .first;
   }
+  return *it->second;
 }
 
 VirtualConnection& VirtualEndpoint::begin_packing(std::uint32_t remote) {
-  auto it = connections_.find(remote);
-  MAD2_CHECK(it != connections_.end(), "unknown virtual destination");
-  VirtualConnection& conn = *it->second;
+  VirtualConnection& conn = connection(remote);
   MAD2_CHECK(!conn.packing_, "virtual message already open");
   conn.packing_ = true;
   conn.pieces_.clear();
@@ -1041,7 +1040,7 @@ VirtualConnection& VirtualEndpoint::begin_unpacking() {
     }
   }
   if (!found) src = fetch_packet(nullptr);
-  VirtualConnection& conn = *connections_.at(src);
+  VirtualConnection& conn = connection(src);
   MAD2_CHECK(!conn.unpacking_, "virtual connection already unpacking");
   conn.unpacking_ = true;
   active_incoming_ = &conn;

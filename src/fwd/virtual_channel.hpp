@@ -257,6 +257,10 @@ class VirtualEndpoint {
   friend class VirtualConnection;
   VirtualEndpoint(VirtualChannel* channel, std::uint32_t local);
 
+  /// The connection to `remote`, created on first use; aborts for a node
+  /// outside the channel and for this endpoint's own node.
+  VirtualConnection& connection(std::uint32_t remote);
+
   /// The incoming byte stream of one source: landed packets in arrival
   /// order plus a cursor over the staged pieces of the front packet.
   /// `bytes` counts staged-and-unconsumed bytes; fully drained packets go
@@ -295,6 +299,7 @@ class VirtualEndpoint {
 
   VirtualChannel* channel_;
   std::uint32_t local_;
+  // Only the peers this endpoint has exchanged a message with.
   std::map<std::uint32_t, std::unique_ptr<VirtualConnection>> connections_;
   std::map<std::uint32_t, Stream> streams_;
   mad::ChannelEndpoint* terminal_ep_ = nullptr;  // cached on first fetch
@@ -547,6 +552,10 @@ class VirtualChannel {
   static constexpr std::uint32_t kNoIndex = 0xffffffffu;
   static constexpr std::uint16_t kNoHop = 0xffffu;
 
+  /// Whether `node` (a global id) is a member of this channel.
+  [[nodiscard]] bool has_node(std::uint32_t node) const {
+    return node < node_index_.size() && node_index_[node] != kNoIndex;
+  }
   [[nodiscard]] std::uint32_t dense_index(std::uint32_t node) const;
   [[nodiscard]] std::uint32_t pick_gateway(std::uint32_t boundary,
                                            std::uint32_t src,

@@ -78,14 +78,16 @@ void TcpNetwork::on_link_failed(std::uint32_t a, std::uint32_t b,
 // -------------------------------------------------------------- TcpPort ---
 
 TcpPort::TcpPort(TcpNetwork* network, hw::Node* node, std::uint32_t rank)
-    : network_(network), node_(node), rank_(rank) {
-  any_frame_ = std::make_unique<sim::WaitQueue>(network_->simulator_);
+    : network_(network),
+      node_(node),
+      rank_(rank),
+      any_frame_(network_->simulator_) {
   network_->simulator_->spawn_daemon(
       "tcp.rx." + std::to_string(rank), [this] { rx_loop(); });
 }
 
 void TcpPort::wait_any(const std::function<bool()>& pred) {
-  while (!pred()) any_frame_->wait();
+  while (!pred()) any_frame_.wait();
 }
 
 TcpStream& TcpPort::stream(std::uint32_t peer, std::uint32_t stream_id) {
@@ -118,7 +120,7 @@ void TcpPort::rx_loop() {
           node_->nic_initiator_id(2));
       stream(message.src, message.channel)
           .on_frame(std::move(message.payload));
-      any_frame_->notify_all();
+      any_frame_.notify_all();
     }
   }
   for (;;) {
@@ -129,7 +131,7 @@ void TcpPort::rx_loop() {
         node_->params().pci_dma_mbs, hw::TxClass::kDma,
         node_->nic_initiator_id(2));
     stream(packet.src, packet.stream).on_frame(std::move(packet.data));
-    any_frame_->notify_all();
+    any_frame_.notify_all();
   }
 }
 
@@ -137,16 +139,12 @@ void TcpPort::rx_loop() {
 
 TcpStream::TcpStream(TcpPort* port, std::uint32_t peer,
                      std::uint32_t stream_id)
-    : port_(port), peer_(peer), stream_id_(stream_id) {
-  sim::Simulator* simulator = port_->network_->simulator_;
-  tx_room_ = std::make_unique<sim::WaitQueue>(simulator);
-  tx_data_ = std::make_unique<sim::WaitQueue>(simulator);
-  rx_data_ = std::make_unique<sim::WaitQueue>(simulator);
-  simulator->spawn_daemon("tcp.stream." + std::to_string(port_->rank_) +
-                              "->" + std::to_string(peer_) + "." +
-                              std::to_string(stream_id_),
-                          [this] { tx_loop(); });
-}
+    : port_(port),
+      peer_(peer),
+      stream_id_(stream_id),
+      tx_room_(port_->network_->simulator_),
+      tx_data_(port_->network_->simulator_),
+      rx_data_(port_->network_->simulator_) {}
 
 // Blocks until no other fiber is inside enqueue_tx() on this stream, then
 // claims the writer turn for the scope. tx_room_ doubles as the turn wait
@@ -154,12 +152,12 @@ TcpStream::TcpStream(TcpPort* port, std::uint32_t peer,
 // sharing wakeups is safe.
 struct TcpStream::TxWriter {
   explicit TxWriter(TcpStream& stream) : stream_(stream) {
-    while (stream_.tx_writing_) stream_.tx_room_->wait();
+    while (stream_.tx_writing_) stream_.tx_room_.wait();
     stream_.tx_writing_ = true;
   }
   ~TxWriter() {
     stream_.tx_writing_ = false;
-    stream_.tx_room_->notify_all();
+    stream_.tx_room_.notify_all();
   }
   TxWriter(const TxWriter&) = delete;
   TxWriter& operator=(const TxWriter&) = delete;
@@ -204,7 +202,7 @@ Status TcpStream::enqueue_tx(std::span<const std::byte> data) {
   std::size_t done = 0;
   while (done < data.size()) {
     while (failed_.is_ok() && tx_buffer_.size() >= params.socket_buffer) {
-      tx_room_->wait();
+      tx_room_.wait();
     }
     // A poisoned stream black-holes the remaining bytes instead of
     // parking forever with the socket buffer full: resilient sessions
@@ -218,7 +216,19 @@ Status TcpStream::enqueue_tx(std::span<const std::byte> data) {
     tx_buffer_.insert(tx_buffer_.end(), data.begin() + done,
                       data.begin() + done + chunk);
     done += chunk;
-    tx_data_->notify_all();
+    if (tx_started_) {
+      tx_data_.notify_all();
+    } else {
+      // First bytes ever: start the transmit fiber. Its start event lands
+      // where the wakeup of an already-parked fiber would (now, next
+      // sequence number), so a stream that never sends costs no fiber
+      // and the schedule of one that does is unchanged.
+      tx_started_ = true;
+      port_->network_->simulator_->spawn_daemon(
+          "tcp.stream." + std::to_string(port_->rank_) + "->" +
+              std::to_string(peer_) + "." + std::to_string(stream_id_),
+          [this] { tx_loop(); });
+    }
   }
   return Status::ok();
 }
@@ -227,13 +237,13 @@ void TcpStream::tx_loop() {
   const TcpParams& params = port_->network_->params_;
   ReliableNetwork* reliable = port_->network_->reliable_.get();
   for (;;) {
-    while (tx_buffer_.empty()) tx_data_->wait();
+    while (tx_buffer_.empty()) tx_data_.wait();
     const std::size_t chunk =
         std::min<std::size_t>(tx_buffer_.size(), params.mss);
     std::vector<std::byte> data(tx_buffer_.begin(),
                                 tx_buffer_.begin() + chunk);
     tx_buffer_.erase(tx_buffer_.begin(), tx_buffer_.begin() + chunk);
-    tx_room_->notify_all();
+    tx_room_.notify_all();
     // NIC pulls the frame from kernel memory, then it goes on the wire.
     port_->node_->pci_bus().transfer(
         chunk + params.frame_overhead, port_->node_->params().pci_dma_mbs,
@@ -258,7 +268,7 @@ void TcpStream::tx_loop() {
 
 void TcpStream::on_frame(std::vector<std::byte> data) {
   rx_buffer_.insert(rx_buffer_.end(), data.begin(), data.end());
-  rx_data_->notify_all();
+  rx_data_.notify_all();
 }
 
 void TcpStream::recv(std::span<std::byte> out) {
@@ -266,7 +276,7 @@ void TcpStream::recv(std::span<std::byte> out) {
   if (!fast_) port_->node_->charge_cpu(params.recv_syscall);
   std::size_t done = 0;
   while (done < out.size()) {
-    while (rx_buffer_.empty() && failed_.is_ok()) rx_data_->wait();
+    while (rx_buffer_.empty() && failed_.is_ok()) rx_data_.wait();
     // Poisoned and drained: the rest of this message is gone. Zero-fill
     // and return — the mirror of send()'s black-hole — so a reader parked
     // mid-message completes and releases whatever buffers it holds
@@ -302,7 +312,7 @@ void TcpStream::recv(std::span<std::byte> out) {
 std::size_t TcpStream::recv_some(std::span<std::byte> out) {
   const TcpParams& params = port_->network_->params_;
   if (!fast_) port_->node_->charge_cpu(params.recv_syscall);
-  while (rx_buffer_.empty()) rx_data_->wait();
+  while (rx_buffer_.empty()) rx_data_.wait();
   if (fast_ && rx_staged_ == 0) {
     port_->node_->charge_cpu(params.recv_syscall);
     rx_staged_ = rx_buffer_.size();
@@ -317,7 +327,7 @@ std::size_t TcpStream::recv_some(std::span<std::byte> out) {
 }
 
 void TcpStream::wait_readable() {
-  while (rx_buffer_.empty()) rx_data_->wait();
+  while (rx_buffer_.empty()) rx_data_.wait();
 }
 
 void TcpStream::fail(const Status& status) {
@@ -329,9 +339,9 @@ void TcpStream::fail(const Status& status) {
   rx_staged_ = 0;
   // Unpark everyone; rx_buffer_ keeps its bytes (delivered data always
   // wins over the failure) and checked callers observe status().
-  tx_room_->notify_all();
-  tx_data_->notify_all();
-  rx_data_->notify_all();
+  tx_room_.notify_all();
+  tx_data_.notify_all();
+  rx_data_.notify_all();
 }
 
 Status TcpStream::send_checked(std::span<const std::byte> data) {
@@ -349,7 +359,7 @@ Status TcpStream::recv_some_checked(std::span<std::byte> out,
                                     std::size_t* got) {
   const TcpParams& params = port_->network_->params_;
   port_->node_->charge_cpu(params.recv_syscall);
-  while (rx_buffer_.empty() && failed_.is_ok()) rx_data_->wait();
+  while (rx_buffer_.empty() && failed_.is_ok()) rx_data_.wait();
   if (rx_buffer_.empty()) {
     *got = 0;
     return failed_;
@@ -370,7 +380,7 @@ Status TcpStream::flush() {
   // covers a concurrent writer parked mid-copy whose remaining bytes are
   // not yet in tx_buffer_.
   while (failed_.is_ok() && (tx_writing_ || !tx_buffer_.empty())) {
-    tx_room_->wait();
+    tx_room_.wait();
   }
   if (!failed_.is_ok()) return failed_;
   ReliableNetwork* reliable = port_->network_->reliable_.get();

@@ -101,7 +101,9 @@ class TcpNetwork {
 
 /// One directed byte stream endpoint pair. Obtained from TcpPort::stream();
 /// `stream_id` lets independent modules multiplex separate connections
-/// between the same node pair (one per Madeleine channel).
+/// between the same node pair (one per Madeleine channel). The transmit
+/// fiber starts with the stream's first queued byte, so a stream that
+/// never sends costs no fiber.
 class TcpStream {
  public:
   /// Copy `data` into the socket buffer (blocking while full) and return.
@@ -184,9 +186,10 @@ class TcpStream {
   Status failed_;
   std::deque<std::byte> tx_buffer_;
   std::deque<std::byte> rx_buffer_;
-  std::unique_ptr<sim::WaitQueue> tx_room_;
-  std::unique_ptr<sim::WaitQueue> tx_data_;
-  std::unique_ptr<sim::WaitQueue> rx_data_;
+  sim::WaitQueue tx_room_;
+  sim::WaitQueue tx_data_;
+  sim::WaitQueue rx_data_;
+  bool tx_started_ = false;         // tx_loop spawned (first byte queued)
   bool fast_ = false;
   bool tx_writing_ = false;         // a TxWriter turn is in flight
   std::vector<std::byte> pending_;  // deferred-send staging
@@ -221,7 +224,7 @@ class TcpPort {
   std::uint32_t rank_;
   // key: peer << 32 | stream_id
   std::map<std::uint64_t, std::unique_ptr<TcpStream>> streams_;
-  std::unique_ptr<sim::WaitQueue> any_frame_;
+  sim::WaitQueue any_frame_;
 };
 
 }  // namespace mad2::net

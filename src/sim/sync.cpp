@@ -21,14 +21,17 @@ bool WaitQueue::wait(Time deadline) {
 bool WaitQueue::notify_one() {
   if (waiters_.empty()) return false;
   Fiber* fiber = waiters_.front();
-  waiters_.pop_front();
+  waiters_.erase(waiters_.begin());
   simulator_->wake(fiber);
   return true;
 }
 
 void WaitQueue::notify_all() {
-  while (notify_one()) {
-  }
+  // One FIFO pass, then clear: wake() only schedules events and never
+  // runs a fiber, so nothing can wait on this queue mid-loop, and keeping
+  // the vector's capacity spares the next wait an allocation.
+  for (Fiber* fiber : waiters_) simulator_->wake(fiber);
+  waiters_.clear();
 }
 
 void Mutex::lock() {

@@ -6,6 +6,7 @@
 
 #include <deque>
 #include <optional>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "util/status.hpp"
@@ -13,6 +14,8 @@
 namespace mad2::sim {
 
 /// FIFO queue of blocked fibers. Building block for everything below.
+/// An idle queue allocates nothing: the waiter list is a vector, which
+/// stays empty until a fiber first blocks here.
 class WaitQueue {
  public:
   explicit WaitQueue(Simulator* simulator) : simulator_(simulator) {}
@@ -32,7 +35,7 @@ class WaitQueue {
 
  private:
   Simulator* simulator_;
-  std::deque<Fiber*> waiters_;
+  std::vector<Fiber*> waiters_;
 };
 
 /// Non-recursive mutex. Fibers are cooperative, so this only matters when

@@ -462,6 +462,41 @@ TEST(VirtualChannel, LargerPacketsForwardFaster) {
   EXPECT_GT(large, small * 1.1);
 }
 
+TEST(VirtualChannel, SetupSpawnsNoPerPairFibers) {
+  // A resilient 96-node fat tree (two clusters of 44 leaves and 4
+  // gateways, TCP everywhere): setup spawns per-port and per-gateway
+  // fibers only. That is one TCP rx loop per port (2 x 48 cluster ports
+  // + 8 core ports) and an rx and a tx pump per direction of each of the
+  // 8 gateways. No stream has sent yet, so no TCP stream has a transmit
+  // fiber.
+  FatTreeBed bed = make_fat_tree(2, 44, 4);
+  Session session(bed.config);
+  VirtualChannelDef def;
+  def.name = "vc";
+  def.hops = bed.route(0, 1);
+  mad::TopologyConfig topology;
+  topology.enabled = true;
+  def.topology = topology;
+  VirtualChannel vc(session, def);
+  EXPECT_EQ(session.simulator().live_fiber_count(),
+            std::size_t{2 * 48 + 8 + 8 * 2 * 2});
+}
+
+TEST(VirtualChannelDeathTest, PackingToANonMemberOrToSelfAborts) {
+  // Three clusters, a channel over the first two: cluster 2's leaf is a
+  // session node outside the channel.
+  FatTreeBed bed = make_fat_tree(3, 1, 1);
+  Session session(bed.config);
+  VirtualChannelDef def;
+  def.name = "vc";
+  def.hops = bed.route(0, 1);
+  VirtualChannel vc(session, def);
+  const std::uint32_t src = bed.leaf(0, 0);
+  EXPECT_DEATH({ (void)vc.endpoint(src).begin_packing(bed.leaf(2, 0)); },
+               "unknown virtual destination");
+  EXPECT_DEATH({ (void)vc.endpoint(src).begin_packing(src); },
+               "unknown virtual destination");
+}
 
 // Wire shape of the packet extension: one fixed two-packet message over a
 // small fat tree (leaf 0 -> gateway -> core -> gateway -> leaf), once per

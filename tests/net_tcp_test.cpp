@@ -165,6 +165,31 @@ TEST(Tcp, DirectSendWaitsForInFlightPendingFlush) {
   ASSERT_TRUE(bed.simulator.run().is_ok());
 }
 
+TEST(Tcp, StreamsSpawnTheirTransmitFiberWithTheFirstByte) {
+  // Touching every stream of the mesh leaves only the per-port rx loops
+  // live; one send starts exactly one transmit fiber, and its bytes still
+  // arrive in order.
+  constexpr std::uint32_t kNodes = 6;
+  TcpBed bed(kNodes);
+  for (std::uint32_t i = 0; i < kNodes; ++i) {
+    for (std::uint32_t j = 0; j < kNodes; ++j) {
+      if (i != j) (void)bed.network.port(i).stream(j);
+    }
+  }
+  EXPECT_EQ(bed.simulator.live_fiber_count(), kNodes);
+  const auto payload = make_pattern_buffer(10000, 4);
+  bed.simulator.spawn("sender", [&] {
+    bed.network.port(0).stream(1).send(payload);
+  });
+  bed.simulator.spawn("receiver", [&] {
+    std::vector<std::byte> out(payload.size());
+    bed.network.port(1).stream(0).recv(out);
+    EXPECT_TRUE(verify_pattern(out, 4));
+  });
+  ASSERT_TRUE(bed.simulator.run().is_ok());
+  EXPECT_EQ(bed.simulator.live_fiber_count(), kNodes + 1);
+}
+
 TEST(Tcp, WaitReadableAndReadableAgree) {
   TcpBed bed(2);
   bed.simulator.spawn("sender", [&] {

@@ -62,11 +62,12 @@ double peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
-// Measured alone (4 vCPU x86-64, GCC 12 Release, lazily committed fiber
-// stacks), each 256-node test peaks at about 420 MB and the 1024-node
-// torus at about 770 MB; the caps leave roughly 40 % and 30 % headroom.
-constexpr double kFatTree256RssCapMb = 600;
-constexpr double kTorus1024RssCapMb = 1024;
+// Measured alone (4 vCPU x86-64, GCC 12 RelWithDebInfo, lazily committed
+// fiber stacks, TCP transmit fibers and virtual connections started on
+// first use), each 256-node test peaks at about 92 MB and the 1024-node
+// torus at about 190 MB; the caps sit at about twice those peaks.
+constexpr double kFatTree256RssCapMb = 200;
+constexpr double kTorus1024RssCapMb = 400;
 
 // ------------------------------------------------------ 256-node fat tree
 
