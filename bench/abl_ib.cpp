@@ -144,11 +144,10 @@ CacheResult run_cache_flood(std::size_t size, int iterations,
     result.hit_rate =
         static_cast<double>(hits) / static_cast<double>(hits + misses);
   }
-  const mad::TrafficStats stats = session.endpoint("ch", 0).stats();
-  mad::TrafficStats merged = stats;
-  merged.merge(session.endpoint("ch", 1).stats());
-  result.regs = merged.mem.reg_count;
-  result.deregs = merged.mem.dereg_count;
+  for (std::uint32_t node = 0; node < 2; ++node) {
+    result.regs += session.node(node).mem().reg_count;
+    result.deregs += session.node(node).mem().dereg_count;
+  }
   return result;
 }
 

@@ -830,10 +830,10 @@ void VirtualChannel::note_packet_trace(Packet& packet) {
   }
 }
 
-mad::TrafficStats VirtualChannel::stats() const {
-  mad::TrafficStats stats;
+std::map<std::string, FlowCounters> VirtualChannel::flow_stats() const {
+  std::map<std::string, FlowCounters> stats;
   for (const auto& [key, flow] : flows_) {
-    mad::FlowCounters counters;
+    FlowCounters counters;
     counters.packets = flow.packets;
     counters.bytes = flow.bytes;
     if (flow.window != nullptr) {
@@ -842,15 +842,15 @@ mad::TrafficStats VirtualChannel::stats() const {
     }
     counters.replays = flow.replays;
     counters.dup_drops = flow.dup_drops;
-    stats.flows[std::to_string(key.first) + "->" +
-                std::to_string(key.second)] = counters;
+    stats[std::to_string(key.first) + "->" + std::to_string(key.second)] =
+        counters;
   }
   for (const FairPacketQueue* queue : fair_queues_) {
     for (const auto& [key, fstats] : queue->flow_stats()) {
       const std::string name =
           std::to_string(FairPacketQueue::flow_src(key)) + "->" +
           std::to_string(FairPacketQueue::flow_dst(key));
-      mad::FlowCounters& mine = stats.flows[name];
+      FlowCounters& mine = stats[name];
       mine.queue_depth_hwm =
           std::max<std::uint64_t>(mine.queue_depth_hwm, fstats.depth_hwm);
     }

@@ -243,6 +243,22 @@ struct Demand {
   std::size_t filled = 0;
 };
 
+/// End-to-end activity of one congestion-controlled flow (src -> dst;
+/// see mad/congestion.hpp). packets/bytes count delivered traffic; the
+/// rest are snapshots of the control state: queue_depth_hwm is the flow's
+/// high-water mark across every gateway fair queue it crossed, cwnd and
+/// srtt_us the window and smoothed delay at collection time.
+struct FlowCounters {
+  std::uint64_t packets = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t queue_depth_hwm = 0;
+  double cwnd = 0.0;
+  double srtt_us = 0.0;
+  /// Failover activity (resilient routing only; zero otherwise).
+  std::uint64_t replays = 0;
+  std::uint64_t dup_drops = 0;
+};
+
 /// Per-node view of a virtual channel.
 class VirtualEndpoint {
  public:
@@ -403,10 +419,10 @@ class VirtualChannel {
   /// FIFO pipeline has no per-flow schedule to weight.
   void set_flow_weight(std::uint32_t src, std::uint32_t dst, double weight);
 
-  /// Per-flow traffic/control snapshot: TrafficStats with `flows` filled
-  /// (delivered packets/bytes, window + smoothed delay, gateway-queue
-  /// depth high-water marks). Empty unless congestion control is on.
-  [[nodiscard]] mad::TrafficStats stats() const;
+  /// Per-flow traffic/control snapshot keyed "src->dst" (delivered
+  /// packets/bytes, window + smoothed delay, gateway-queue depth
+  /// high-water marks). Empty unless congestion control is on.
+  [[nodiscard]] std::map<std::string, FlowCounters> flow_stats() const;
   /// Pour cwnd / srtt / queue-depth gauges into `registry` (per-flow e2e
   /// delay histograms accumulate in the ambient registry as packets
   /// deliver; this adds the control-state scalars next to them).

@@ -36,15 +36,6 @@ struct MemCounters {
   std::uint64_t pinned_bytes = 0;
   std::uint64_t reg_count = 0;
   std::uint64_t dereg_count = 0;
-
-  void merge(const MemCounters& other) {
-    memcpy_bytes += other.memcpy_bytes;
-    alloc_count += other.alloc_count;
-    pool_recycle_count += other.pool_recycle_count;
-    pinned_bytes += other.pinned_bytes;
-    reg_count += other.reg_count;
-    dereg_count += other.dereg_count;
-  }
 };
 
 struct HostParams {

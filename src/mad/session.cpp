@@ -5,7 +5,6 @@
 
 #include "mad/pmm_factory.hpp"
 #include "obs/span_weaver.hpp"
-#include "util/log.hpp"
 
 namespace mad2::mad {
 
@@ -76,24 +75,6 @@ TrafficStats ChannelEndpoint::stats() const {
   for (const auto& [remote, connection] : connections_) {
     total.merge(connection->stats());
   }
-  // Link-level ack/retransmit work under this endpoint, when the channel's
-  // network runs over a faulty fabric. The shim sits below the channel
-  // mux, so channels sharing a TCP port see the same numbers.
-  NetworkInstance& network = channel_->network();
-  if (network.tcp && network.tcp->reliable() != nullptr &&
-      network.has_node(local_)) {
-    const net::ReliabilityCounters& link =
-        network.tcp->reliable()->endpoint(network.port(local_)).counters();
-    total.reliability.merge(link);
-    // Identity tag so merging endpoints that share this port dedupes
-    // instead of double-counting (see TrafficStats::reliability_by_link).
-    total.reliability_by_link[network.def.name + ":" +
-                              std::to_string(network.port(local_))] = link;
-  }
-  // Host-memory traffic of this endpoint's node (node-level, see
-  // TrafficStats::mem). Tagged by node id for the same dedupe-on-merge.
-  total.mem = session_->node(local_).mem();
-  total.mem_by_node[local_] = total.mem;
   return total;
 }
 
@@ -426,8 +407,8 @@ void Session::export_metrics(obs::MetricsRegistry& registry) {
   if (const obs::TraceRecorder* rec = obs::recorder(); rec != nullptr) {
     registry.set_value("trace.dropped_events", u(rec->dropped_events()));
   }
-  // Channel-level traffic: TM usage and rail activity, merged (and
-  // identity-deduped) across the channel's endpoints.
+  // Channel-level traffic: TM usage and rail activity, summed over the
+  // channel's endpoints.
   for (auto& channel : channels_) {
     TrafficStats total;
     for (std::uint32_t node : channel->nodes()) {

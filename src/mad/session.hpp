@@ -341,11 +341,11 @@ class Session {
   FailureDomain route_network_failure(const NetworkFailure& failure);
 
   /// Pour every counter family this session owns into `registry` as flat
-  /// scalar values: TrafficStats per channel endpoint (TM block/byte
-  /// counts, rail activity), MemCounters per node, ReliabilityCounters
-  /// per reliable link. Latency histograms accumulate in the ambient
-  /// registry as messages flow; this adds the counters next to them so
-  /// one to_json() snapshot covers the whole stack.
+  /// scalar values, each read from its one owner: TrafficStats summed per
+  /// channel (TM block/byte counts, rail activity), MemCounters per node,
+  /// ReliabilityCounters per reliable link. Latency histograms accumulate
+  /// in the ambient registry as messages flow; this adds the counters next
+  /// to them so one to_json() snapshot covers the whole stack.
   void export_metrics(obs::MetricsRegistry& registry);
 
  private:

@@ -3,14 +3,16 @@
 // updates these on every pack/unpack, so they answer the tuning question
 // the paper's flag system poses: "is my data actually taking the transfer
 // method I think it is?"
+//
+// Only the Switch's and the rail scheduler's own counts live here. Other
+// layers own theirs: node memory is hw::Node::mem(), link reliability the
+// reliable endpoint's counters(), congestion flows
+// fwd::VirtualChannel::flow_stats().
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-
-#include "hw/node.hpp"
-#include "net/fault.hpp"
 
 namespace mad2::mad {
 
@@ -33,24 +35,6 @@ struct RailCounters {
   double weight = 0.0;
 };
 
-/// End-to-end activity of one congestion-controlled flow (src -> dst
-/// through a virtual channel; see mad/congestion.hpp). packets/bytes
-/// count delivered traffic; the rest are snapshots of the control state:
-/// queue_depth_hwm is the flow's high-water mark across every gateway
-/// fair queue it crossed (boundedness evidence for tests — no trace-dump
-/// parsing needed), cwnd/srtt_us the window and smoothed delay at
-/// collection time.
-struct FlowCounters {
-  std::uint64_t packets = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t queue_depth_hwm = 0;
-  double cwnd = 0.0;
-  double srtt_us = 0.0;
-  /// Failover activity (resilient routing only; zero otherwise).
-  std::uint64_t replays = 0;
-  std::uint64_t dup_drops = 0;
-};
-
 /// Hot-path Switch accounting (see docs/PERFORMANCE.md): blocks routed
 /// through the flat per-connection dispatch table, plus the virtual CPU
 /// time the Switch's own bookkeeping charged. sim-ticks-per-message on the bench sidecars is
@@ -59,12 +43,6 @@ struct SwitchCounters {
   std::uint64_t fast_selects = 0;    ///< blocks routed via the dispatch table
   std::uint64_t pack_cpu_ticks = 0;  ///< begin/pack/end charges, send side
   std::uint64_t unpack_cpu_ticks = 0;  ///< mirror, receive side
-
-  void merge(const SwitchCounters& other) {
-    fast_selects += other.fast_selects;
-    pack_cpu_ticks += other.pack_cpu_ticks;
-    unpack_cpu_ticks += other.unpack_cpu_ticks;
-  }
 };
 
 struct TrafficStats {
@@ -77,34 +55,9 @@ struct TrafficStats {
   /// Striping activity per rail, keyed by the rail channel's name. Empty
   /// unless the connection's channel heads a rail set.
   std::map<std::string, RailCounters> rails;
-  /// Congestion-controlled flows, keyed "src->dst". Empty unless the
-  /// stats come from a virtual channel with the congestion stanza on
-  /// (fwd::VirtualChannel::stats()).
-  std::map<std::string, FlowCounters> flows;
-  /// Ack/retransmit work done by the reliable shim under this endpoint's
-  /// networks. Link-level: a TCP port's shim serves every channel crossing
-  /// it, so channels on the same port report the same numbers. All zero on
-  /// lossless fabrics.
-  net::ReliabilityCounters reliability;
-  /// Host-memory traffic of the endpoint's *node* (charged memcpy bytes,
-  /// buffer-pool allocations/recycles). Node-level: every endpoint on the
-  /// same node reports the same numbers, and merging endpoints that share
-  /// a node double-counts — merge across nodes, not across channels.
-  hw::MemCounters mem;
 
-  /// Identity-tagged views of `reliability` and `mem`: which link
-  /// ("network:port") / which node each sample came from. merge() dedupes
-  /// by key — endpoints sharing a node or a reliable port contribute one
-  /// sample, not one per endpoint — and recomputes the flat fields from
-  /// the deduped maps. ChannelEndpoint::stats() tags both; hand-built
-  /// stats with empty maps fall back to the legacy blind add.
-  std::map<std::string, net::ReliabilityCounters> reliability_by_link;
-  std::map<std::uint32_t, hw::MemCounters> mem_by_node;
-
+  /// Add `other`'s counts; rail weights keep the larger snapshot.
   void merge(const TrafficStats& other);
-
-  /// Human-readable multi-line summary.
-  [[nodiscard]] std::string to_string() const;
 };
 
 }  // namespace mad2::mad

@@ -1,5 +1,4 @@
 #include "mpi/ch_mad.hpp"
-#include "util/log.hpp"
 
 #include <cstring>
 
@@ -119,9 +118,7 @@ void ChMadComm::pump_loop() {
   mad::ChannelEndpoint& ep =
       world_->session().endpoint(world_->channel_name(), rank_);
   for (;;) {
-    MAD2_DEBUG("pump %u: waiting", rank_);
     mad::Connection& conn = ep.begin_unpacking();
-    MAD2_DEBUG("pump %u: msg from %u", rank_, conn.remote());
     Envelope envelope{};
     mad::mad_unpack_value(conn, envelope, mad::send_CHEAPER,
                           mad::receive_EXPRESS);
@@ -144,7 +141,6 @@ void ChMadComm::pump_loop() {
       conn.end_unpacking();
       match->status = RecvStatus{src, envelope.tag, envelope.size};
       match->done = true;
-      MAD2_DEBUG("pump %u: matched src=%d tag=%d", rank_, src, envelope.tag);
     } else {
       Unexpected unexpected;
       unexpected.src = src;
@@ -153,8 +149,6 @@ void ChMadComm::pump_loop() {
       conn.unpack(unexpected.data, mad::send_CHEAPER, mad::receive_CHEAPER);
       conn.end_unpacking();
       unexpected_.push_back(std::move(unexpected));
-      MAD2_DEBUG("pump %u: unexpected src=%d tag=%d", rank_, src,
-                 envelope.tag);
     }
     progress_wq_->notify_all();
   }

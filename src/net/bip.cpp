@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/log.hpp"
-
 namespace mad2::net {
 
 BipParams BipParams::myrinet_lanai43() {

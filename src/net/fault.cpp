@@ -6,34 +6,6 @@
 
 namespace mad2::net {
 
-void FaultCounters::merge(const FaultCounters& other) {
-  shipped += other.shipped;
-  delivered += other.delivered;
-  dropped += other.dropped;
-  partition_dropped += other.partition_dropped;
-  duplicated += other.duplicated;
-  reordered += other.reordered;
-  corrupted += other.corrupted;
-  jittered += other.jittered;
-}
-
-std::string FaultCounters::to_string() const {
-  char line[256];
-  std::snprintf(line, sizeof line,
-                "faults: %llu shipped, %llu delivered, %llu dropped "
-                "(%llu by partition), %llu duplicated, %llu reordered, "
-                "%llu corrupted, %llu jittered",
-                static_cast<unsigned long long>(shipped),
-                static_cast<unsigned long long>(delivered),
-                static_cast<unsigned long long>(dropped),
-                static_cast<unsigned long long>(partition_dropped),
-                static_cast<unsigned long long>(duplicated),
-                static_cast<unsigned long long>(reordered),
-                static_cast<unsigned long long>(corrupted),
-                static_cast<unsigned long long>(jittered));
-  return line;
-}
-
 void ReliabilityCounters::merge(const ReliabilityCounters& other) {
   data_frames += other.data_frames;
   retransmits += other.retransmits;

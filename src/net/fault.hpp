@@ -64,14 +64,11 @@ struct FaultCounters {
   std::uint64_t reordered = 0;
   std::uint64_t corrupted = 0;
   std::uint64_t jittered = 0;
-
-  void merge(const FaultCounters& other);
-  [[nodiscard]] std::string to_string() const;
 };
 
-/// Ack/retransmit bookkeeping of the reliable-delivery shim (net/reliable)
-/// — defined here so mad::TrafficStats can embed it without pulling in the
-/// whole shim. All counters are per reliable endpoint (link level).
+/// Ack/retransmit bookkeeping of the reliable-delivery shim (net/reliable).
+/// All counters are per reliable endpoint (link level); read them from
+/// ReliableEndpoint::counters().
 struct ReliabilityCounters {
   std::uint64_t data_frames = 0;  // first transmissions
   std::uint64_t retransmits = 0;

@@ -68,15 +68,6 @@ std::int64_t Histogram::percentile(double q) const {
   return max_;
 }
 
-void Histogram::merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-  if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
-  sum_ += other.sum_;
-  count_ += other.count_;
-}
-
 void Histogram::reset() { *this = Histogram{}; }
 
 std::string Histogram::to_string() const {

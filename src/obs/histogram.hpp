@@ -28,7 +28,6 @@ class Histogram {
   [[nodiscard]] std::int64_t p95() const { return percentile(0.95); }
   [[nodiscard]] std::int64_t p99() const { return percentile(0.99); }
 
-  void merge(const Histogram& other);
   void reset();
 
   /// "count=12 p50=1.2us p95=3.4us p99=3.9us max=4.1us" (times in us).

@@ -80,18 +80,6 @@ void MetricsRegistry::clear() {
   stamps_.clear();
 }
 
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const auto& [name, histogram] : other.histograms_) {
-    histograms_[name].merge(histogram);
-  }
-  for (const auto& [name, value] : other.values_) {
-    values_[name] += value;
-  }
-  // stamps_ deliberately not merged: an e2e stamp FIFO pairs a sending
-  // Switch with its receiving peer inside one process; across registries
-  // the pairing is gone and popping foreign stamps would fabricate delays.
-}
-
 std::string MetricsRegistry::to_json() const {
   std::string out = "{\n  \"values\": {";
   bool first = true;

@@ -2,10 +2,12 @@
 //
 // The registry owns named Histograms (latency distributions recorded by
 // the Switch: "<channel>.pack_to_wire", ".wire_to_unpack", ".e2e") and
-// named scalar gauges/counters. Sessions pour their TrafficStats /
-// MemCounters / ReliabilityCounters into it via Session::export_metrics,
-// so benches and CI read one flat JSON instead of stitching three counter
-// families together.
+// named scalar gauges/counters. Session::export_metrics copies each
+// counter in from its one owner (the Switch's TrafficStats, each node's
+// MemCounters, each reliable link's ReliabilityCounters, the IB ports and
+// progress engines), and VirtualChannel::export_metrics adds the flow
+// rows, so benches and CI read one flat JSON. The registry holds a
+// snapshot of those values, not a second owner.
 //
 // It also carries the e2e correlation state: the sending Switch pushes a
 // begin-packing timestamp per (channel, src, dst) flow, the receiving
@@ -53,12 +55,6 @@ class MetricsRegistry {
   [[nodiscard]] bool pop_stamp(const std::string& flow, sim::Time* t);
 
   void clear();
-
-  /// Fold another recorder's registry into this one: identically-named
-  /// histograms merge bucket-wise (Histogram::merge), values add, and the
-  /// e2e stamp FIFOs are skipped — stamps pair a live sender with a live
-  /// receiver and mean nothing across registries.
-  void merge(const MetricsRegistry& other);
 
   /// Flat JSON: {"values": {...}, "histograms": {name: {count, p50_us,
   /// p95_us, p99_us, max_us, mean_us}}}. Keys sorted (std::map), so the

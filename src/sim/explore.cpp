@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "util/debug_hook.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace mad2::sim {

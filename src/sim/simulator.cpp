@@ -5,7 +5,6 @@
 #include <string>
 
 #include "obs/trace.hpp"
-#include "util/log.hpp"
 
 namespace mad2::sim {
 
@@ -69,15 +68,9 @@ SchedulePolicy* Simulator::ambient_schedule_policy() {
 Simulator::Simulator(Options options)
     : options_(options), schedule_policy_(g_ambient_schedule_policy) {}
 
-Simulator::~Simulator() {
-  // Unfinished fibers are discarded without stack unwinding: objects on
-  // their stacks are not destroyed. Sessions are expected to drain via
-  // run(); this is only a backstop for failed tests.
-  if (live_fiber_count() != 0) {
-    MAD2_DEBUG("simulator destroyed with %zu live fibers",
-               live_fiber_count());
-  }
-}
+// Unfinished fibers are discarded without stack unwinding: objects on
+// their stacks are not destroyed. Sessions are expected to drain via run().
+Simulator::~Simulator() = default;
 
 Fiber* Simulator::spawn(std::string name, std::function<void()> body) {
   auto fiber = std::unique_ptr<Fiber>(

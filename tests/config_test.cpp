@@ -372,11 +372,6 @@ TEST(TrafficStats, CountsBlocksAndBytesPerTm) {
   const TrafficStats receiver = session.endpoint("ch", 1).stats();
   EXPECT_EQ(receiver.messages_received, 1u);
   EXPECT_EQ(receiver.received_by_tm.at("bip-long").bytes, 50000u);
-
-  // The printable summary mentions both TMs.
-  const std::string text = sender.to_string();
-  EXPECT_NE(text.find("bip-short"), std::string::npos);
-  EXPECT_NE(text.find("bip-long"), std::string::npos);
 }
 
 TEST(TrafficStats, MergeAggregates) {

@@ -366,7 +366,7 @@ TEST(VirtualChannelCongestion, DisabledByDefault) {
   for (std::size_t depth : vc.gateway_queue_depths()) {
     EXPECT_EQ(depth, 0u);
   }
-  EXPECT_TRUE(vc.stats().flows.empty());
+  EXPECT_TRUE(vc.flow_stats().empty());
   ASSERT_TRUE(session.run().is_ok());
 }
 
@@ -422,15 +422,15 @@ TEST(Incast, FairDeliveryBoundedQueueAndConvergedWindows) {
   obs::uninstall_metrics(&registry);
   ASSERT_TRUE(run.is_ok()) << run.to_string();
 
-  const mad::TrafficStats stats = vc.stats();
+  const auto flows = vc.flow_stats();
   // One message = one 10-byte self-describing block header + the payload,
   // and the delivery counters see the whole stream.
   constexpr std::size_t kStream = kMessage + VirtualChannel::kBlockHeaderBytes;
   for (std::uint32_t sender : bed.senders) {
     const std::string key = std::to_string(sender) + "->" +
                             std::to_string(bed.receiver);
-    ASSERT_TRUE(stats.flows.count(key)) << "flow " << key << " missing";
-    const mad::FlowCounters& flow = stats.flows.at(key);
+    ASSERT_TRUE(flows.count(key)) << "flow " << key << " missing";
+    const fwd::FlowCounters& flow = flows.at(key);
     EXPECT_GT(flow.packets, 0u) << "flow " << key << " starved";
     EXPECT_EQ(flow.bytes, kStream) << "flow " << key << " short-delivered";
     // Gateway backlog stayed bounded by the configured fair-queue depth.
@@ -526,13 +526,13 @@ TEST(Incast, KilledSenderDoesNotWedgeTheOthers) {
   });
   ASSERT_TRUE(session.run().is_ok());
   for (std::size_t depth : vc.gateway_queue_depths()) EXPECT_EQ(depth, 0u);
-  const mad::TrafficStats stats = vc.stats();
+  const auto flows = vc.flow_stats();
   for (std::uint32_t sender : bed.senders) {
     const std::string key = std::to_string(sender) + "->" +
                             std::to_string(bed.receiver);
     const std::size_t expected =
         (sender == 0 ? kShort : kBulk) + VirtualChannel::kBlockHeaderBytes;
-    EXPECT_EQ(stats.flows.at(key).bytes, expected);
+    EXPECT_EQ(flows.at(key).bytes, expected);
   }
 }
 
@@ -586,12 +586,12 @@ TEST(Incast, GatewaySchedulerSurvivesScheduleExploration) {
     for (std::size_t depth : vc.gateway_queue_depths()) {
       if (depth != 0) fail("gateway queue not drained");
     }
-    const mad::TrafficStats stats = vc.stats();
+    const auto flows = vc.flow_stats();
     for (std::uint32_t sender : bed.senders) {
       const std::string key = std::to_string(sender) + "->" +
                               std::to_string(bed.receiver);
-      auto it = stats.flows.find(key);
-      if (it == stats.flows.end() ||
+      auto it = flows.find(key);
+      if (it == flows.end() ||
           it->second.bytes != kMessage + VirtualChannel::kBlockHeaderBytes) {
         fail("flow " + key + " did not deliver in full");
       }

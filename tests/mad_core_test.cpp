@@ -687,64 +687,10 @@ TEST(MadCalibration, SisciDualBufferingKinkAtEightKB) {
   EXPECT_GT(above_mbs, below_mbs * 1.2);
 }
 
-// ------------------------------------------------- stats merge dedupe ---
+// ------------------------------------------------------ counter owners ---
 //
-// Regression: TrafficStats::merge used to blind-add node-level MemCounters
-// and link-level ReliabilityCounters, so merging endpoints that share a
-// node (or a reliable port) double-counted them. Identity-tagged samples
-// (mem_by_node / reliability_by_link) must dedupe by key.
-
-TEST(TrafficStatsMerge, SharedIdentityCountsOnce) {
-  TrafficStats a;
-  a.mem.memcpy_bytes = 1000;
-  a.mem.alloc_count = 3;
-  a.mem_by_node[0] = a.mem;
-  a.reliability.data_frames = 50;
-  a.reliability.retransmits = 2;
-  a.reliability_by_link["tcp0:4"] = a.reliability;
-
-  // A second endpoint on the same node and reliable port took a slightly
-  // newer snapshot of the same monotonic counters.
-  TrafficStats b = a;
-  b.mem.memcpy_bytes = 1200;
-  b.mem_by_node[0] = b.mem;
-  b.reliability.retransmits = 3;
-  b.reliability_by_link["tcp0:4"] = b.reliability;
-
-  a.merge(b);
-  EXPECT_EQ(a.mem.memcpy_bytes, 1200u);  // newest snapshot, not 2200
-  EXPECT_EQ(a.mem.alloc_count, 3u);
-  EXPECT_EQ(a.reliability.data_frames, 50u);  // not 100
-  EXPECT_EQ(a.reliability.retransmits, 3u);
-}
-
-TEST(TrafficStatsMerge, DistinctIdentitiesStillAdd) {
-  TrafficStats a;
-  TrafficStats b;
-  a.mem.memcpy_bytes = 100;
-  a.mem_by_node[0].memcpy_bytes = 100;
-  b.mem.memcpy_bytes = 70;
-  b.mem_by_node[1].memcpy_bytes = 70;
-  a.reliability.data_frames = 5;
-  a.reliability_by_link["tcp0:0"].data_frames = 5;
-  b.reliability.data_frames = 7;
-  b.reliability_by_link["tcp0:1"].data_frames = 7;
-  a.merge(b);
-  EXPECT_EQ(a.mem.memcpy_bytes, 170u);
-  EXPECT_EQ(a.reliability.data_frames, 12u);
-}
-
-TEST(TrafficStatsMerge, UntaggedStatsFallBackToBlindAdd) {
-  TrafficStats a;
-  TrafficStats b;
-  a.mem.memcpy_bytes = 10;
-  b.mem.memcpy_bytes = 5;
-  a.reliability.retransmits = 1;
-  b.reliability.retransmits = 2;
-  a.merge(b);
-  EXPECT_EQ(a.mem.memcpy_bytes, 15u);
-  EXPECT_EQ(a.reliability.retransmits, 3u);
-}
+// Node memory has one owner, the node: two endpoints on one node read the
+// same MemCounters, and their TrafficStats carry none of it.
 
 TEST(TrafficStatsMerge, EndpointsSharingANodeDoNotDoubleCountMem) {
   // Two channels over one network: node 0 has two endpoints, both
@@ -770,14 +716,20 @@ TEST(TrafficStatsMerge, EndpointsSharingANodeDoNotDoubleCountMem) {
 
   const TrafficStats s0 = session.endpoint("ch0", 0).stats();
   const TrafficStats s1 = session.endpoint("ch1", 0).stats();
-  ASSERT_GT(s0.mem.memcpy_bytes, 0u);
-  ASSERT_EQ(s0.mem.memcpy_bytes, s1.mem.memcpy_bytes);  // same node
-
+  ASSERT_EQ(s0.messages_sent, 1u);
+  ASSERT_EQ(s1.messages_sent, 1u);
   TrafficStats merged = s0;
   merged.merge(s1);
-  EXPECT_EQ(merged.mem.memcpy_bytes, s0.mem.memcpy_bytes)
-      << "merging two endpoints of one node double-counted its memory";
   EXPECT_EQ(merged.messages_sent, s0.messages_sent + s1.messages_sent);
+
+  // The node's memory is counted once, by the node: the per-node export
+  // row equals it rather than a sum over the node's two endpoints.
+  const std::uint64_t memcpy_bytes = session.node(0).mem().memcpy_bytes;
+  ASSERT_GT(memcpy_bytes, 0u);
+  obs::MetricsRegistry registry;
+  session.export_metrics(registry);
+  EXPECT_EQ(registry.value("mem.node0.memcpy_bytes"),
+            static_cast<std::int64_t>(memcpy_bytes));
 }
 
 }  // namespace

@@ -473,12 +473,12 @@ void run_faulty_incast(std::uint64_t seed, const LinkFaults& faults,
     }
   });
   ASSERT_TRUE(session.run().is_ok()) << "seed " << seed;
-  const mad::TrafficStats stats = vc.stats();
+  const auto flows = vc.flow_stats();
   for (std::uint32_t sender : bed.senders) {
     const std::string key = std::to_string(sender) + "->" +
                             std::to_string(bed.receiver);
-    ASSERT_TRUE(stats.flows.count(key)) << "seed " << seed;
-    EXPECT_EQ(stats.flows.at(key).bytes,
+    ASSERT_TRUE(flows.count(key)) << "seed " << seed;
+    EXPECT_EQ(flows.at(key).bytes,
               kMessage + fwd::VirtualChannel::kBlockHeaderBytes)
         << "seed " << seed << " flow " << key;
     const mad::CongestionWindow* window =

@@ -66,19 +66,6 @@ TEST(Histogram, QuantilesAreOrderedAndBucketAccurate) {
   EXPECT_NEAR(h.mean(), 500.5, 0.001);
 }
 
-TEST(Histogram, MergeAddsCountsAndWidensRange) {
-  obs::Histogram a;
-  obs::Histogram b;
-  for (int i = 0; i < 10; ++i) a.record(100);
-  for (int i = 0; i < 30; ++i) b.record(10000);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 40u);
-  EXPECT_EQ(a.min(), 100);
-  EXPECT_EQ(a.max(), 10000);
-  // 3/4 of the mass sits in the high bucket: p99 must land there.
-  EXPECT_GE(a.p99(), 5000);
-}
-
 TEST(Histogram, BucketLimitsAreMonotonic) {
   for (std::size_t i = 1; i < obs::Histogram::kBuckets; ++i) {
     EXPECT_GT(obs::Histogram::bucket_limit(i),
@@ -229,34 +216,6 @@ TEST(MetricsRegistry, ValuesAndStampFifo) {
   std::size_t drained = 0;
   while (registry.pop_stamp("one-sided", &t)) ++drained;
   EXPECT_LE(drained, obs::MetricsRegistry::kMaxStampsPerFlow);
-}
-
-TEST(MetricsRegistry, MergeAddsValuesAndMergesHistograms) {
-  obs::MetricsRegistry a;
-  obs::MetricsRegistry b;
-  a.set_value("shared", 3);
-  b.set_value("shared", 4);
-  b.set_value("only_b", 7);
-  a.histogram("lat")->record(100);
-  a.histogram("lat")->record(200);
-  b.histogram("lat")->record(10000);
-  b.histogram("only_b.lat")->record(5);
-  a.merge(b);
-
-  // Identically-named values add; other-only names appear.
-  EXPECT_EQ(a.value("shared"), 7);
-  EXPECT_EQ(a.value("only_b"), 7);
-  // Identically-named histograms bucket-merge (counts add, range widens).
-  const obs::Histogram& lat = a.histograms().at("lat");
-  EXPECT_EQ(lat.count(), 3u);
-  EXPECT_EQ(lat.min(), 100);
-  EXPECT_EQ(lat.max(), 10000);
-  EXPECT_GE(lat.p99(), 5000);
-  ASSERT_EQ(a.histograms().count("only_b.lat"), 1u);
-  EXPECT_EQ(a.histograms().at("only_b.lat").count(), 1u);
-  // The source registry is untouched.
-  EXPECT_EQ(b.value("shared"), 4);
-  EXPECT_EQ(b.histograms().at("lat").count(), 1u);
 }
 
 TEST(MetricsRegistry, JsonContainsHistogramsAndValues) {

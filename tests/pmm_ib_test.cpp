@@ -247,10 +247,11 @@ TEST(PmmIb, PinnedMemoryAndRegCacheMetricsAreExported) {
     }
   });
   ASSERT_TRUE(session.run().is_ok());
-  // Registration work shows up in TrafficStats like memcpy/allocs do.
-  const TrafficStats stats = session.endpoint("ch", 0).stats();
-  EXPECT_GT(stats.mem.reg_count, 0u);
-  EXPECT_GT(stats.mem.pinned_bytes, 0u);
+  // Registration work shows up in the node's memory counters like
+  // memcpy/allocs do.
+  const hw::MemCounters& mem = session.node(0).mem();
+  EXPECT_GT(mem.reg_count, 0u);
+  EXPECT_GT(mem.pinned_bytes, 0u);
   obs::MetricsRegistry registry;
   session.export_metrics(registry);
   // The eager pools and the rendezvous landings were pinned.

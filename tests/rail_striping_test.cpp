@@ -133,6 +133,14 @@ TEST(RailStriping, CustomThresholdIsHonored) {
   ASSERT_NE(it, stats.rails.end());
   // Only the 256 KiB block crossed the threshold.
   EXPECT_EQ(it->second.segments, 1u);
+  // The channel's exported rail row sums both directions' connections.
+  const TrafficStats tx = session.endpoint("ch0", 0).connection(1).stats();
+  ASSERT_EQ(tx.rails.count("ch1"), 1u);
+  obs::MetricsRegistry registry;
+  session.export_metrics(registry);
+  EXPECT_EQ(registry.value("stats.ch0.rail.ch1.segments"),
+            static_cast<std::int64_t>(tx.rails.at("ch1").segments +
+                                      it->second.segments));
 }
 
 TEST(RailStriping, StripedReceiveRefusesBorrow) {

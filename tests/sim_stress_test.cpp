@@ -4,6 +4,7 @@
 
 #include "hw/resource.hpp"
 #include "mad/madeleine.hpp"
+#include "net/reliable.hpp"
 #include "sim/explore.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
@@ -205,8 +206,8 @@ FaultySessionResult run_faulty_tcp_session(std::uint64_t seed) {
   EXPECT_TRUE(session.run().is_ok());
   result.final_us = sim::to_us(session.simulator().now());
   result.faults = plan.counters();
-  result.reliability =
-      session.endpoint("ch", 0).stats().reliability;
+  mad::NetworkInstance& net = session.network("n");
+  result.reliability = net.tcp->reliable()->endpoint(net.port(0)).counters();
   return result;
 }
 
