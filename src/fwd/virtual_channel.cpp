@@ -367,7 +367,7 @@ Packet VirtualChannel::receive_packet(mad::ChannelEndpoint& hop_endpoint,
   if (topology_.enabled && at_destination) {
     in_sequence = packet.ext.seq ==
                   flow_control(packet.header.src, packet.header.dst)
-                      .expected_seq;
+                      .received.expected();
   }
   buffer.sizes.resize(packet.header.n_pieces);
   if (!buffer.sizes.empty()) {
@@ -551,16 +551,6 @@ sim::Mutex& VirtualChannel::send_mutex(std::uint32_t src) {
   return *it->second;
 }
 
-void VirtualChannel::trim_unacked(FlowControl& flow) {
-  // Confirmation is the receiver's in-order cursor: everything below
-  // expected_seq was delivered exactly once. Only the sender/repair fiber
-  // (holding the send mutex) pops, so replay iteration by index is safe.
-  while (!flow.unacked.empty() &&
-         flow.unacked.front().ext.seq < flow.expected_seq) {
-    flow.unacked.pop_front();
-  }
-}
-
 bool VirtualChannel::route_uses_gateway(std::uint32_t src, std::uint32_t dst,
                                         std::uint32_t gateway) const {
   std::uint32_t node = src;
@@ -599,8 +589,7 @@ void VirtualChannel::kill_gateway(std::uint32_t node) {
   //    whose unconfirmed packets were traveling through the dying
   //    gateway: those are the ones that must replay.
   for (auto& [key, flow] : flows_) {
-    if (flow.unacked.empty()) continue;
-    trim_unacked(flow);
+    flow.unacked.confirm(flow.received.expected());
     if (flow.unacked.empty()) continue;
     if (route_uses_gateway(key.first, key.second, node)) {
       flow.replay_pending = true;
@@ -664,32 +653,34 @@ void VirtualChannel::replay_pending_flows() {
     const std::uint32_t dst = key.second;
     sim::Mutex& mutex = send_mutex(src);
     mutex.lock();
-    trim_unacked(flow);
+    flow.unacked.confirm(flow.received.expected());
     const std::size_t hop = hop_of(src, dst);
     mad::ChannelEndpoint& ep = hop_channels_[hop]->endpoint(src);
-    // Confirmations only advance the watermark, so indexing stays valid
-    // across the blocking sends; already-confirmed entries are skipped
-    // instead of replayed as guaranteed duplicates.
-    for (std::size_t i = 0; i < flow.unacked.size(); ++i) {
-      RetainedPacket& retained = flow.unacked[i];
-      if (retained.ext.seq < flow.expected_seq) continue;
+    // Confirmations only advance the watermark, so the retained packets
+    // stay put across the blocking sends; already-confirmed entries are
+    // skipped instead of replayed as guaranteed duplicates.
+    for (std::uint64_t seq = flow.unacked.front_seq();
+         seq < flow.unacked.end_seq(); ++seq) {
+      if (seq < flow.received.expected()) continue;
+      const RetainedPacket& retained = *flow.unacked.find(seq);
+      const std::size_t bytes = retained.bytes.size();
       const std::uint32_t to = next_node(hop, src, dst);
       one_piece[0] = std::span<const std::byte>(retained.bytes);
       // A retained bare `last` marker has no payload: replay it with an
       // empty gather list, exactly as it first went out.
       const std::span<const std::span<const std::byte>> pieces =
-          retained.bytes.empty()
+          bytes == 0
               ? std::span<const std::span<const std::byte>>()
               : std::span<const std::span<const std::byte>>(one_piece);
       MAD2_TRACE_SPAN(span, obs::Category::kFwd, "fwd.replay");
-      span.args(static_cast<std::uint32_t>(retained.bytes.size()), dst);
+      span.args(static_cast<std::uint32_t>(bytes), dst);
       // The retained extension re-ships as-is: the replay inherits the
       // original packet's trace identity, so the weaved span shows the
       // journey that actually delivered.
       send_packet(ep, to, retained.header, pieces, sizes_scratch,
                   retained.ext);
       ++counters_.replayed_packets;
-      counters_.replayed_bytes += retained.bytes.size();
+      counters_.replayed_bytes += bytes;
       ++flow.replays;
     }
     flow.replay_pending = false;
@@ -966,34 +957,23 @@ std::uint32_t VirtualEndpoint::fetch_packet(Demand* demand) {
       deliver_packet(std::move(packet));
       return src;
     }
+    // In sequence: deliver it and every stashed successor behind it. A
+    // later packet that overtook the cursor across the re-route is parked
+    // whole (demand landing was disabled for it) until the gap fills, so
+    // delivery order per flow never deviates from seq order. A replay
+    // duplicate is dropped (the buffer recycles right here).
     VirtualChannel::FlowControl& flow = channel_->flow_control(src, local_);
-    if (packet.ext.seq < flow.expected_seq ||
-        flow.ooo.count(packet.ext.seq) != 0) {
-      // Replay duplicate of something already delivered or already
-      // stashed: drop it (the buffer recycles right here) and keep
-      // waiting for the cursor packet.
+    const std::uint64_t seq = packet.ext.seq;
+    const SeqVerdict verdict = flow.received.accept(
+        seq, std::move(packet),
+        [this](Packet&& next) { deliver_packet(std::move(next)); });
+    if (verdict == SeqVerdict::kDelivered) return src;
+    if (verdict == SeqVerdict::kStashed) {
+      ++channel_->counters_.stashed;
+    } else {
       ++flow.dup_drops;
       ++channel_->counters_.dup_drops;
-      continue;
     }
-    if (packet.ext.seq > flow.expected_seq) {
-      // A later packet overtook the cursor across the re-route. Park it
-      // whole (demand landing was disabled for it) until the gap fills;
-      // delivery order per flow never deviates from seq order.
-      ++channel_->counters_.stashed;
-      flow.ooo.emplace(packet.ext.seq, std::move(packet));
-      continue;
-    }
-    // In sequence: deliver it, then drain every consecutive stashed
-    // successor behind the moved cursor.
-    deliver_packet(std::move(packet));
-    auto next = flow.ooo.begin();
-    while (next != flow.ooo.end() && next->first == flow.expected_seq) {
-      Packet stashed = std::move(next->second);
-      next = flow.ooo.erase(next);
-      deliver_packet(std::move(stashed));
-    }
-    return src;
   }
 }
 
@@ -1007,11 +987,8 @@ void VirtualEndpoint::deliver_packet(Packet packet) {
   }
   channel_->note_packet_trace(packet);
   if (channel_->resilient()) {
-    // Advancing the receiver cursor doubles as confirming seq-1 to the
-    // sender: its retain buffer trims against this watermark.
-    VirtualChannel::FlowControl& flow =
-        channel_->flow_control(packet.header.src, local_);
-    flow.expected_seq = packet.ext.seq + 1;
+    // The receiver cursor moved past this packet, which doubles as
+    // confirming it to the sender: its retain window trims against it.
     channel_->retention_freed_->notify_all();
   }
   const std::uint32_t src = packet.header.src;
@@ -1222,7 +1199,7 @@ void VirtualConnection::flush_packet(bool last) {
   if (resilient) {
     mutex->lock();
     for (;;) {
-      channel.trim_unacked(*flow);
+      flow->unacked.confirm(flow->received.expected());
       if (!flow->replay_pending &&
           flow->unacked.size() < channel.topology().replay_quota) {
         break;
@@ -1254,7 +1231,7 @@ void VirtualConnection::flush_packet(bool last) {
                             piece.end());
     }
     channel.session().node(local).charge_memcpy(taken);
-    flow->unacked.push_back(std::move(retained));
+    flow->unacked.push(ext.seq, std::move(retained));
   }
   // Route picked under the mutex, against the current healthy sets: a
   // kill that already happened re-routes this packet, a kill that lands

@@ -54,6 +54,7 @@
 #include "mad/congestion.hpp"
 #include "mad/madeleine.hpp"
 #include "sim/sync.hpp"
+#include "util/seq_window.hpp"
 
 namespace mad2::fwd {
 
@@ -515,21 +516,20 @@ class VirtualChannel {
   /// delivery timestamps back through on_packet_delivered — fibers share
   /// the channel object, so the feedback edge is a call, not a wire
   /// message (the simulated analogue of ack-borne signaling). Resilient
-  /// mode adds the failover protocol state: sender cursor + retain
-  /// buffer, receiver cursor (doubling as the confirm watermark — only
-  /// the sender/repair fiber trims `unacked` against it, so there is no
-  /// cross-fiber deque mutation) and out-of-order stash.
+  /// mode adds the failover protocol state: the sender's retain window
+  /// and the receiver's window, whose cursor doubles as the confirm
+  /// watermark — only the sender/repair fiber trims `unacked` against
+  /// it, so there is no cross-fiber mutation of the retained packets.
   struct FlowControl {
     std::unique_ptr<mad::CongestionWindow> window;
     std::string hist_name;  // per-flow e2e histogram in the registry
     std::uint64_t packets = 0;
     std::uint64_t bytes = 0;
     // --- resilient / propagation state ---
-    std::uint64_t next_seq = 0;      // sender: next PacketExt::seq
-    std::uint64_t expected_seq = 0;  // receiver cursor / confirm watermark
-    bool replay_pending = false;     // failover marked; sender must wait
-    std::deque<RetainedPacket> unacked;
-    std::map<std::uint64_t, Packet> ooo;  // seq -> stashed future packet
+    std::uint64_t next_seq = 0;   // sender: next PacketExt::seq
+    bool replay_pending = false;  // failover marked; sender must wait
+    SeqSendWindow<RetainedPacket> unacked;
+    SeqReceiveWindow<Packet> received;
     std::uint64_t replays = 0;
     std::uint64_t dup_drops = 0;
     /// Receiver-side cache of the per-hop attribution histograms
@@ -586,7 +586,6 @@ class VirtualChannel {
   [[nodiscard]] bool can_absorb_gateway(std::uint32_t node) const;
   mad::FailureDomain on_network_failure(const mad::NetworkFailure& failure);
   sim::Mutex& send_mutex(std::uint32_t src);
-  void trim_unacked(FlowControl& flow);
   void note_gateway_packet();
   void drain_gateway_queues(std::uint32_t gateway);
   void replay_pending_flows();

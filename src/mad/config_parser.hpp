@@ -34,14 +34,15 @@
 //   congestion [window=N] [min_window=N] [max_window=N] [gain=F]
 //              [decrease=F] [backlog=F] [quantum=N] [gateway_queue=N]
 //       enable end-to-end congestion windows and weighted-fair flow
-//       scheduling (see mad/congestion.hpp and docs/CONGESTION.md):
+//       scheduling at virtual-channel gateways (see mad/congestion.hpp
+//       and docs/CONGESTION.md):
 //       window= seeds the per-flow window in packets (0/omitted derives
 //       a bandwidth-delay product from the driver's bandwidth hint),
 //       clamped to [min_window, max_window]; gain/decrease/backlog tune
 //       the AIMD loop (additive increase per delivered window, cut
 //       factor in (0,1), congestion threshold > 1 relative to the delay
-//       floor); quantum= is the DRR byte credit per scheduling round and
-//       gateway_queue= the gateway forwarding-queue depth in packets.
+//       floor); quantum= is the gateway queues' DRR byte credit per
+//       scheduling round and gateway_queue= their depth in packets.
 //       Absent stanza = everything off (the default fast path).
 //   topology [salt=N] [replay_quota=N]
 //       enable resilient multi-gateway routing for the session's virtual

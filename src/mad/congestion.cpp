@@ -89,87 +89,4 @@ void CongestionWindow::on_delivered(sim::Duration delay) {
   room_.notify_all();
 }
 
-// ----------------------------------------------------------------- DrrGate ---
-
-DrrGate::DrrGate(sim::Simulator* simulator, std::size_t quantum)
-    : quantum_(quantum), granted_(simulator) {
-  MAD2_CHECK(quantum_ > 0, "DRR quantum must be positive");
-}
-
-void DrrGate::acquire(std::uint64_t flow, std::size_t bytes) {
-  Request request;
-  request.bytes = bytes;
-  FlowState& state = flows_[flow];
-  if (state.requests.empty()) {
-    // DRR+-style two-class reactivation: a weighted (> 1) flow waking
-    // from idle joins the round at the head with a fresh quantum, so a
-    // flow that keeps no standing backlog waits for at most the grant
-    // in service. Weight-1 flows rejoin at the tail with no credit —
-    // expediting every reactivation would let churning flows leapfrog
-    // the head indefinitely (see FairPacketQueue::send).
-    if (state.weight > 1.0) {
-      active_.push_front(flow);
-      state.deficit = scaled_quantum(state.weight);
-    } else {
-      active_.push_back(flow);
-    }
-  }
-  state.requests.push_back(&request);
-  pump();
-  while (!request.granted) granted_.wait();
-}
-
-void DrrGate::set_weight(std::uint64_t flow, double weight) {
-  MAD2_CHECK(weight > 0.0, "DRR flow weight must be positive");
-  flows_[flow].weight = weight;
-}
-
-std::size_t DrrGate::scaled_quantum(double weight) const {
-  const auto scaled =
-      static_cast<std::size_t>(static_cast<double>(quantum_) * weight);
-  return scaled < 1 ? 1 : scaled;
-}
-
-void DrrGate::release() {
-  MAD2_CHECK(busy_, "DrrGate::release without an outstanding grant");
-  busy_ = false;
-  pump();
-}
-
-void DrrGate::pump() {
-  if (busy_) return;
-  while (!active_.empty()) {
-    const std::uint64_t flow = active_.front();
-    FlowState& state = flows_.at(flow);
-    if (state.requests.empty()) {
-      // Fully drained flow: drop it from the round and reset its credit
-      // (an idle flow must not bank deficit against future rounds).
-      active_.pop_front();
-      state.deficit = 0;
-      continue;
-    }
-    Request* head = state.requests.front();
-    const std::size_t cost = std::max<std::size_t>(head->bytes, 1);
-    if (state.deficit < cost) {
-      state.deficit += scaled_quantum(state.weight);
-      active_.pop_front();
-      active_.push_back(flow);
-      continue;
-    }
-    state.deficit -= cost;
-    state.requests.pop_front();
-    if (state.requests.empty()) {
-      active_.pop_front();
-      state.deficit = 0;
-    }
-    head->granted = true;
-    busy_ = true;
-    FlowStats& stats = flows_stats_[flow];
-    ++stats.grants;
-    stats.bytes += cost;
-    granted_.notify_all();
-    return;
-  }
-}
-
 }  // namespace mad2::mad

@@ -3,45 +3,39 @@
 // The paper's flow control is per-link (credits in BIP, bounded windows in
 // the reliable shim) — nothing limits how much traffic *converges* on a
 // shared choke point. Under many-to-one (incast) patterns the gateways of
-// a virtual channel and the lanes of a rail set build queues bounded only
-// by sender count, and a latency-sensitive flow stalls behind every bulk
-// flow's backlog (head-of-line blocking; the paper's stated future work:
-// "some sophisticated bandwidth control mechanism is needed to regulate
-// the incoming communication flow on gateways").
+// a virtual channel build queues bounded only by sender count, and a
+// latency-sensitive flow stalls behind every bulk flow's backlog
+// (head-of-line blocking; the paper's stated future work: "some
+// sophisticated bandwidth control mechanism is needed to regulate the
+// incoming communication flow on gateways").
 //
-// This header adds the two mechanisms that close the loop:
+// Two mechanisms close the loop:
 //
-//  - CongestionWindow: a per-flow end-to-end window with delay-driven
-//    AIMD. Each data packet carries its send timestamp; the receiver
-//    computes the end-to-end delay on delivery and feeds it back into the
-//    sender's window (fibers share memory, so "feedback" is a function
-//    call — the simulated analogue of the shim's seq/ack stamps carrying
-//    the RTT signal, see net/reliable.hpp RTT sampling). While the
-//    smoothed delay stays near the observed floor the window grows
+//  - CongestionWindow (this header): a per-flow end-to-end window with
+//    delay-driven AIMD. Each data packet carries its send timestamp; the
+//    receiver computes the end-to-end delay on delivery and feeds it back
+//    into the sender's window (fibers share memory, so "feedback" is a
+//    function call — the simulated analogue of the shim's seq/ack stamps
+//    carrying the RTT signal, see net/reliable.hpp RTT sampling). While
+//    the smoothed delay stays near the observed floor the window grows
 //    additively; when it exceeds backlog_factor * floor the window is cut
 //    multiplicatively, at most once per smoothed-RTT. Windows are seeded
 //    from the driver's bandwidth self-report (Pmm::bandwidth_hint_mbs),
 //    i.e. a bandwidth-delay product with an assumed millisecond RTT.
 //
-//  - DrrGate: a deficit-round-robin admission arbiter for a choke point
-//    shared by several flows (rail lanes toward one destination; gateway
-//    forwarding queues use the packet-level variant in fwd/fair_queue).
-//    Each flow accumulates `quantum` bytes of deficit per scheduling
-//    round and is granted while its deficit covers the request, so the
-//    long-run share of every backlogged flow converges to 1/n regardless
-//    of request sizes — no flow starves behind another's backlog.
+//  - Deficit round robin at the gateways' forwarding queues
+//    (fwd::FairPacketQueue, fwd/fair_queue.hpp): every backlogged flow
+//    gets an equal (or weighted) byte share of the outgoing hop, so no
+//    flow starves behind another's backlog.
 //
-// Everything here is deterministic: scheduling order derives from
-// std::map/deque iteration and fiber wake order only, so traced
-// virtual-time runs and madcheck explore schedules replay exactly.
-// EXPRESS/short messages never pass through either mechanism — the fast
-// path stays untouched (LCI's lesson: keep control logic off the
-// short-message path).
+// Everything here is deterministic: the window's wake order derives from
+// fiber wake order only, so traced virtual-time runs and madcheck explore
+// schedules replay exactly. EXPRESS/short messages never pass through
+// either mechanism — the fast path stays untouched (LCI's lesson: keep
+// control logic off the short-message path).
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 
 #include "sim/sync.hpp"
 #include "sim/time.hpp"
@@ -115,54 +109,6 @@ class CongestionWindow {
   std::uint64_t delivered_ = 0;
   std::uint64_t decreases_ = 0;
   sim::WaitQueue room_;
-};
-
-/// Deficit-round-robin admission gate for one shared choke point.
-/// acquire(flow, bytes) blocks until the gate grants this flow's turn;
-/// exactly one grant is outstanding at a time and release() passes the
-/// gate to the next flow in deficit order.
-class DrrGate {
- public:
-  DrrGate(sim::Simulator* simulator, std::size_t quantum);
-
-  void acquire(std::uint64_t flow, std::size_t bytes);
-  void release();
-
-  /// Weighted-fair share: a flow's deficit replenishes by quantum*weight
-  /// per round, so backlogged flows split the lane in weight proportion.
-  /// Weight 1 is the default; must be positive.
-  void set_weight(std::uint64_t flow, double weight);
-
-  struct FlowStats {
-    std::uint64_t grants = 0;
-    std::uint64_t bytes = 0;
-  };
-  [[nodiscard]] const std::map<std::uint64_t, FlowStats>& flow_stats()
-      const {
-    return flows_stats_;
-  }
-
- private:
-  struct Request {
-    std::size_t bytes = 0;
-    bool granted = false;
-  };
-  struct FlowState {
-    std::size_t deficit = 0;
-    double weight = 1.0;
-    std::deque<Request*> requests;
-  };
-
-  /// Grant the next request in DRR order, if the gate is free.
-  void pump();
-  [[nodiscard]] std::size_t scaled_quantum(double weight) const;
-
-  std::size_t quantum_;
-  bool busy_ = false;
-  std::map<std::uint64_t, FlowState> flows_;
-  std::map<std::uint64_t, FlowStats> flows_stats_;
-  std::deque<std::uint64_t> active_;  // flows with queued requests
-  sim::WaitQueue granted_;
 };
 
 }  // namespace mad2::mad

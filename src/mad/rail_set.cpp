@@ -72,14 +72,6 @@ void RailSet::validate_members() {
 
 void RailSet::finish_setup() {
   validate_members();
-  // Weighted-fair lane arbitration rides the session-wide congestion
-  // stanza (rail sets have no per-set override: the gates protect shared
-  // adapters, which are session-scoped resources).
-  if (session_->config().congestion.has_value() &&
-      session_->config().congestion->enabled) {
-    fair_ = true;
-    fair_quantum_ = session_->config().congestion->quantum;
-  }
   // Seed weights from the drivers' bandwidth self-reports; measured
   // per-segment throughput refines them from the first striped block on.
   for (Rail& rail : rails_) {
@@ -373,37 +365,6 @@ void RailSet::stripe_recv_block(Connection& primary, std::span<std::byte> out,
 
 // ----------------------------------------------------------------- lanes ---
 
-DrrGate& RailSet::send_gate_for(std::size_t rail, std::uint32_t dst) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(rail) << 32) | dst;
-  auto it = send_gates_.find(key);
-  if (it == send_gates_.end()) {
-    it = send_gates_
-             .emplace(key, std::make_unique<DrrGate>(&session_->simulator(),
-                                                     fair_quantum_))
-             .first;
-    for (const auto& [src, weight] : flow_weights_) {
-      it->second->set_weight(src, weight);
-    }
-  }
-  return *it->second;
-}
-
-void RailSet::set_flow_weight(std::uint32_t src, double weight) {
-  MAD2_CHECK(fair_, "flow weights need fair scheduling (the congestion "
-                    "stanza); arrival-order lanes have no schedule to "
-                    "weight");
-  flow_weights_[src] = weight;
-  for (auto& [key, gate] : send_gates_) gate->set_weight(src, weight);
-}
-
-const DrrGate* RailSet::send_gate(std::size_t rail, std::uint32_t dst) const {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(rail) << 32) | dst;
-  auto it = send_gates_.find(key);
-  return it == send_gates_.end() ? nullptr : it->second.get();
-}
-
 sim::BoundedChannel<RailSet::SendJob>& RailSet::send_lane_queue(
     std::size_t rail, std::uint32_t src, std::uint32_t dst) {
   auto it = send_lanes_.find(lane_key(rail, src, dst));
@@ -423,11 +384,6 @@ void RailSet::send_lane(std::size_t rail,
   for (;;) {
     std::optional<SendJob> job = jobs->receive();
     if (!job) return;
-    // Fair scheduling: competing sources heading for the same (rail, dst)
-    // take turns by DRR byte quanta. The wait happens before `start`, so
-    // arbitration time never pollutes the weight estimator.
-    DrrGate* gate = fair_ ? &send_gate_for(rail, job->dst) : nullptr;
-    if (gate != nullptr) gate->acquire(job->src, job->len);
     const sim::Time start = session_->simulator().now();
     MAD2_TRACE_SPAN(span, obs::Category::kRail, "rail.send_segment");
     span.args(job->len, rail);
@@ -446,7 +402,6 @@ void RailSet::send_lane(std::size_t rail,
     }
     const Status status =
         send_segment(rail, job->src, job->dst, {job->data, job->len});
-    if (gate != nullptr) gate->release();
     BlockState::LaneResult& lane = job->block->lanes[rail];
     lane.failed = !status.is_ok();
     if (status.is_ok()) {

@@ -50,7 +50,6 @@
 #include <string>
 #include <vector>
 
-#include "mad/congestion.hpp"
 #include "sim/sync.hpp"
 #include "util/status.hpp"
 
@@ -109,19 +108,6 @@ class RailSet {
   /// session stays up. False for the primary rail or a foreign network.
   bool on_network_failed(const NetworkInstance* network,
                          const Status& status);
-
-  /// True when the session's `congestion` stanza put the TX lanes behind
-  /// per-(rail, dst) DRR gates (segments of competing sources drain in
-  /// byte-fair quanta instead of lane-arrival order).
-  [[nodiscard]] bool fair_scheduling() const { return fair_; }
-  /// The gate arbitrating TX segments toward `dst` on `rail`; nullptr
-  /// while fair scheduling is off or nothing was sent there yet.
-  [[nodiscard]] const DrrGate* send_gate(std::size_t rail,
-                                         std::uint32_t dst) const;
-  /// Weighted-fair share for source `src` at every (rail, dst) send
-  /// gate, present and future: its segments replenish quantum*weight per
-  /// DRR round. Requires fair scheduling (the congestion stanza).
-  void set_flow_weight(std::uint32_t src, double weight);
 
  private:
   friend class Connection;
@@ -201,12 +187,6 @@ class RailSet {
                           std::int64_t elapsed_ns);
   void mark_rail_dead(std::size_t rail, const Status& status);
 
-  /// Find-or-create the DRR gate of (rail, dst). TX side only: the
-  /// receive lanes stay unarbitrated, because the sender decides ordering
-  /// and a receiver-side gate could hold a lane mid-handshake and
-  /// deadlock against it.
-  [[nodiscard]] DrrGate& send_gate_for(std::size_t rail, std::uint32_t dst);
-
   static constexpr std::uint32_t kDescMagic = 0x53524c31u;   // "SRL1"
   static constexpr std::uint32_t kTrailMagic = 0x53524c32u;  // "SRL2"
 
@@ -221,13 +201,6 @@ class RailSet {
       send_lanes_;
   std::map<std::uint64_t, std::unique_ptr<sim::BoundedChannel<RecvJob>>>
       recv_lanes_;
-  // Weighted-fair TX arbitration (session `congestion` stanza); gates are
-  // created lazily per (rail, dst) as segments first head there.
-  bool fair_ = false;
-  std::size_t fair_quantum_ = 0;
-  std::map<std::uint64_t, std::unique_ptr<DrrGate>> send_gates_;
-  // Sticky per-source weights, replayed onto lazily created gates.
-  std::map<std::uint32_t, double> flow_weights_;
 };
 
 }  // namespace mad2::mad

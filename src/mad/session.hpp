@@ -131,9 +131,9 @@ struct SessionConfig {
   /// process-wide one, which takes precedence (see obs/trace.hpp).
   std::optional<obs::TraceConfig> trace;
   /// `congestion` stanza: end-to-end windows and weighted-fair flow
-  /// scheduling (see mad/congestion.hpp). Consumed by rail sets (lane
-  /// arbitration) and by virtual channels built over this session
-  /// (gateway fair queues + per-flow windows). Absent = all off.
+  /// scheduling (see mad/congestion.hpp). Consumed by virtual channels
+  /// built over this session (gateway fair queues + per-flow windows).
+  /// Absent = all off.
   std::optional<CongestionConfig> congestion;
   /// `topology` stanza: resilient multi-gateway routing for virtual
   /// channels built over this session (see mad/hostdb.hpp and

@@ -1,51 +1,8 @@
 #include "net/fault.hpp"
 
-#include <cstdio>
-
 #include "util/bytes.hpp"
 
 namespace mad2::net {
-
-void ReliabilityCounters::merge(const ReliabilityCounters& other) {
-  data_frames += other.data_frames;
-  retransmits += other.retransmits;
-  acks_sent += other.acks_sent;
-  dup_frames += other.dup_frames;
-  corrupt_frames += other.corrupt_frames;
-  give_ups += other.give_ups;
-  if (other.max_rto > max_rto) max_rto = other.max_rto;
-  rtt_samples += other.rtt_samples;
-  // srtt is a snapshot, not a sum; keep the largest observed, and the
-  // smallest non-zero floor.
-  if (other.srtt > srtt) srtt = other.srtt;
-  if (other.min_rtt != 0 && (min_rtt == 0 || other.min_rtt < min_rtt)) {
-    min_rtt = other.min_rtt;
-  }
-}
-
-std::string ReliabilityCounters::to_string() const {
-  char line[256];
-  std::snprintf(line, sizeof line,
-                "reliability: %llu data frames, %llu retransmits, "
-                "%llu acks, %llu dups dropped, %llu corrupt dropped, "
-                "%llu give-ups, max rto %.1f us",
-                static_cast<unsigned long long>(data_frames),
-                static_cast<unsigned long long>(retransmits),
-                static_cast<unsigned long long>(acks_sent),
-                static_cast<unsigned long long>(dup_frames),
-                static_cast<unsigned long long>(corrupt_frames),
-                static_cast<unsigned long long>(give_ups),
-                sim::to_us(max_rto));
-  std::string out = line;
-  if (rtt_samples != 0) {
-    std::snprintf(line, sizeof line,
-                  ", %llu rtt samples, srtt %.1f us, min rtt %.1f us",
-                  static_cast<unsigned long long>(rtt_samples),
-                  sim::to_us(srtt), sim::to_us(min_rtt));
-    out += line;
-  }
-  return out;
-}
 
 const LinkFaults& FaultPlan::faults_for(std::uint32_t src,
                                         std::uint32_t dst) const {

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -87,9 +86,6 @@ struct ReliabilityCounters {
   std::uint64_t rtt_samples = 0;
   sim::Duration srtt = 0;
   sim::Duration min_rtt = 0;
-
-  void merge(const ReliabilityCounters& other);
-  [[nodiscard]] std::string to_string() const;
 };
 
 class FaultPlan {

@@ -79,8 +79,8 @@ Status ReliableEndpoint::send(std::uint32_t dst, std::uint32_t channel,
   frame.src = rank_;
   frame.channel = channel;
   frame.kind = ReliableFrame::kData;
-  frame.seq = tx.next_seq++;
-  frame.ack = rx_[dst].next_expected - 1;  // piggybacked cumulative ack
+  frame.seq = static_cast<std::uint32_t>(tx.outstanding.end_seq());
+  frame.ack = static_cast<std::uint32_t>(peer_rx(dst).expected() - 1);
   frame.payload = std::move(payload);
   frame.checksum = frame_checksum(frame);
   const std::uint64_t bytes = wire_bytes(frame);
@@ -89,19 +89,14 @@ Status ReliableEndpoint::send(std::uint32_t dst, std::uint32_t channel,
   // ack can race back before it returns. The retransmit clock starts only
   // once the frame is actually on the wire.
   const std::uint32_t seq = frame.seq;
-  const bool inserted =
-      tx.outstanding
-          .emplace(seq, Outstanding{frame, sim::kNever,
-                                    network_->params_.rto_initial, 0,
-                                    network_->simulator_->now()})
-          .second;
-  MAD2_CHECK(inserted, "duplicate sequence number in flight");
+  tx.outstanding.push(seq, Outstanding{frame, sim::kNever,
+                                       network_->params_.rto_initial, 0,
+                                       network_->simulator_->now()});
   ++counters_.data_frames;
   network_->fabric_.ship(rank_, dst, std::move(frame), bytes);
 
-  auto still = tx.outstanding.find(seq);
-  if (still != tx.outstanding.end()) {
-    still->second.deadline =
+  if (Outstanding* still = tx.outstanding.find(seq)) {
+    still->deadline =
         network_->simulator_->now() + network_->params_.rto_initial;
     timer_wakeup_.notify_all();
   }
@@ -146,29 +141,20 @@ void ReliableEndpoint::rx_loop() {
   }
 }
 
+ReliableEndpoint::PeerRx& ReliableEndpoint::peer_rx(std::uint32_t peer) {
+  return rx_.try_emplace(peer, 1).first->second;  // data seqs start at 1
+}
+
 void ReliableEndpoint::handle_data(ReliableFrame frame) {
   const std::uint32_t peer = frame.src;
-  PeerRx& rx = rx_[peer];
-  if (frame.seq < rx.next_expected ||
-      rx.out_of_order.count(frame.seq) != 0) {
-    // Duplicate (retransmit of something we already have, or a fabric
-    // dup). Re-ack so a sender whose acks got lost stops retransmitting.
-    ++counters_.dup_frames;
-    queue_ack(peer);
-    return;
-  }
-  rx.out_of_order.emplace(frame.seq, std::move(frame));
-  bool delivered = false;
-  for (auto it = rx.out_of_order.find(rx.next_expected);
-       it != rx.out_of_order.end();
-       it = rx.out_of_order.find(rx.next_expected)) {
-    delivery_.push_back(Message{peer, it->second.channel,
-                                std::move(it->second.payload)});
-    rx.out_of_order.erase(it);
-    ++rx.next_expected;
-    delivered = true;
-  }
-  if (delivered) rx_ready_.notify_all();
+  const SeqVerdict verdict = peer_rx(peer).accept(
+      frame.seq, Message{peer, frame.channel, std::move(frame.payload)},
+      [this](Message&& message) { delivery_.push_back(std::move(message)); });
+  // A duplicate (retransmit of something we already have, or a fabric
+  // dup) is re-acked too, so a sender whose acks got lost stops
+  // retransmitting.
+  if (verdict == SeqVerdict::kDuplicate) ++counters_.dup_frames;
+  if (verdict == SeqVerdict::kDelivered) rx_ready_.notify_all();
   queue_ack(peer);
 }
 
@@ -176,18 +162,16 @@ void ReliableEndpoint::handle_ack(std::uint32_t peer, std::uint32_t ack) {
   auto it = tx_.find(peer);
   if (it == tx_.end()) return;
   PeerTx& tx = it->second;
-  bool erased = false;
-  while (!tx.outstanding.empty() && tx.outstanding.begin()->first <= ack) {
-    const Outstanding& out = tx.outstanding.begin()->second;
-    // Karn's rule: a retransmitted frame's ack is ambiguous (it may
-    // answer any copy), so only never-retransmitted frames are sampled.
-    if (out.retransmits == 0) {
-      sample_rtt(tx, network_->simulator_->now() - out.sent_at);
-    }
-    tx.outstanding.erase(tx.outstanding.begin());
-    erased = true;
-  }
-  if (erased) {
+  const std::size_t confirmed = tx.outstanding.confirm(
+      std::uint64_t{ack} + 1, [&](const Outstanding& out) {
+        // Karn's rule: a retransmitted frame's ack is ambiguous (it may
+        // answer any copy), so only never-retransmitted frames are
+        // sampled.
+        if (out.retransmits == 0) {
+          sample_rtt(tx, network_->simulator_->now() - out.sent_at);
+        }
+      });
+  if (confirmed > 0) {
     window_room_.notify_all();
     timer_wakeup_.notify_all();  // earliest deadline may have changed
   }
@@ -224,7 +208,7 @@ sim::Duration ReliableEndpoint::min_rtt(std::uint32_t peer) const {
 void ReliableEndpoint::queue_ack(std::uint32_t peer) {
   if (ack_value_.count(peer) == 0) ack_order_.push_back(peer);
   // Coalesce: only the latest cumulative value matters.
-  ack_value_[peer] = rx_[peer].next_expected - 1;
+  ack_value_[peer] = static_cast<std::uint32_t>(peer_rx(peer).expected() - 1);
   ack_pending_.notify_all();
 }
 
@@ -254,8 +238,8 @@ void ReliableEndpoint::retransmit_loop() {
     if (!health_.is_ok()) return;
     sim::Time earliest = sim::kNever;
     for (const auto& [peer, tx] : tx_) {
-      for (const auto& [seq, out] : tx.outstanding) {
-        if (out.deadline < earliest) earliest = out.deadline;
+      for (const Outstanding& out : tx.outstanding) {
+        earliest = std::min(earliest, out.deadline);
       }
     }
     if (earliest == sim::kNever) {
@@ -270,40 +254,36 @@ void ReliableEndpoint::retransmit_loop() {
       continue;
     }
     // Retransmit every frame that is due. Collect sequence numbers first:
-    // ship() blocks, and acks arriving meanwhile mutate the maps.
+    // ship() blocks, and acks arriving meanwhile trim the windows.
     for (auto& [peer, tx] : tx_) {
+      const sim::Time now = network_->simulator_->now();
       std::vector<std::uint32_t> due;
-      for (const auto& [seq, out] : tx.outstanding) {
-        if (out.deadline <= network_->simulator_->now()) {
-          due.push_back(seq);
-        }
+      for (const Outstanding& out : tx.outstanding) {
+        if (out.deadline <= now) due.push_back(out.frame.seq);
       }
       for (const std::uint32_t seq : due) {
-        auto it = tx.outstanding.find(seq);
-        if (it == tx.outstanding.end()) continue;  // acked while shipping
-        Outstanding& out = it->second;
-        if (out.retransmits >= params.max_retransmits) {
-          fail_link(peer, out);
+        Outstanding* out = tx.outstanding.find(seq);
+        if (out == nullptr) continue;  // acked while shipping
+        if (out->retransmits >= params.max_retransmits) {
+          fail_link(peer, *out);
           return;
         }
-        ++out.retransmits;
+        ++out->retransmits;
         ++counters_.retransmits;
         MAD2_TRACE_EVENT(obs::Category::kNet, "rel.retransmit", nullptr,
-                         out.frame.seq, out.retransmits);
-        out.rto = std::min(
-            static_cast<sim::Duration>(static_cast<double>(out.rto) *
+                         out->frame.seq, out->retransmits);
+        out->rto = std::min(
+            static_cast<sim::Duration>(static_cast<double>(out->rto) *
                                        params.backoff),
             params.rto_max);
-        if (out.rto > counters_.max_rto) counters_.max_rto = out.rto;
-        ReliableFrame copy = out.frame;
+        if (out->rto > counters_.max_rto) counters_.max_rto = out->rto;
+        ReliableFrame copy = out->frame;
         const std::uint64_t bytes = wire_bytes(copy);
         network_->fabric_.ship(rank_, peer, std::move(copy), bytes);
         // Restart the clock after the (blocking) ship, same as first
         // transmissions, and only if no ack raced in.
-        auto again = tx.outstanding.find(seq);
-        if (again != tx.outstanding.end()) {
-          again->second.deadline =
-              network_->simulator_->now() + again->second.rto;
+        if (Outstanding* again = tx.outstanding.find(seq)) {
+          again->deadline = network_->simulator_->now() + again->rto;
         }
       }
     }

@@ -33,6 +33,7 @@
 #include "net/fault.hpp"
 #include "net/wire.hpp"
 #include "sim/sync.hpp"
+#include "util/seq_window.hpp"
 #include "util/status.hpp"
 
 namespace mad2::net {
@@ -174,18 +175,15 @@ class ReliableEndpoint {
     sim::Time sent_at = 0;  // first transmission time (RTT sampling)
   };
   struct PeerTx {
-    std::uint32_t next_seq = 1;
-    std::map<std::uint32_t, Outstanding> outstanding;
+    SeqSendWindow<Outstanding> outstanding{1};  // data seqs start at 1
     // RTT estimate of this directed link (see srtt()/min_rtt()).
     sim::Duration srtt = 0;
     sim::Duration min_rtt = 0;
     std::uint64_t rtt_samples = 0;
   };
-  struct PeerRx {
-    std::uint32_t next_expected = 1;
-    std::map<std::uint32_t, ReliableFrame> out_of_order;
-  };
+  using PeerRx = SeqReceiveWindow<Message>;
 
+  PeerRx& peer_rx(std::uint32_t peer);
   void rx_loop();
   void ack_loop();
   void retransmit_loop();

@@ -1,5 +1,5 @@
 // End-to-end congestion control and weighted-fair scheduling:
-// CongestionWindow AIMD behavior, DrrGate / FairPacketQueue arbitration,
+// CongestionWindow AIMD behavior, FairPacketQueue arbitration,
 // config resolution, and incast (N senders -> 1 receiver through a
 // gateway) fairness invariants under the madcheck explore harness.
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@ using fwd::VirtualChannel;
 using fwd::VirtualChannelDef;
 using mad::CongestionConfig;
 using mad::CongestionWindow;
-using mad::DrrGate;
 using mad::NodeRuntime;
 using mad::Session;
 
@@ -112,66 +111,6 @@ TEST(SeedWindow, BandwidthDelayProductInPackets) {
   EXPECT_EQ(mad::seed_window(config, 1e6, 16 * 1024), 16.0);
 }
 
-// ---------------------------------------------------------------- DrrGate ---
-
-TEST(DrrGate, NoFlowStarvedUnderContention) {
-  sim::Simulator simulator;
-  DrrGate gate(&simulator, /*quantum=*/4096);
-  std::vector<std::uint64_t> grants;
-  const int rounds = 8;
-  for (std::uint64_t flow = 0; flow < 2; ++flow) {
-    simulator.spawn("flow" + std::to_string(flow), [&, flow] {
-      for (int i = 0; i < rounds; ++i) {
-        gate.acquire(flow, 4096);
-        grants.push_back(flow);
-        simulator.advance(sim::microseconds(1));
-        gate.release();
-      }
-    });
-  }
-  ASSERT_TRUE(simulator.run().is_ok());
-  ASSERT_EQ(grants.size(), 2u * rounds);
-  // Equal-cost flows must take strict turns once both are queued: no flow
-  // may be granted three times in a row.
-  for (std::size_t i = 2; i < grants.size(); ++i) {
-    EXPECT_FALSE(grants[i] == grants[i - 1] && grants[i] == grants[i - 2])
-        << "flow " << grants[i] << " monopolized the gate at grant " << i;
-  }
-  const auto stats = gate.flow_stats();
-  ASSERT_EQ(stats.size(), 2u);
-  EXPECT_EQ(stats.at(0).grants, static_cast<std::uint64_t>(rounds));
-  EXPECT_EQ(stats.at(1).grants, static_cast<std::uint64_t>(rounds));
-}
-
-TEST(DrrGate, ByteFairNotGrantFair) {
-  sim::Simulator simulator;
-  DrrGate gate(&simulator, /*quantum=*/4096);
-  std::map<std::uint64_t, std::uint64_t> served_bytes;
-  simulator.spawn("bulk", [&] {
-    for (int i = 0; i < 4; ++i) {
-      gate.acquire(0, 16 * 1024);
-      served_bytes[0] += 16 * 1024;
-      simulator.advance(sim::microseconds(4));
-      gate.release();
-    }
-  });
-  simulator.spawn("mice", [&] {
-    for (int i = 0; i < 16; ++i) {
-      gate.acquire(1, 4 * 1024);
-      served_bytes[1] += 4 * 1024;
-      simulator.advance(sim::microseconds(1));
-      gate.release();
-    }
-  });
-  ASSERT_TRUE(simulator.run().is_ok());
-  // Both flows pushed 64 kB total; DRR should keep their byte shares
-  // equal even though one needs 4x the grants.
-  EXPECT_EQ(served_bytes[0], served_bytes[1]);
-  const auto stats = gate.flow_stats();
-  EXPECT_EQ(stats.at(0).bytes, stats.at(1).bytes);
-  EXPECT_EQ(stats.at(1).grants, 4u * stats.at(0).grants);
-}
-
 // -------------------------------------------------------- FairPacketQueue ---
 
 Packet make_packet(std::uint32_t src, std::uint32_t dst,
@@ -215,41 +154,65 @@ TEST(FairPacketQueue, SmallFlowNotStarvedBehindBulk) {
   EXPECT_EQ(queue.depth_hwm(), 6u);
 }
 
-TEST(DrrGate, WeightedFlowTakesProportionalShare) {
+TEST(FairPacketQueue, ByteFairNotPacketFair) {
   sim::Simulator simulator;
-  DrrGate gate(&simulator, /*quantum=*/4096);
-  gate.set_weight(0, 3.0);
-  std::vector<std::uint64_t> grants;
-  // Three concurrent fibers per flow keep a standing request backlog on
-  // both flows, so the deficits — not the acquire/release handoff —
-  // decide the order. (One serial acquirer per flow degenerates to
-  // alternation: each pump only ever sees one waiter.)
-  for (std::uint64_t flow = 0; flow < 2; ++flow) {
-    for (int fiber = 0; fiber < 3; ++fiber) {
-      simulator.spawn(std::string("f").append(std::to_string(flow)) + "_" +
-                          std::to_string(fiber),
-                      [&, flow] {
-                        for (int i = 0; i < 4; ++i) {
-                          gate.acquire(flow, 4096);
-                          grants.push_back(flow);
-                          simulator.advance(sim::microseconds(1));
-                          gate.release();
-                        }
-                      });
+  FairPacketQueue queue(&simulator, /*capacity=*/32, /*quantum=*/4096);
+  // A DRR packet costs payload_len + 1 bytes of deficit: the bulk flow
+  // queues four 16 kB packets first, the mouse flow sixteen 4 kB ones.
+  // Both flows carry 64 kB in total.
+  std::map<std::uint32_t, std::uint64_t> served;
+  std::uint64_t max_gap = 0;
+  simulator.spawn("driver", [&] {
+    for (int i = 0; i < 4; ++i) queue.send(make_packet(0, 9, 16 * 1024 - 1));
+    for (int i = 0; i < 16; ++i) queue.send(make_packet(1, 9, 4 * 1024 - 1));
+    for (int i = 0; i < 20; ++i) {
+      auto packet = queue.receive();
+      ASSERT_TRUE(packet.has_value());
+      served[packet->header.src] += packet->header.payload_len + 1;
+      const std::uint64_t gap = served[0] > served[1]
+                                    ? served[0] - served[1]
+                                    : served[1] - served[0];
+      max_gap = std::max(max_gap, gap);
     }
-  }
+  });
   ASSERT_TRUE(simulator.run().is_ok());
-  ASSERT_EQ(grants.size(), 24u);
-  // Weight 3 vs 1 at equal request size: three grants per round against
-  // one while both are backlogged, so the weighted flow dominates the
-  // opening grants (equal weights would alternate, 4 apiece in 8).
-  const auto flow0_early =
-      std::count(grants.begin(), grants.begin() + 8, 0u);
-  EXPECT_GE(flow0_early, 6)
-      << "weight-3 flow did not get its proportional share of grants";
-  const auto stats = gate.flow_stats();
-  EXPECT_EQ(stats.at(0).grants, 12u);
-  EXPECT_EQ(stats.at(1).grants, 12u);
+  // Byte shares stay within one bulk packet plus one quantum of each
+  // other at every point of the drain; FIFO order would open a 64 kB gap.
+  EXPECT_LE(max_gap, 16u * 1024 + 4096);
+  EXPECT_EQ(served[0], served[1]);
+  const auto stats = queue.flow_stats();
+  EXPECT_EQ(stats.at(FairPacketQueue::flow_key(0, 9)).dequeued, 4u);
+  EXPECT_EQ(stats.at(FairPacketQueue::flow_key(1, 9)).dequeued, 16u);
+}
+
+TEST(FairPacketQueue, WeightedFlowTakesProportionalShare) {
+  sim::Simulator simulator;
+  FairPacketQueue queue(&simulator, /*capacity=*/32, /*quantum=*/4096);
+  queue.set_weight(FairPacketQueue::flow_key(0, 9), 3.0);
+  std::vector<std::uint32_t> order;
+  simulator.spawn("driver", [&] {
+    // Equal-cost packets (4 kB of deficit each) and a standing backlog
+    // on both flows, so the weights alone decide the order.
+    for (int i = 0; i < 12; ++i) {
+      queue.send(make_packet(1, 9, 4 * 1024 - 1));
+      queue.send(make_packet(0, 9, 4 * 1024 - 1));
+    }
+    for (int i = 0; i < 24; ++i) {
+      auto packet = queue.receive();
+      ASSERT_TRUE(packet.has_value());
+      order.push_back(packet->header.src);
+    }
+  });
+  ASSERT_TRUE(simulator.run().is_ok());
+  ASSERT_EQ(order.size(), 24u);
+  // Weight 3 vs 1: three packets per round against one while both are
+  // backlogged (equal weights would alternate, 4 apiece in 8).
+  EXPECT_GE(std::count(order.begin(), order.begin() + 8, 0u), 6)
+      << "weight-3 flow did not get its proportional share";
+  EXPECT_EQ(std::count(order.begin(), order.begin() + 16, 0u), 12);
+  const auto stats = queue.flow_stats();
+  EXPECT_EQ(stats.at(FairPacketQueue::flow_key(0, 9)).dequeued, 12u);
+  EXPECT_EQ(stats.at(FairPacketQueue::flow_key(1, 9)).dequeued, 12u);
 }
 
 TEST(FairPacketQueue, WeightedFlowReactivationIsExpedited) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mad/config_parser.hpp"
@@ -86,20 +87,27 @@ TEST(RailStriping, SweepRailsBySizes) {
   // Sizes straddle the stripe threshold (64 KiB) and the TCP MSS (1460):
   // just below/at/above the threshold, an MSS-straddling odd size, and a
   // large block, mixed with small blocks so the striped path's BMM
-  // flushes interleave with grouped small-block traffic.
-  for (std::size_t rail_count : {2u, 3u, 4u}) {
-    Session session(tcp_rails_config(rail_count));
+  // flushes interleave with grouped small-block traffic. The last case
+  // moves the secondary rail to SBP, whose only TM takes static slots, so
+  // its segments are copied through StaticSlotTm's slots.
+  std::vector<std::pair<std::string, SessionConfig>> cases = {
+      {"tcp x2", tcp_rails_config(2)},
+      {"tcp x3", tcp_rails_config(3)},
+      {"tcp x4", tcp_rails_config(4)},
+      {"tcp + sbp", tcp_rails_config(2)}};
+  cases.back().second.networks[1].kind = NetworkKind::kSbp;
+  for (auto& [name, config] : cases) {
+    Session session(std::move(config));
     const std::vector<std::size_t> sizes = {
         64,           kDefaultStripeThreshold - 1, kDefaultStripeThreshold,
         3 * 1460 + 7, 32,                          200 * 1000 + 13,
         1 << 20,      5};
     const Status run = run_transfer(session, sizes);
-    EXPECT_TRUE(run.is_ok()) << "rails=" << rail_count << ": "
-                             << run.to_string();
+    EXPECT_TRUE(run.is_ok()) << name << ": " << run.to_string();
     EXPECT_TRUE(session.rail_set("r").health().is_ok());
     // Both directions of the primary connection account striped traffic;
     // the receiver side must have landed secondary segments.
-    EXPECT_GT(secondary_segments(session), 0u) << "rails=" << rail_count;
+    EXPECT_GT(secondary_segments(session), 0u) << name;
   }
 }
 

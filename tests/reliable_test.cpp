@@ -8,6 +8,7 @@
 // execute only that seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -29,10 +30,35 @@ FabricParams lossy_fabric(FaultPlan* plan) {
   return params;
 }
 
+/// The counters the sweep asserts, summed over both endpoints (max_rto is
+/// the larger of the two).
+struct SweepCounters {
+  std::uint64_t data_frames = 0;
+  std::uint64_t retransmits = 0;
+  std::uint64_t dup_frames = 0;
+  std::uint64_t give_ups = 0;
+  sim::Duration max_rto = 0;
+
+  void add(const ReliabilityCounters& endpoint) {
+    data_frames += endpoint.data_frames;
+    retransmits += endpoint.retransmits;
+    dup_frames += endpoint.dup_frames;
+    give_ups += endpoint.give_ups;
+    max_rto = std::max(max_rto, endpoint.max_rto);
+  }
+  [[nodiscard]] std::string to_string() const {
+    return std::to_string(data_frames) + " data frames, " +
+           std::to_string(retransmits) + " retransmits, " +
+           std::to_string(dup_frames) + " dups dropped, " +
+           std::to_string(give_ups) + " give-ups, max rto " +
+           std::to_string(sim::to_us(max_rto)) + " us";
+  }
+};
+
 struct SweepOutcome {
   bool ok = true;
   std::string detail;
-  ReliabilityCounters counters;
+  SweepCounters counters;
   std::string trace;  // "<src>:<channel>:<fnv1a>;" per delivery
 };
 
@@ -100,8 +126,8 @@ SweepOutcome run_sweep_case(std::uint64_t seed, int messages,
   simulator.spawn("rx.b", receiver(b, a));
   const Status run = simulator.run();
   if (!run.is_ok()) fail("run: " + run.to_string());
-  outcome.counters.merge(network.endpoint(a).counters());
-  outcome.counters.merge(network.endpoint(b).counters());
+  outcome.counters.add(network.endpoint(a).counters());
+  outcome.counters.add(network.endpoint(b).counters());
   return outcome;
 }
 
