@@ -13,7 +13,7 @@ void TcpTm::send_buffer(Connection& connection,
   if (data.empty()) return;
   MAD2_TRACE_SPAN(span, obs::Category::kTm, "tcp.send");
   span.args(data.size());
-  net::TcpStream* stream = connection.state<TcpPmm::State>().stream;
+  net::TcpStream* stream = &TcpPmm::stream_of(connection);
   // Fastpath: small blocks stage without a kernel crossing; the progress
   // tick (or the staging threshold) flushes the coalesced batch with one
   // syscall. Large blocks keep the direct path — send() pushes any staged
@@ -35,7 +35,7 @@ void TcpTm::receive_buffer(Connection& connection,
   if (out.empty()) return;
   MAD2_TRACE_SPAN(span, obs::Category::kTm, "tcp.recv");
   span.args(out.size());
-  connection.state<TcpPmm::State>().stream->recv(out);
+  TcpPmm::stream_of(connection).recv(out);
 }
 
 std::vector<TcpTm::Run> TcpTm::plan_runs(
@@ -68,7 +68,6 @@ void TcpTm::send_buffer_group(
   sizes.reserve(group.size());
   for (const auto& block : group) sizes.push_back(block.size());
 
-  auto& state = connection.state<TcpPmm::State>();
   std::vector<std::byte> scratch;
   for (const Run& run : plan_runs(sizes)) {
     if (!run.coalesced) {
@@ -83,7 +82,7 @@ void TcpTm::send_buffer_group(
       connection.node().charge_memcpy(block.size());
       scratch.insert(scratch.end(), block.begin(), block.end());
     }
-    if (!scratch.empty()) state.stream->send(scratch);
+    if (!scratch.empty()) TcpPmm::stream_of(connection).send(scratch);
   }
 }
 
@@ -93,7 +92,6 @@ void TcpTm::receive_sub_buffer_group(
   sizes.reserve(group.size());
   for (const auto& block : group) sizes.push_back(block.size());
 
-  auto& state = connection.state<TcpPmm::State>();
   std::vector<std::byte> scratch;
   for (const Run& run : plan_runs(sizes)) {
     if (!run.coalesced) {
@@ -105,7 +103,7 @@ void TcpTm::receive_sub_buffer_group(
     std::size_t total = 0;
     for (std::size_t k = 0; k < run.count; ++k) total += sizes[run.first + k];
     scratch.resize(total);
-    if (total > 0) state.stream->recv(scratch);
+    if (total > 0) TcpPmm::stream_of(connection).recv(scratch);
     std::size_t offset = 0;
     for (std::size_t k = 0; k < run.count; ++k) {
       auto out = group[run.first + k];
@@ -131,12 +129,28 @@ TcpPmm::TcpPmm(ChannelEndpoint& endpoint)
 std::unique_ptr<Pmm::ConnState> TcpPmm::make_conn_state(
     std::uint32_t remote) {
   auto state = std::make_unique<State>();
-  state->remote = remote;
-  NetworkInstance& network = endpoint_.channel().network();
-  state->stream =
-      &port_->stream(network.port(remote), endpoint_.channel().id());
-  scan_.add(remote, state->stream);
+  scan_.add(remote, state.get());
   return state;
+}
+
+net::TcpStream& TcpPmm::stream_of(Connection& connection) {
+  auto& state = connection.state<State>();
+  if (state.stream == nullptr) {
+    ChannelEndpoint& local = connection.endpoint();
+    static_cast<TcpPmm&>(local.pmm()).bind(state, connection.remote());
+    ChannelEndpoint& peer = local.channel().endpoint(connection.remote());
+    static_cast<TcpPmm&>(peer.pmm())
+        .bind(peer.connection(connection.local()).state<State>(),
+              connection.local());
+  }
+  return *state.stream;
+}
+
+void TcpPmm::bind(State& state, std::uint32_t remote) {
+  NetworkInstance& network = endpoint_.channel().network();
+  state.stream =
+      &port_->stream(network.port(remote), endpoint_.channel().id());
+  state.stream->set_fastpath(fast_);
 }
 
 Tm& TcpPmm::select_tm(std::size_t, SendMode, ReceiveMode) { return tm_; }
@@ -149,21 +163,21 @@ void TcpPmm::finish_setup() {
   doorbell_ = engine_->register_client(this, [](void* ctx) {
     static_cast<TcpPmm*>(ctx)->flush_pending_streams();
   });
-  for (const auto& [remote, stream] : scan_.peers()) {
-    stream->set_fastpath(true);
-  }
   fast_ = true;
 }
 
 void TcpPmm::flush_pending_streams() {
-  for (const auto& [remote, stream] : scan_.peers()) stream->flush_pending();
+  for (const auto& [remote, state] : scan_.peers()) {
+    if (state->stream != nullptr) state->stream->flush_pending();
+  }
 }
 
 std::uint32_t TcpPmm::wait_incoming() {
   if (!incoming_pred_) {
     incoming_pred_ = [this] {
-      const auto remote = scan_.next(
-          [](const net::TcpStream* stream) { return stream->readable(); });
+      const auto remote = scan_.next([](const State* state) {
+        return state->stream != nullptr && state->stream->readable();
+      });
       if (remote) incoming_found_ = *remote;
       return remote.has_value();
     };

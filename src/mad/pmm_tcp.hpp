@@ -59,10 +59,16 @@ class TcpPmm final : public Pmm {
 
   [[nodiscard]] std::string_view name() const override { return "tcp"; }
 
+  /// `stream` stays null until the connection's first use in either
+  /// direction (see stream_of).
   struct State : ConnState {
     net::TcpStream* stream = nullptr;
-    std::uint32_t remote = 0;
   };
+
+  /// The connection's stream, opened on first use. Opening one half also
+  /// binds the peer's mirror state, so the receiver's wait_incoming sees
+  /// the first byte.
+  static net::TcpStream& stream_of(Connection& connection);
 
   std::unique_ptr<ConnState> make_conn_state(std::uint32_t remote) override;
   Tm& select_tm(std::size_t len, SendMode smode, ReceiveMode rmode) override;
@@ -71,9 +77,9 @@ class TcpPmm final : public Pmm {
       const override {
     return {};
   }
-  /// Wires the fastpath when the session has the stanza: streams switch to
-  /// staged receives and this PMM registers a flush client with the node's
-  /// progress engine for deferred small sends.
+  /// Wires the fastpath when the session has the stanza: streams bound
+  /// from then on use staged receives, and this PMM registers a flush
+  /// client with the node's progress engine for deferred small sends.
   void finish_setup() override;
   std::uint32_t wait_incoming() override;
   [[nodiscard]] double bandwidth_hint_mbs() const override;
@@ -88,12 +94,13 @@ class TcpPmm final : public Pmm {
   void ring_doorbell() { engine_->ring(doorbell_); }
 
  private:
+  void bind(State& state, std::uint32_t remote);
   void flush_pending_streams();
 
   ChannelEndpoint& endpoint_;
   net::TcpPort* port_;
   TcpTm tm_;
-  PeerScan<net::TcpStream*> scan_;
+  PeerScan<const State*> scan_;
   // wait_incoming's select predicate, built once (no per-message
   // std::function churn); the result passes through incoming_found_.
   std::function<bool()> incoming_pred_;

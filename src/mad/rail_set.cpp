@@ -467,7 +467,7 @@ Status RailSet::send_segment(std::size_t rail, std::uint32_t src,
     // Fallible rail: drive the stream with the checked calls and flush,
     // so OK means *delivered* — the trailer's failed mask must be
     // truthful by the time the sender emits it.
-    net::TcpStream* stream = conn.state<TcpPmm::State>().stream;
+    net::TcpStream* stream = &TcpPmm::stream_of(conn);
     Status status = stream->send_checked(data);
     if (status.is_ok()) status = stream->flush();
     return status;
@@ -495,7 +495,7 @@ Status RailSet::recv_segment(std::size_t rail, std::uint32_t src,
   Connection& conn = endpoint.connection(src);
   NetworkInstance& network = channel.network();
   if (network.tcp != nullptr && network.tcp->reliable() != nullptr) {
-    net::TcpStream* stream = conn.state<TcpPmm::State>().stream;
+    net::TcpStream* stream = &TcpPmm::stream_of(conn);
     while (*got < out.size()) {
       std::size_t chunk = 0;
       const Status status =
@@ -531,7 +531,7 @@ void RailSet::drain_segment(std::size_t rail, std::uint32_t src,
   MAD2_CHECK(channel.network().tcp != nullptr,
              "drained a non-stream rail");
   Connection& conn = channel.endpoint(dst).connection(src);
-  net::TcpStream* stream = conn.state<TcpPmm::State>().stream;
+  net::TcpStream* stream = &TcpPmm::stream_of(conn);
   std::size_t got = 0;
   while (got < out.size()) {
     stream->wait_readable();

@@ -63,6 +63,7 @@ void TcpNetwork::on_link_failed(std::uint32_t a, std::uint32_t b,
   // pump is winding down: poison all of a's streams, plus every stream
   // pointed at a from the other ports. Streams between unaffected pairs
   // keep working.
+  dead_.emplace_back(a, status);
   for (auto& port : ports_) {
     for (auto& [key, stream] : port->streams_) {
       if (port->rank_ == a || stream->peer() == a) stream->fail(status);
@@ -100,6 +101,9 @@ TcpStream& TcpPort::stream(std::uint32_t peer, std::uint32_t stream_id) {
              .emplace(key, std::unique_ptr<TcpStream>(
                                new TcpStream(this, peer, stream_id)))
              .first;
+    for (const auto& [rank, status] : network_->dead_) {
+      if (rank == rank_ || rank == peer) it->second->fail(status);
+    }
   }
   return *it->second;
 }

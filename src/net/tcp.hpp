@@ -79,7 +79,8 @@ class TcpNetwork {
 
   /// Reliable-shim link (a -> b) declared dead: tear down both directions
   /// of the affected streams — a real stack would collapse the connection
-  /// pair via RSTs and keepalive timeouts — then report upward.
+  /// pair via RSTs and keepalive timeouts — then report upward. `a` is
+  /// recorded, so a stream opened on it later starts poisoned.
   void on_link_failed(std::uint32_t a, std::uint32_t b,
                       const Status& status);
 
@@ -94,6 +95,8 @@ class TcpNetwork {
   PacketFabric<Packet> fabric_;
   std::unique_ptr<ReliableNetwork> reliable_;
   std::vector<std::unique_ptr<TcpPort>> ports_;
+  // Ranks whose shim gave up, with their death Status, in failure order.
+  std::vector<std::pair<std::uint32_t, Status>> dead_;
   std::function<void(const Status&)> error_handler_;
   std::function<void(std::uint32_t, std::uint32_t, const Status&)>
       link_error_handler_;
@@ -205,8 +208,12 @@ class TcpPort {
   [[nodiscard]] hw::Node& node() { return *node_; }
 
   /// The stream to `peer` with the given id (created on demand; the peer's
-  /// port materializes its own endpoint on first use or first data).
+  /// port materializes its own endpoint on first use or first data). A
+  /// stream created after this rank or `peer` died starts poisoned.
   TcpStream& stream(std::uint32_t peer, std::uint32_t stream_id = 0);
+
+  /// Streams created so far, in either direction.
+  [[nodiscard]] std::size_t stream_count() const { return streams_.size(); }
 
   /// Block until `pred()` holds; re-evaluated after every frame delivered
   /// to any stream of this port (a select() across streams).

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "net/fault.hpp"
 #include "net/tcp.hpp"
 #include "sim/time.hpp"
 #include "testbed.hpp"
@@ -231,6 +232,37 @@ TEST(Tcp, ConcurrentBidirectionalStreams) {
   }
   ASSERT_TRUE(bed.simulator.run().is_ok());
   EXPECT_EQ(done, 4);
+}
+
+TEST(Tcp, StreamOpenedAfterItsEndpointDiedStartsPoisoned) {
+  // Rank 0's shim gives up on a permanent partition. Streams that touch
+  // rank 0 but are opened only afterwards, from either end or from a
+  // bystander, must report the same death rather than look healthy.
+  FaultPlan plan(/*seed=*/3);
+  plan.partition(0, 1, 0, sim::kNever);
+  TcpParams params = TcpParams::fast_ethernet();
+  params.fabric.faults = &plan;
+  params.reliability.max_retransmits = 5;
+  Testbed bed(3);
+  TcpNetwork network(&bed.simulator, bed.node_ptrs(), params);
+  Status death = Status::ok();
+  bed.simulator.spawn("sender", [&] {
+    TcpStream& stream = network.port(0).stream(1, 0);
+    const std::vector<std::byte> payload(64);
+    while (stream.status().is_ok()) {
+      (void)stream.send_checked(payload);
+      bed.simulator.advance(sim::milliseconds(1));
+    }
+    death = stream.status();
+  });
+  ASSERT_TRUE(bed.simulator.run().is_ok());
+  ASSERT_EQ(death.code(), ErrorCode::kUnavailable);
+  for (TcpStream* late :
+       {&network.port(0).stream(1, 7), &network.port(2).stream(0, 7),
+        &network.port(1).stream(0, 7)}) {
+    EXPECT_EQ(late->status().code(), death.code());
+    EXPECT_EQ(late->status().message(), death.message());
+  }
 }
 
 }  // namespace

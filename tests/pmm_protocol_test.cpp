@@ -7,6 +7,7 @@
 
 #include "credit_balance.hpp"
 #include "mad/madeleine.hpp"
+#include "mad/pmm_tcp.hpp"
 #include "util/bytes.hpp"
 
 namespace mad2::mad {
@@ -196,6 +197,46 @@ TEST(PmmProtocol, AnySourceReceiveServesSendersRoundRobin) {
           << to_string(kind) << ": after " << k + 1 << " receives";
     }
   }
+}
+
+TEST(PmmProtocol, TcpStreamsOpenOnFirstUseInPairs) {
+  // Building a TCP session opens no stream. One 0 -> 1 message opens
+  // exactly node 0's stream to 1 and node 1's stream to 0; binding from
+  // the receive side (as a rail lane that posts first does) opens both
+  // halves too.
+  SessionConfig config = one_net(NetworkKind::kTcp);
+  config.node_count = 3;
+  config.networks[0].nodes = {0, 1, 2};
+  Session session(std::move(config));
+  NetworkInstance& network = session.network("n");
+  const auto streams = [&](std::uint32_t node) {
+    return network.tcp->port(network.port(node)).stream_count();
+  };
+  for (std::uint32_t node = 0; node < 3; ++node) {
+    EXPECT_EQ(streams(node), 0u) << "node " << node;
+  }
+  session.spawn(0, "tx", [&](NodeRuntime& rt) {
+    std::uint32_t value = 42;
+    auto& conn = rt.channel("ch").begin_packing(1);
+    mad_pack_value(conn, value);
+    conn.end_packing();
+  });
+  session.spawn(1, "rx", [&](NodeRuntime& rt) {
+    std::uint32_t value = 0;
+    auto& conn = rt.channel("ch").begin_unpacking();
+    mad_unpack_value(conn, value);
+    conn.end_unpacking();
+    EXPECT_EQ(conn.remote(), 0u);
+    EXPECT_EQ(value, 42u);
+  });
+  ASSERT_TRUE(session.run().is_ok());
+  EXPECT_EQ(streams(0), 1u);
+  EXPECT_EQ(streams(1), 1u);
+  EXPECT_EQ(streams(2), 0u);
+
+  (void)TcpPmm::stream_of(session.endpoint("ch", 2).connection(1));
+  EXPECT_EQ(streams(1), 2u);
+  EXPECT_EQ(streams(2), 1u);
 }
 
 TEST(PmmProtocol, MessagesCountPerDirection) {
