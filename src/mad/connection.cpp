@@ -8,8 +8,10 @@
 namespace mad2::mad {
 
 Connection::Connection(ChannelEndpoint* endpoint, std::uint32_t remote,
-                       std::unique_ptr<Pmm::ConnState> state)
-    : endpoint_(endpoint), remote_(remote), state_(std::move(state)) {}
+                       Pmm::ConnState& state)
+    : endpoint_(endpoint),
+      remote_(remote),
+      state_(&state) {}
 
 Connection::~Connection() = default;
 
@@ -185,8 +187,9 @@ void Connection::pack_impl(std::span<const std::byte> data, SendMode smode,
   // open BMM is flushed first — a striped block is a TM change like any
   // other — and `striping_` keeps the scheduler's own framing and inline
   // segment on the normal path.
-  if (rails_ != nullptr && !striping_ && smode == SendMode::kCheaper &&
-      rmode == ReceiveMode::kCheaper && data.size() >= rails_->threshold()) {
+  RailSet* rails = endpoint_->rails_;
+  if (rails != nullptr && !striping_ && smode == SendMode::kCheaper &&
+      rmode == ReceiveMode::kCheaper && data.size() >= rails->threshold()) {
     if (send_bmm_ != nullptr) {
       if (obs_on) {
         obs::trace_event(obs::Category::kSwitch, "switch.flush", "stripe");
@@ -196,7 +199,7 @@ void Connection::pack_impl(std::span<const std::byte> data, SendMode smode,
       send_bmm_ = nullptr;
     }
     striping_ = true;
-    rails_->stripe_send(*this, data);
+    rails->stripe_send(*this, data);
     striping_ = false;
     return;
   }
@@ -291,8 +294,9 @@ void Connection::unpack_impl(std::span<std::byte> out, SendMode smode,
   const bool obs_on = obs_switch_on();
 
   // Mirror of the send-side striping decision.
-  if (rails_ != nullptr && !striping_ && smode == SendMode::kCheaper &&
-      rmode == ReceiveMode::kCheaper && out.size() >= rails_->threshold()) {
+  RailSet* rails = endpoint_->rails_;
+  if (rails != nullptr && !striping_ && smode == SendMode::kCheaper &&
+      rmode == ReceiveMode::kCheaper && out.size() >= rails->threshold()) {
     if (recv_bmm_ != nullptr) {
       if (obs_on) {
         obs::trace_event(obs::Category::kSwitch, "switch.checkout",
@@ -303,7 +307,7 @@ void Connection::unpack_impl(std::span<std::byte> out, SendMode smode,
       recv_bmm_ = nullptr;
     }
     striping_ = true;
-    rails_->stripe_recv(*this, out);
+    rails->stripe_recv(*this, out);
     striping_ = false;
     return;
   }
@@ -346,8 +350,9 @@ bool Connection::unpack_borrow(std::size_t len, SendMode smode,
   // A striping-eligible block is scattered across the rails straight into
   // user memory; it cannot be lent as protocol-buffer views. The copying
   // fallback the caller performs is the striped (zero-copy-landing) path.
-  if (rails_ != nullptr && smode == SendMode::kCheaper &&
-      rmode == ReceiveMode::kCheaper && len >= rails_->threshold()) {
+  const RailSet* rails = endpoint_->rails_;
+  if (rails != nullptr && smode == SendMode::kCheaper &&
+      rmode == ReceiveMode::kCheaper && len >= rails->threshold()) {
     return false;
   }
   // Replay the Switch decision *before* touching any state, so a refusal

@@ -33,8 +33,10 @@ class RailSet;
 
 class Connection {
  public:
+  /// Built on first use (ChannelEndpoint::connection). `state` is the
+  /// PMM's, made at setup.
   Connection(ChannelEndpoint* endpoint, std::uint32_t remote,
-             std::unique_ptr<Pmm::ConnState> state);
+             Pmm::ConnState& state);
   ~Connection();
 
   Connection(const Connection&) = delete;
@@ -86,7 +88,7 @@ class Connection {
   /// Protocol state accessor for TMs (each PMM knows its concrete type).
   template <typename T>
   [[nodiscard]] T& state() {
-    return *static_cast<T*>(state_.get());
+    return *static_cast<T*>(state_);
   }
 
   /// Resolve the Switch decision for a hypothetical block without touching
@@ -166,7 +168,7 @@ class Connection {
 
   ChannelEndpoint* endpoint_;
   std::uint32_t remote_;
-  std::unique_ptr<Pmm::ConnState> state_;
+  Pmm::ConnState* state_;  // owned by the PMM
   TrafficStats stats_;
 
   // madtrace state: histogram pointers are cached find-or-create results
@@ -184,12 +186,11 @@ class Connection {
   sim::Time obs_pack_start_ = 0;
   sim::Time obs_unpack_start_ = 0;
 
-  // Rail-set binding (mad/rail_set.hpp): non-null iff this connection's
-  // channel heads a rail set. Large CHEAPER/CHEAPER blocks are then handed
-  // to the scheduler instead of a single TM; `striping_` guards the
-  // framing and inline-segment blocks the scheduler itself packs through
-  // this connection from being striped again.
-  RailSet* rails_ = nullptr;
+  // Rail striping: when the endpoint heads a rail set (ChannelEndpoint::
+  // rails_, mad/rail_set.hpp), large CHEAPER/CHEAPER blocks are handed to
+  // the scheduler instead of a single TM; `striping_` guards the framing
+  // and inline-segment blocks the scheduler itself packs through this
+  // connection from being striped again.
   bool striping_ = false;
   std::uint32_t stripe_seq_tx_ = 0;
   std::uint32_t stripe_seq_rx_ = 0;

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -25,11 +24,15 @@ class Pmm {
   [[nodiscard]] virtual std::string_view name() const = 0;
 
   /// Per-connection protocol state (driver handles, segment rings, credit
-  /// counters). Created once per (local, remote) pair at session setup.
+  /// counters). The PMM builds one per peer at session setup, in channel
+  /// order, and owns it; the peer's Connection, built on first use, binds
+  /// to it through conn_state.
   struct ConnState {
     virtual ~ConnState() = default;
   };
-  virtual std::unique_ptr<ConnState> make_conn_state(std::uint32_t remote) = 0;
+  virtual void make_conn_state(std::uint32_t remote) = 0;
+  /// The state make_conn_state built for `remote`.
+  virtual ConnState& conn_state(std::uint32_t remote) = 0;
 
   /// Second setup phase, run after every endpoint of the channel exists:
   /// resolve handles that live on peer nodes (e.g. map the SISCI segments

@@ -38,16 +38,18 @@ std::uint32_t BipPmm::ctrl_tag(std::uint32_t sender_port) const {
   return endpoint_.channel().id() * 2 * kMaxPorts + kMaxPorts + sender_port;
 }
 
-std::unique_ptr<Pmm::ConnState> BipPmm::make_conn_state(
-    std::uint32_t remote) {
+void BipPmm::make_conn_state(std::uint32_t remote) {
   auto state =
       std::make_unique<State>(&endpoint_.session().simulator(), options_);
   state->remote = remote;
   state->remote_port = endpoint_.channel().network().port(remote);
-  states_[remote] = state.get();
   by_port_[state->remote_port] = remote;
   scan_.add(remote, state.get());
-  return state;
+  states_[remote] = std::move(state);
+}
+
+BipPmm::State& BipPmm::conn_state(std::uint32_t remote) {
+  return *states_.at(remote);
 }
 
 void BipPmm::finish_setup() {

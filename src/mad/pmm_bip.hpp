@@ -70,7 +70,8 @@ class BipPmm final : public Pmm, private StaticSlotTm::Driver {
     std::deque<std::uint64_t> reqs;  // announced rendezvous sizes
   };
 
-  std::unique_ptr<ConnState> make_conn_state(std::uint32_t remote) override;
+  void make_conn_state(std::uint32_t remote) override;
+  State& conn_state(std::uint32_t remote) override;
   void finish_setup() override;
   Tm& select_tm(std::size_t len, SendMode smode, ReceiveMode rmode) override;
   /// Two TMs split at the driver's short capacity.
@@ -111,7 +112,7 @@ class BipPmm final : public Pmm, private StaticSlotTm::Driver {
   net::BipPort* port_;
   StaticSlotTm short_tm_;
   BipLongTm long_tm_;
-  std::map<std::uint32_t, State*> states_;        // remote -> state
+  std::map<std::uint32_t, std::unique_ptr<State>> states_;  // by remote
   std::map<std::uint32_t, std::uint32_t> by_port_;  // remote port -> remote
   std::unique_ptr<sim::WaitQueue> incoming_wq_;
   PeerScan<const State*> scan_;

@@ -61,7 +61,7 @@ std::size_t IbPmm::recv_pool_size() const {
   return 2 * window() + 4;
 }
 
-std::unique_ptr<Pmm::ConnState> IbPmm::make_conn_state(std::uint32_t remote) {
+void IbPmm::make_conn_state(std::uint32_t remote) {
   auto state = std::make_unique<State>(&endpoint_.session().simulator(),
                                        window(), options_.credit_batch);
   state->remote = remote;
@@ -74,9 +74,12 @@ std::unique_ptr<Pmm::ConnState> IbPmm::make_conn_state(std::uint32_t remote) {
     (void)port_->register_memory(buffer);
     port_->post_recv(state->remote_port, qp(), buffer);
   }
-  by_port_[state->remote_port] = state.get();
   scan_.add(remote, state.get());
-  return state;
+  by_port_[state->remote_port] = std::move(state);
+}
+
+IbPmm::State& IbPmm::conn_state(std::uint32_t remote) {
+  return *by_port_.at(endpoint_.channel().network().port(remote));
 }
 
 void IbPmm::finish_setup() {

@@ -136,7 +136,8 @@ class IbPmm final : public Pmm, private StaticSlotTm::Driver {
     Status dead_status;
   };
 
-  std::unique_ptr<ConnState> make_conn_state(std::uint32_t remote) override;
+  void make_conn_state(std::uint32_t remote) override;
+  State& conn_state(std::uint32_t remote) override;
   void finish_setup() override;
   Tm& select_tm(std::size_t len, SendMode smode, ReceiveMode rmode) override;
   /// Eager vs rendezvous, split at the eager cutoff.
@@ -213,7 +214,7 @@ class IbPmm final : public Pmm, private StaticSlotTm::Driver {
   StaticSlotTm eager_tm_;
   IbRdmaWriteTm write_tm_;
   IbRdmaReadTm read_tm_;
-  std::map<std::uint32_t, State*> by_port_;  // remote port -> state
+  std::map<std::uint32_t, std::unique_ptr<State>> by_port_;  // by port
   PeerScan<const State*> scan_;
   std::unique_ptr<sim::WaitQueue> incoming_wq_;
   // Staging pool for outgoing eager buffers (registered once).

@@ -26,14 +26,16 @@ std::uint32_t SbpPmm::ctrl_tag(std::uint32_t sender_port) const {
   return endpoint_.channel().id() * 2 * kMaxPorts + kMaxPorts + sender_port;
 }
 
-std::unique_ptr<Pmm::ConnState> SbpPmm::make_conn_state(
-    std::uint32_t remote) {
+void SbpPmm::make_conn_state(std::uint32_t remote) {
   auto state = std::make_unique<State>(&endpoint_.session().simulator());
   state->remote = remote;
   state->remote_port = endpoint_.channel().network().port(remote);
-  by_port_[state->remote_port] = state.get();
   scan_.add(remote, state.get());
-  return state;
+  by_port_[state->remote_port] = std::move(state);
+}
+
+SbpPmm::State& SbpPmm::conn_state(std::uint32_t remote) {
+  return *by_port_.at(endpoint_.channel().network().port(remote));
 }
 
 void SbpPmm::finish_setup() {

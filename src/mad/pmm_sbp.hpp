@@ -32,7 +32,8 @@ class SbpPmm final : public Pmm, private StaticSlotTm::Driver {
     std::uint32_t remote_port = 0;
   };
 
-  std::unique_ptr<ConnState> make_conn_state(std::uint32_t remote) override;
+  void make_conn_state(std::uint32_t remote) override;
+  State& conn_state(std::uint32_t remote) override;
   void finish_setup() override;
   Tm& select_tm(std::size_t len, SendMode smode, ReceiveMode rmode) override;
   /// Single (static-buffer) TM: selection is size-independent.
@@ -59,7 +60,7 @@ class SbpPmm final : public Pmm, private StaticSlotTm::Driver {
   ChannelEndpoint& endpoint_;
   net::SbpPort* port_;
   StaticSlotTm tm_;
-  std::map<std::uint32_t, State*> by_port_;  // remote port -> state
+  std::map<std::uint32_t, std::unique_ptr<State>> by_port_;  // by port
   PeerScan<const State*> scan_;
   std::unique_ptr<sim::WaitQueue> incoming_wq_;
 };

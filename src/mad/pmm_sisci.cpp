@@ -32,16 +32,18 @@ std::uint64_t SciPmm::ring_bytes() const {
   return bulk_buffer_offset(options_.bulk_buffers);
 }
 
-std::unique_ptr<Pmm::ConnState> SciPmm::make_conn_state(
-    std::uint32_t remote) {
+void SciPmm::make_conn_state(std::uint32_t remote) {
   auto state = std::make_unique<State>();
   state->remote = remote;
   state->remote_port = endpoint_.channel().network().port(remote);
   state->rx_ring = port_->create_segment(ring_bytes());
   state->tx_feedback = port_->create_segment(8);  // u32 short, u32 bulk
-  states_[remote] = state.get();
   scan_.add(remote, state.get());
-  return state;
+  states_[remote] = std::move(state);
+}
+
+SciPmm::State& SciPmm::conn_state(std::uint32_t remote) {
+  return *states_.at(remote);
 }
 
 void SciPmm::finish_setup() {
@@ -50,8 +52,7 @@ void SciPmm::finish_setup() {
   for (auto& [remote, state] : states_) {
     auto& peer_pmm = static_cast<SciPmm&>(
         endpoint_.channel().endpoint(remote).pmm());
-    const SciPmm::State& peer_state =
-        *peer_pmm.states_.at(endpoint_.local());
+    const SciPmm::State& peer_state = peer_pmm.conn_state(endpoint_.local());
     state->tx_ring = port_->connect(state->remote_port, peer_state.rx_ring);
     state->rx_feedback =
         port_->connect(state->remote_port, peer_state.tx_feedback);

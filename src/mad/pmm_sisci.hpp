@@ -87,7 +87,8 @@ class SciPmm final : public Pmm {
     std::uint64_t bulk_fb_written = 0;
   };
 
-  std::unique_ptr<ConnState> make_conn_state(std::uint32_t remote) override;
+  void make_conn_state(std::uint32_t remote) override;
+  State& conn_state(std::uint32_t remote) override;
   void finish_setup() override;
   Tm& select_tm(std::size_t len, SendMode smode, ReceiveMode rmode) override;
   /// short | PIO | (optionally) DMA, split purely by length.
@@ -132,7 +133,7 @@ class SciPmm final : public Pmm {
   SciShortTm short_tm_;
   SciBulkTm pio_tm_;
   SciBulkTm dma_tm_;
-  std::map<std::uint32_t, State*> states_;
+  std::map<std::uint32_t, std::unique_ptr<State>> states_;
   PeerScan<const State*> scan_;
   // Fastpath feedback deferral (docs/PERFORMANCE.md).
   ProgressEngine* engine_ = nullptr;

@@ -124,33 +124,32 @@ TcpPmm::TcpPmm(ChannelEndpoint& endpoint)
   NetworkInstance& network = endpoint_.channel().network();
   MAD2_CHECK(network.tcp != nullptr, "TcpPmm on a non-TCP network");
   port_ = &network.tcp->port(network.port(endpoint_.local()));
+  states_.resize(network.def.nodes.size());
 }
 
-std::unique_ptr<Pmm::ConnState> TcpPmm::make_conn_state(
-    std::uint32_t remote) {
-  auto state = std::make_unique<State>();
-  scan_.add(remote, state.get());
-  return state;
+void TcpPmm::make_conn_state(std::uint32_t remote) {
+  scan_.add(remote, &conn_state(remote));
+}
+
+TcpPmm::State& TcpPmm::conn_state(std::uint32_t remote) {
+  return states_[endpoint_.channel().network().port(remote)];
 }
 
 net::TcpStream& TcpPmm::stream_of(Connection& connection) {
   auto& state = connection.state<State>();
   if (state.stream == nullptr) {
     ChannelEndpoint& local = connection.endpoint();
-    static_cast<TcpPmm&>(local.pmm()).bind(state, connection.remote());
-    ChannelEndpoint& peer = local.channel().endpoint(connection.remote());
-    static_cast<TcpPmm&>(peer.pmm())
-        .bind(peer.connection(connection.local()).state<State>(),
-              connection.local());
+    static_cast<TcpPmm&>(local.pmm()).bind(connection.remote());
+    static_cast<TcpPmm&>(local.channel().endpoint(connection.remote()).pmm())
+        .bind(connection.local());
   }
   return *state.stream;
 }
 
-void TcpPmm::bind(State& state, std::uint32_t remote) {
-  NetworkInstance& network = endpoint_.channel().network();
-  state.stream =
-      &port_->stream(network.port(remote), endpoint_.channel().id());
-  state.stream->set_fastpath(fast_);
+void TcpPmm::bind(std::uint32_t remote) {
+  const std::uint32_t peer = endpoint_.channel().network().port(remote);
+  states_[peer].stream = &port_->stream(peer, endpoint_.channel().id());
+  states_[peer].stream->set_fastpath(fast_);
 }
 
 Tm& TcpPmm::select_tm(std::size_t, SendMode, ReceiveMode) { return tm_; }

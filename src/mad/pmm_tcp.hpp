@@ -66,11 +66,12 @@ class TcpPmm final : public Pmm {
   };
 
   /// The connection's stream, opened on first use. Opening one half also
-  /// binds the peer's mirror state, so the receiver's wait_incoming sees
-  /// the first byte.
+  /// binds the peer PMM's mirror state (not its Connection), so the
+  /// receiver's wait_incoming sees the first byte.
   static net::TcpStream& stream_of(Connection& connection);
 
-  std::unique_ptr<ConnState> make_conn_state(std::uint32_t remote) override;
+  void make_conn_state(std::uint32_t remote) override;
+  State& conn_state(std::uint32_t remote) override;
   Tm& select_tm(std::size_t len, SendMode smode, ReceiveMode rmode) override;
   /// Single TM: selection is size-independent.
   [[nodiscard]] std::vector<std::size_t> selection_breakpoints()
@@ -94,12 +95,16 @@ class TcpPmm final : public Pmm {
   void ring_doorbell() { engine_->ring(doorbell_); }
 
  private:
-  void bind(State& state, std::uint32_t remote);
+  /// Open the stream of `remote`'s state.
+  void bind(std::uint32_t remote);
   void flush_pending_streams();
 
   ChannelEndpoint& endpoint_;
   net::TcpPort* port_;
   TcpTm tm_;
+  // One state per network port (the own port's slot stays unused), sized
+  // once at construction so the scan's pointers stay valid.
+  std::vector<State> states_;
   PeerScan<const State*> scan_;
   // wait_incoming's select predicate, built once (no per-message
   // std::function churn); the result passes through incoming_found_.

@@ -27,8 +27,7 @@ std::uint32_t ViaPmm::bulk_vi() const {
   return endpoint_.channel().id() * 2 + kBulkVi;
 }
 
-std::unique_ptr<Pmm::ConnState> ViaPmm::make_conn_state(
-    std::uint32_t remote) {
+void ViaPmm::make_conn_state(std::uint32_t remote) {
   auto state = std::make_unique<State>(&endpoint_.session().simulator());
   state->remote = remote;
   state->remote_port = endpoint_.channel().network().port(remote);
@@ -41,9 +40,12 @@ std::unique_ptr<Pmm::ConnState> ViaPmm::make_conn_state(
     (void)port_->register_memory(buffer);
     port_->post_recv(state->remote_port, buffer, short_vi());
   }
-  states_[remote] = state.get();
   scan_.add(remote, state.get());
-  return state;
+  states_[remote] = std::move(state);
+}
+
+ViaPmm::State& ViaPmm::conn_state(std::uint32_t remote) {
+  return *states_.at(remote);
 }
 
 void ViaPmm::finish_setup() {
@@ -65,7 +67,7 @@ void ViaPmm::pump_loop() {
     port_->wait_any([&] {
       for (auto& [remote, state] : states_) {
         if (port_->recv_ready(state->remote_port, short_vi())) {
-          ready = state;
+          ready = state.get();
           return true;
         }
       }

@@ -80,7 +80,8 @@ class ViaPmm final : public Pmm, private StaticSlotTm::Driver {
     std::vector<std::vector<std::byte>> pool;
   };
 
-  std::unique_ptr<ConnState> make_conn_state(std::uint32_t remote) override;
+  void make_conn_state(std::uint32_t remote) override;
+  State& conn_state(std::uint32_t remote) override;
   void finish_setup() override;
   Tm& select_tm(std::size_t len, SendMode smode, ReceiveMode rmode) override;
   /// Short vs rendezvous, split at the packet payload capacity.
@@ -115,7 +116,7 @@ class ViaPmm final : public Pmm, private StaticSlotTm::Driver {
   net::ViaPort* port_;
   StaticSlotTm short_tm_;
   ViaBulkTm bulk_tm_;
-  std::map<std::uint32_t, State*> states_;
+  std::map<std::uint32_t, std::unique_ptr<State>> states_;
   PeerScan<const State*> scan_;
   std::unique_ptr<sim::WaitQueue> incoming_wq_;
   // Staging for outgoing VI-0 packets (header + payload assembled here).

@@ -78,19 +78,18 @@ void RailSet::finish_setup() {
     const std::uint32_t first = rail.channel->nodes().front();
     rail.weight_mbs = rail.channel->endpoint(first).pmm().bandwidth_hint_mbs();
   }
-  // Bind the primary channel's connections so their Switch consults us.
+  // Bind the primary channel's endpoints: their connections' Switch
+  // consults us, whenever a connection is built.
   Channel* primary = rails_[0].channel;
   for (std::uint32_t node : primary->nodes()) {
     ChannelEndpoint& endpoint = primary->endpoint(node);
-    for (auto& [peer, connection] : endpoint.connections_) {
-      MAD2_CHECK(connection->rails_ == nullptr,
-                 "channel heads more than one rail set");
-      connection->rails_ = this;
-    }
+    MAD2_CHECK(endpoint.rails_ == nullptr,
+               "channel heads more than one rail set");
+    endpoint.rails_ = this;
   }
   // One persistent lane fiber per (secondary rail, directed node pair) and
-  // direction — fiber-per-rail, not fiber-per-segment, because fiber
-  // stacks are only reclaimed when the simulator dies.
+  // direction — fiber-per-rail, not fiber-per-segment, because Fiber
+  // objects are only reclaimed when the simulator dies.
   sim::Simulator& simulator = session_->simulator();
   for (std::size_t i = 1; i < rails_.size(); ++i) {
     for (std::uint32_t src : primary->nodes()) {

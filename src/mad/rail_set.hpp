@@ -88,7 +88,8 @@ class RailSet {
   RailSet& operator=(const RailSet&) = delete;
 
   /// Second setup phase (after every channel endpoint exists): validate
-  /// members, bind the primary channel's connections, seed weights from
+  /// members, bind the primary channel's endpoints (their connections,
+  /// built on first use, read the binding), seed weights from
   /// the drivers' bandwidth self-reports, spawn the per-rail lane fibers.
   void finish_setup();
 

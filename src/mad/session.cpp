@@ -55,10 +55,7 @@ ChannelEndpoint::ChannelEndpoint(Session* session, Channel* channel,
     : session_(session), channel_(channel), local_(local) {
   pmm_ = make_pmm(*this);
   for (std::uint32_t peer : channel_->nodes()) {
-    if (peer == local_) continue;
-    connections_.emplace(
-        peer, std::make_unique<Connection>(this, peer,
-                                           pmm_->make_conn_state(peer)));
+    if (peer != local_) pmm_->make_conn_state(peer);
   }
 }
 
@@ -80,8 +77,14 @@ TrafficStats ChannelEndpoint::stats() const {
 
 Connection& ChannelEndpoint::connection(std::uint32_t remote) {
   auto it = connections_.find(remote);
-  MAD2_CHECK(it != connections_.end(),
-             "no connection to that node on this channel");
+  if (it == connections_.end()) {
+    MAD2_CHECK(remote != local_ && channel_->network().has_node(remote),
+               "no connection to that node on this channel");
+    it = connections_
+             .emplace(remote, std::make_unique<Connection>(
+                                  this, remote, pmm_->conn_state(remote)))
+             .first;
+  }
   return *it->second;
 }
 

@@ -1,7 +1,8 @@
 // Session, channel and node-runtime objects: the paper's configuration
 // layer. A Session describes a simulated cluster (nodes, networks,
-// channels), builds every driver and protocol object up front, and runs
-// application bodies as fibers on the nodes.
+// channels), builds every driver and protocol module up front, and runs
+// application bodies as fibers on the nodes. Connection objects are built
+// on first use (ChannelEndpoint::connection).
 #pragma once
 
 #include <cstdint>
@@ -197,7 +198,9 @@ struct NetworkFailure {
 };
 
 /// Per-node local view of a channel: where begin_packing / begin_unpacking
-/// live. Owns the PMM and the connections to every peer.
+/// live. Owns the PMM, which builds every peer's protocol state at setup,
+/// and the Connection objects, each built the first time a send or an
+/// arrival names its peer.
 class ChannelEndpoint {
  public:
   ChannelEndpoint(Session* session, Channel* channel, std::uint32_t local);
@@ -211,9 +214,16 @@ class ChannelEndpoint {
   /// the connection it arrived on (paper: mad_begin_unpacking).
   Connection& begin_unpacking();
 
+  /// The connection to `remote`, built on the first call. Aborts if
+  /// `remote` is this node or not a member of the channel.
   [[nodiscard]] Connection& connection(std::uint32_t remote);
 
-  /// Aggregate traffic statistics across this endpoint's connections.
+  /// How many connections exist so far (built by connection()).
+  [[nodiscard]] std::size_t connection_count() const {
+    return connections_.size();
+  }
+
+  /// Aggregate traffic statistics across the connections that exist.
   [[nodiscard]] TrafficStats stats() const;
 
   [[nodiscard]] std::uint32_t local() const { return local_; }
@@ -232,6 +242,9 @@ class ChannelEndpoint {
   std::unique_ptr<Pmm> pmm_;
   std::map<std::uint32_t, std::unique_ptr<Connection>> connections_;
   Connection* active_incoming_ = nullptr;
+  /// Set by RailSet::finish_setup when this channel heads a rail set;
+  /// every Connection's Switch reads it.
+  RailSet* rails_ = nullptr;
 };
 
 class Channel {

@@ -52,10 +52,11 @@ class MpiPmm final : public mad::Pmm {
     int remote_rank = 0;
   };
 
-  std::unique_ptr<ConnState> make_conn_state(std::uint32_t remote) override {
-    auto state = std::make_unique<State>();
-    state->remote_rank = rank_of_node_.at(remote);
-    return state;
+  void make_conn_state(std::uint32_t remote) override {
+    states_[remote].remote_rank = rank_of_node_.at(remote);
+  }
+  State& conn_state(std::uint32_t remote) override {
+    return states_.at(remote);
   }
 
   mad::Tm& select_tm(std::size_t, mad::SendMode, mad::ReceiveMode) override {
@@ -85,6 +86,7 @@ class MpiPmm final : public mad::Pmm {
   MpiTm tm_;
   std::map<std::uint32_t, int> rank_of_node_;
   std::map<int, std::uint32_t> node_of_rank_;
+  std::map<std::uint32_t, State> states_;  // by remote node
 };
 
 void MpiTm::send_buffer(mad::Connection& connection,

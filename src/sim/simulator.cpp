@@ -3,27 +3,60 @@
 #include <sys/mman.h>
 
 #include <string>
+#include <vector>
 
 #include "obs/trace.hpp"
 
 namespace mad2::sim {
 
+// ----------------------------------------------------------- stack pool ---
+
+namespace {
+
+constexpr std::size_t kStackBytes = 256 * 1024;
+
+// The stacks mapped so far, and the free list a spawn takes from before it
+// maps a new one, so the list never holds more than the peak number of live
+// stacks. Plain globals like g_ambient_schedule_policy below (one host
+// thread by contract); the list is never destroyed, so a Simulator that
+// outlives static destruction can still return its stacks.
+std::size_t g_stacks_mapped = 0;
+std::vector<void*>& free_stacks() {
+  static auto* stacks = new std::vector<void*>;
+  return *stacks;
+}
+
+void* take_stack() {
+  std::vector<void*>& stacks = free_stacks();
+  if (!stacks.empty()) {
+    void* stack = stacks.back();
+    stacks.pop_back();
+    return stack;
+  }
+  void* stack = mmap(nullptr, kStackBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  MAD2_CHECK(stack != MAP_FAILED, "fiber stack mmap failed");
+  ++g_stacks_mapped;
+  return stack;
+}
+
+}  // namespace
+
+std::size_t Simulator::stacks_mapped() { return g_stacks_mapped; }
+
 // ---------------------------------------------------------------- Fiber ---
 
 Fiber::Fiber(Simulator* simulator, std::uint64_t id, std::string name,
-             std::function<void()> body, bool daemon, std::size_t stack_bytes)
+             std::function<void()> body, bool daemon)
     : simulator_(simulator),
       id_(id),
       name_(std::move(name)),
       body_(std::move(body)),
       daemon_(daemon),
-      stack_(mmap(nullptr, stack_bytes, PROT_READ | PROT_WRITE,
-                  MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0)),
-      stack_bytes_(stack_bytes) {
-  MAD2_CHECK(stack_ != MAP_FAILED, "fiber stack mmap failed");
+      stack_(take_stack()) {
   MAD2_CHECK(getcontext(&context_) == 0, "getcontext failed");
   context_.uc_stack.ss_sp = stack_;
-  context_.uc_stack.ss_size = stack_bytes_;
+  context_.uc_stack.ss_size = kStackBytes;
   context_.uc_link = nullptr;  // fibers never fall off the trampoline
   const auto self = reinterpret_cast<std::uintptr_t>(this);
   makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
@@ -31,7 +64,13 @@ Fiber::Fiber(Simulator* simulator, std::uint64_t id, std::string name,
               static_cast<unsigned>(self & 0xffffffffu));
 }
 
-Fiber::~Fiber() { munmap(stack_, stack_bytes_); }
+Fiber::~Fiber() { release_stack(); }
+
+void Fiber::release_stack() {
+  if (stack_ == nullptr) return;
+  free_stacks().push_back(stack_);
+  stack_ = nullptr;
+}
 
 void Fiber::trampoline(unsigned hi, unsigned lo) {
   const std::uintptr_t self = (static_cast<std::uintptr_t>(hi) << 32) |
@@ -65,8 +104,7 @@ SchedulePolicy* Simulator::ambient_schedule_policy() {
   return g_ambient_schedule_policy;
 }
 
-Simulator::Simulator(Options options)
-    : options_(options), schedule_policy_(g_ambient_schedule_policy) {}
+Simulator::Simulator() : schedule_policy_(g_ambient_schedule_policy) {}
 
 // Unfinished fibers are discarded without stack unwinding: objects on
 // their stacks are not destroyed. Sessions are expected to drain via run().
@@ -75,7 +113,7 @@ Simulator::~Simulator() = default;
 Fiber* Simulator::spawn(std::string name, std::function<void()> body) {
   auto fiber = std::unique_ptr<Fiber>(
       new Fiber(this, next_fiber_id_++, std::move(name), std::move(body),
-                /*daemon=*/false, options_.default_stack_bytes));
+                /*daemon=*/false));
   Fiber* raw = fiber.get();
   fibers_.push_back(std::move(fiber));
   schedule_fiber(raw, now_);
@@ -85,7 +123,7 @@ Fiber* Simulator::spawn(std::string name, std::function<void()> body) {
 Fiber* Simulator::spawn_daemon(std::string name, std::function<void()> body) {
   auto fiber = std::unique_ptr<Fiber>(
       new Fiber(this, next_fiber_id_++, std::move(name), std::move(body),
-                /*daemon=*/true, options_.default_stack_bytes));
+                /*daemon=*/true));
   Fiber* raw = fiber.get();
   fibers_.push_back(std::move(fiber));
   schedule_fiber(raw, now_);
@@ -217,6 +255,8 @@ void Simulator::resume(Fiber* fiber) {
   exec.fiber = 0;
   exec.fiber_name = "main";
   current_ = nullptr;
+  // A finished fiber's last swapcontext left its stack for good.
+  if (fiber->state_ == Fiber::State::kDone) fiber->release_stack();
 }
 
 void Simulator::switch_out() {

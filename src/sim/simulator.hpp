@@ -9,7 +9,8 @@
 // dual-buffering) modeled exactly and every run fully deterministic.
 //
 // Threading model: a Simulator and everything scheduled on it must be used
-// from a single OS thread. Distinct Simulator instances are independent.
+// from a single OS thread, and all Simulators of a process from the same
+// one: they share the pool of fiber stacks (see stacks_mapped()).
 #pragma once
 
 #include <cstdint>
@@ -63,10 +64,13 @@ class Fiber {
  private:
   friend class Simulator;
   Fiber(Simulator* simulator, std::uint64_t id, std::string name,
-        std::function<void()> body, bool daemon, std::size_t stack_bytes);
+        std::function<void()> body, bool daemon);
 
   static void trampoline(unsigned hi, unsigned lo);
   void run_body();
+  /// Hand the stack back to the pool (see Simulator::stacks_mapped). Only
+  /// once the fiber is done or being destroyed.
+  void release_stack();
 
   Simulator* simulator_;
   std::uint64_t id_;
@@ -84,9 +88,9 @@ class Fiber {
   // wins (event-queue FIFO order) and the other becomes a no-op, so a
   // deadline armed before the racing notify reports a timeout.
   bool woke_by_timeout_ = false;
-  // An anonymous mapping, committed page by page as the fiber touches it.
+  // A pooled 256 kB anonymous mapping, committed page by page as fibers
+  // touch it; null once returned to the pool.
   void* stack_;
-  std::size_t stack_bytes_;
   ucontext_t context_{};
 };
 
@@ -94,12 +98,7 @@ class Fiber {
 /// and plain callbacks. See file comment for the threading model.
 class Simulator {
  public:
-  struct Options {
-    std::size_t default_stack_bytes = 256 * 1024;
-  };
-
-  Simulator() : Simulator(Options{}) {}
-  explicit Simulator(Options options);
+  Simulator();
   ~Simulator();
 
   Simulator(const Simulator&) = delete;
@@ -124,6 +123,13 @@ class Simulator {
   [[nodiscard]] Time now() const { return now_; }
   [[nodiscard]] Fiber* current() const { return current_; }
   [[nodiscard]] std::size_t live_fiber_count() const;
+
+  /// How many fiber stacks the process has mmap'ed so far. Stacks are
+  /// pooled process-wide: a fiber's stack goes back to the pool when the
+  /// fiber finishes or its Simulator is destroyed, and a spawn maps a new
+  /// one only when the pool is empty. Pooled stacks keep their committed
+  /// pages until the process exits.
+  [[nodiscard]] static std::size_t stacks_mapped();
 
   /// Schedule a plain callback at absolute time `t` (>= now()).
   void post_at(Time t, std::function<void()> fn);
@@ -208,7 +214,6 @@ class Simulator {
   /// anything and is never shown to a SchedulePolicy.
   static bool is_stale(const Event& event);
 
-  Options options_;
   Time now_ = 0;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t next_fiber_id_ = 1;

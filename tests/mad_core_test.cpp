@@ -309,6 +309,38 @@ TEST_P(MadOverDriver, BeginUnpackingIdentifiesTheSender) {
   ASSERT_TRUE(session.run().is_ok());
 }
 
+TEST_P(MadOverDriver, ConnectionsAreBuiltOnFirstUse) {
+  // A fresh session has no Connection object anywhere. One 0 -> 1 message
+  // builds exactly two: the sender's to 1 and the receiver's to 0.
+  Session session(one_network_config(GetParam(), /*nodes=*/3));
+  const auto count = [&](std::uint32_t node) {
+    return session.endpoint("ch0", node).connection_count();
+  };
+  for (std::uint32_t node = 0; node < 3; ++node) {
+    EXPECT_EQ(count(node), 0u) << "node " << node;
+  }
+  session.spawn(0, "tx", [&](NodeRuntime& rt) {
+    auto& conn = rt.channel("ch0").begin_packing(1);
+    std::uint32_t tag = 7;
+    mad_pack_value(conn, tag);
+    mad_end_packing(conn);
+  });
+  session.spawn(1, "rx", [&](NodeRuntime& rt) {
+    auto& conn = rt.channel("ch0").begin_unpacking();
+    std::uint32_t tag = 0;
+    mad_unpack_value(conn, tag);
+    mad_end_unpacking(conn);
+    EXPECT_EQ(conn.remote(), 0u);
+    EXPECT_EQ(tag, 7u);
+  });
+  ASSERT_TRUE(session.run().is_ok());
+  EXPECT_EQ(count(0), 1u);
+  EXPECT_EQ(count(1), 1u);
+  EXPECT_EQ(count(2), 0u);
+  EXPECT_EQ(session.endpoint("ch0", 0).stats().messages_sent, 1u);
+  EXPECT_EQ(session.endpoint("ch0", 1).stats().messages_received, 1u);
+}
+
 TEST_P(MadOverDriver, ChannelsAreIsolatedWorlds) {
   // Paper Section 2.1: communication on one channel does not interfere
   // with another. Receive in the opposite order of sending.

@@ -259,6 +259,21 @@ TEST(Misuse, BeginPackingToSelfAborts) {
   EXPECT_DEATH({ (void)session.run(); }, "no connection");
 }
 
+TEST(Misuse, ConnectionToNonMemberOrSelfAborts) {
+  // Connections are built on first use; asking for one to a session node
+  // outside the channel, or to the local node, still aborts with the text
+  // it had when every connection was built at setup, and builds nothing.
+  SessionConfig config = config_for(NetworkKind::kTcp, false);
+  config.node_count = 3;  // node 2 is not attached to net0
+  Session session(std::move(config));
+  ChannelEndpoint& endpoint = session.endpoint("ch", 0);
+  EXPECT_DEATH((void)endpoint.connection(2),
+               "no connection to that node on this channel");
+  EXPECT_DEATH((void)endpoint.connection(0),
+               "no connection to that node on this channel");
+  EXPECT_EQ(endpoint.connection_count(), 0u);
+}
+
 TEST(Misuse, UnknownChannelNameAborts) {
   Session session(config_for(NetworkKind::kTcp, false));
   session.spawn(0, "f", [&](NodeRuntime& rt) {

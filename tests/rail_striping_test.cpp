@@ -111,6 +111,25 @@ TEST(RailStriping, SweepRailsBySizes) {
   }
 }
 
+TEST(RailStriping, ConnectionsBuiltAfterSetupStillStripe) {
+  // RailSet::finish_setup binds the primary channel's endpoints before any
+  // connection exists; the connections the transfer builds must still
+  // hand large blocks to the rail scheduler.
+  Session session(tcp_rails_config(2));
+  for (const char* channel : {"ch0", "ch1"}) {
+    for (std::uint32_t node = 0; node < 2; ++node) {
+      EXPECT_EQ(session.endpoint(channel, node).connection_count(), 0u)
+          << channel << " node " << node;
+    }
+  }
+  const Status run = run_transfer(session, {1 << 20});
+  ASSERT_TRUE(run.is_ok()) << run.to_string();
+  EXPECT_GT(secondary_segments(session), 0u);
+  const TrafficStats tx = session.endpoint("ch0", 0).stats();
+  ASSERT_EQ(tx.rails.count("ch1"), 1u);
+  EXPECT_GT(tx.rails.at("ch1").bytes, 0u);
+}
+
 TEST(RailStriping, BelowThresholdBlocksAreNotStriped) {
   Session session(tcp_rails_config(2));
   const Status run =

@@ -62,13 +62,13 @@ double peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
-// Measured alone (4 vCPU x86-64, GCC 12 Release, lazily committed fiber
-// stacks; TCP streams and transmit fibers and virtual connections opened
-// on first use), each 256-node test peaks at about 32 MB and the 1024-node
-// torus at about 64 MB, with or without MAD2_TRACE=all; the caps sit at
-// about twice those peaks.
-constexpr double kFatTree256RssCapMb = 70;
-constexpr double kTorus1024RssCapMb = 130;
+// Measured alone (4 vCPU x86-64, GCC 12 Release, lazily committed and
+// pooled fiber stacks; TCP streams and transmit fibers, Connection objects
+// and virtual connections built on first use), each 256-node test peaks at
+// about 14 MB and the 1024-node torus at about 21 MB, with or without
+// MAD2_TRACE=all; the caps sit at about twice those peaks.
+constexpr double kFatTree256RssCapMb = 28;
+constexpr double kTorus1024RssCapMb = 42;
 
 // ------------------------------------------------------ 256-node fat tree
 

@@ -70,6 +70,49 @@ TEST(RoutingSmoke, HealthyFatTreeDeliversAndSpreads) {
   EXPECT_GE(used, 2u) << "hashed spread left a cluster-0 gateway idle";
 }
 
+TEST(RoutingSmoke, LeafFailureFailsTheSessionAsANodeDomain) {
+  // A dead leaf is nobody's routing problem: triage lands in the node
+  // domain, marks the host dead and fails the session, and run() returns
+  // that failure instead of finishing or reporting stuck fibers.
+  FatTreeBed bed = make_fat_tree(2, 4, kGateways);
+  Session session(bed.config);
+  VirtualChannel vc(session, smoke_vdef(bed));
+
+  mad::NetworkFailure report;
+  report.network = &session.network("ft_c0_net");
+  report.status = unavailable("peer unresponsive (test)");
+  report.src_node = bed.gateway(0, 0);
+  report.dst_node = bed.leaf(0, 1);
+
+  // Reported from inside the run, as a driver's link error handler does.
+  mad::FailureDomain domain = mad::FailureDomain::kUnknown;
+  bool reporter_finished = false;
+  session.spawn(bed.gateway(0, 0), "reporter", [&](mad::NodeRuntime&) {
+    domain = session.route_network_failure(report);
+    reporter_finished = true;
+  });
+  session.spawn(bed.leaf(1, 0), "bystander", [&](mad::NodeRuntime& rt) {
+    rt.simulator().advance(sim::milliseconds(1));
+    ADD_FAILURE() << "the run went on after the session failed";
+  });
+  const Status run = session.run();
+  EXPECT_EQ(domain, mad::FailureDomain::kNode);
+  EXPECT_TRUE(reporter_finished);
+  EXPECT_EQ(run, report.status) << run.to_string();
+  EXPECT_EQ(session.health(), report.status);
+  EXPECT_FALSE(session.hostdb().alive(bed.leaf(0, 1)));
+  EXPECT_EQ(session.hostdb().dead_count(), 1u);
+  EXPECT_EQ(vc.routing_counters().gateway_kills, 0u);
+
+  // A repeated report replays the recorded domain; a later, different
+  // failure does not replace the first one.
+  EXPECT_EQ(session.route_network_failure(report),
+            mad::FailureDomain::kNode);
+  session.fail(unavailable("second failure (test)"));
+  EXPECT_EQ(session.health(), report.status);
+  EXPECT_EQ(session.hostdb().dead_count(), 1u);
+}
+
 /// One gateway pump mode: the queue between a gateway's rx and tx fibers.
 struct PumpMode {
   const char* name;

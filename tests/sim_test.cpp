@@ -184,6 +184,44 @@ TEST(Simulator, StopAbortsTheRun) {
   EXPECT_EQ(steps, 5);
 }
 
+// ---------------------------------------------------------- stack pool ---
+
+/// A small run whose peak is four live stacks: a blocked daemon, a main
+/// fiber and the two children it spawns before either runs.
+void run_four_stack_session() {
+  Simulator simulator;
+  simulator.spawn_daemon("idle", [&] { simulator.block_current(); });
+  simulator.spawn("main", [&] {
+    for (int i = 0; i < 2; ++i) {
+      simulator.spawn("child", [&] { simulator.advance(microseconds(1)); });
+    }
+    simulator.advance(microseconds(5));
+  });
+  ASSERT_TRUE(simulator.run().is_ok());
+}
+
+TEST(StackPool, SecondIdenticalSessionMapsNoStack) {
+  run_four_stack_session();
+  const std::size_t mapped = Simulator::stacks_mapped();
+  run_four_stack_session();
+  EXPECT_EQ(Simulator::stacks_mapped(), mapped);
+}
+
+TEST(StackPool, SpawnFinishLoopReusesOneStack) {
+  Simulator simulator;
+  int finished = 0;
+  simulator.spawn("main", [&] {
+    for (int i = 0; i < 100; ++i) {
+      simulator.spawn("child", [&] { ++finished; });
+      simulator.yield_fiber();  // the child runs to completion first
+    }
+  });
+  const std::size_t before = Simulator::stacks_mapped();
+  ASSERT_TRUE(simulator.run().is_ok());
+  EXPECT_EQ(finished, 100);
+  EXPECT_LE(Simulator::stacks_mapped() - before, 1u);
+}
+
 // ---------------------------------------------------------------- Sync ---
 
 TEST(Sync, MutexProvidesExclusionAcrossBlocking) {
