@@ -34,7 +34,6 @@ std::uint64_t SciPmm::ring_bytes() const {
 
 void SciPmm::make_conn_state(std::uint32_t remote) {
   auto state = std::make_unique<State>();
-  state->remote = remote;
   state->remote_port = endpoint_.channel().network().port(remote);
   state->rx_ring = port_->create_segment(ring_bytes());
   state->tx_feedback = port_->create_segment(8);  // u32 short, u32 bulk

@@ -69,7 +69,6 @@ class SciPmm final : public Pmm {
   [[nodiscard]] std::string_view name() const override { return "sisci"; }
 
   struct State : ConnState {
-    std::uint32_t remote = 0;
     std::uint32_t remote_port = 0;
     // Local segments.
     net::SegmentId rx_ring = 0;      // peer writes data here (peer -> me)
