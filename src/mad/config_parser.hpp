@@ -26,11 +26,14 @@
 //       members (see mad/rail_set.hpp); members must be non-paranoid,
 //       pairwise on distinct networks, spanning the same node set
 //   trace [categories=C,C...] [ring_kb=N] [channels=NAME,NAME...]
+//         [propagation] [slo=CHANNEL:P99_US,...]
 //       enable madtrace for sessions built from this config: categories
 //       from {switch, bmm, tm, net, fwd, rail, all} (default all),
 //       ring_kb sizes the event ring, channels= restricts Switch-level
-//       events to the named channels (see obs/trace.hpp). The MAD2_TRACE
-//       environment variable overrides this stanza.
+//       events to the named channels, propagation makes virtual-channel
+//       packets carry a hop trail, and slo= sets per-channel p99
+//       thresholds checked after the run (see obs/trace.hpp). The
+//       MAD2_TRACE environment variable overrides this stanza.
 //   congestion [window=N] [min_window=N] [max_window=N] [gain=F]
 //              [decrease=F] [backlog=F] [quantum=N] [gateway_queue=N]
 //       enable end-to-end congestion windows and weighted-fair flow
