@@ -5,10 +5,10 @@
 // probe flow sends small paced messages; its per-message one-way latency
 // distribution is the figure of merit. Two gateway disciplines compete:
 //
-//   fifo  congestion control off — every bulk sender floods its hop
-//         stream until the transport pushes back, so a standing backlog
-//         of roughly a socket buffer per flow sits between the probe
-//         and the wire.
+//   fifo  congestion control off — every bulk sender fills its hop
+//         stream until the gateway's receive window pushes back, so a
+//         standing backlog of up to a socket buffer per flow sits
+//         between the probe and the wire.
 //   fair  congestion stanza on — per-flow delay-driven AIMD windows cap
 //         each bulk flow's in-flight share (draining the standing
 //         queue) and the gateway runs a DRR fair queue, so a probe

@@ -76,10 +76,10 @@ struct Option {
   std::string_view hint = {};
 };
 
-/// Validity predicates. Each negates the rejected range, so a NaN double
-/// passes them.
+/// Validity predicates. Each states the accepted range, so a NaN double
+/// (which compares false to everything) fails them.
 constexpr auto kAny = [](auto) { return true; };
-constexpr auto kPositive = [](auto x) { return !(x <= 0); };
+constexpr auto kPositive = [](auto x) { return x > 0; };
 
 /// A numeric option's `set`: the value parses as a Number, `valid` holds,
 /// and it lands in `*field`.
@@ -402,11 +402,11 @@ Result<SessionConfig> parse_session_config(std::string_view text) {
            " (must be positive)"},
           {"decrease=",
            number<double>(&cc.decrease,
-                          [](double d) { return !(d <= 0.0 || d >= 1.0); }),
+                          [](double d) { return 0.0 < d && d < 1.0; }),
            "congestion decrease", " (must be in (0, 1))"},
           {"backlog=",
            number<double>(&cc.backlog_factor,
-                          [](double b) { return !(b <= 1.0); }),
+                          [](double b) { return b > 1.0; }),
            "congestion backlog",
            " (must be > 1: smoothed delay at the observed floor is not "
            "congestion)"},

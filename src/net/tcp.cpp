@@ -104,6 +104,15 @@ TcpStream& TcpPort::stream(std::uint32_t peer, std::uint32_t stream_id) {
     for (const auto& [rank, status] : network_->dead_) {
       if (rank == rank_ || rank == peer) it->second->fail(status);
     }
+    // Pair with the peer's end if it exists; otherwise the peer pairs
+    // both when it creates its end (at the latest, on the first frame).
+    auto& peer_streams = network_->ports_[peer]->streams_;
+    auto mirror = peer_streams.find(
+        (static_cast<std::uint64_t>(rank_) << 32) | stream_id);
+    if (mirror != peer_streams.end()) {
+      it->second->mirror_ = mirror->second.get();
+      mirror->second->mirror_ = it->second.get();
+    }
   }
   return *it->second;
 }
@@ -148,7 +157,8 @@ TcpStream::TcpStream(TcpPort* port, std::uint32_t peer,
       stream_id_(stream_id),
       tx_room_(port_->network_->simulator_),
       tx_data_(port_->network_->simulator_),
-      rx_data_(port_->network_->simulator_) {}
+      rx_data_(port_->network_->simulator_),
+      tx_window_(port_->network_->simulator_) {}
 
 // Blocks until no other fiber is inside enqueue_tx() on this stream, then
 // claims the writer turn for the scope. tx_room_ doubles as the turn wait
@@ -242,8 +252,16 @@ void TcpStream::tx_loop() {
   ReliableNetwork* reliable = port_->network_->reliable_.get();
   for (;;) {
     while (tx_buffer_.empty()) tx_data_.wait();
-    const std::size_t chunk =
-        std::min<std::size_t>(tx_buffer_.size(), params.mss);
+    std::size_t chunk = std::min<std::size_t>(tx_buffer_.size(), params.mss);
+    // Receive window: park while the frame would overfill the peer's
+    // socket buffer. tx_buffer_ only grows meanwhile, so re-size the
+    // frame after each wakeup. A poisoned stream ignores the window (its
+    // peer may never read again) and ships what it holds.
+    while (failed_.is_ok() && peer_unread_ + chunk > params.socket_buffer) {
+      tx_window_.wait();
+      chunk = std::min<std::size_t>(tx_buffer_.size(), params.mss);
+    }
+    peer_unread_ += chunk;
     std::vector<std::byte> data(tx_buffer_.begin(),
                                 tx_buffer_.begin() + chunk);
     tx_buffer_.erase(tx_buffer_.begin(), tx_buffer_.begin() + chunk);
@@ -275,6 +293,17 @@ void TcpStream::on_frame(std::vector<std::byte> data) {
   rx_data_.notify_all();
 }
 
+void TcpStream::take_rx(std::byte* out, std::size_t chunk) {
+  port_->node_->charge_memcpy(chunk);
+  std::copy(rx_buffer_.begin(), rx_buffer_.begin() + chunk, out);
+  rx_buffer_.erase(rx_buffer_.begin(), rx_buffer_.begin() + chunk);
+  // The window update is a direct call, like fwd's delivery feedback: an
+  // ACK delay would not throttle a window ~30x the bandwidth-delay
+  // product. Buffered bytes came from the mirror, so it is linked.
+  mirror_->peer_unread_ -= chunk;
+  mirror_->tx_window_.notify_all();
+}
+
 void TcpStream::recv(std::span<std::byte> out) {
   const TcpParams& params = port_->network_->params_;
   if (!fast_) port_->node_->charge_cpu(params.recv_syscall);
@@ -304,10 +333,7 @@ void TcpStream::recv(std::span<std::byte> out) {
     }
     std::size_t chunk = std::min(rx_buffer_.size(), out.size() - done);
     if (fast_) chunk = std::min(chunk, rx_staged_);
-    port_->node_->charge_memcpy(chunk);
-    std::copy(rx_buffer_.begin(), rx_buffer_.begin() + chunk,
-              out.begin() + done);
-    rx_buffer_.erase(rx_buffer_.begin(), rx_buffer_.begin() + chunk);
+    take_rx(out.data() + done, chunk);
     if (fast_) rx_staged_ -= chunk;
     done += chunk;
   }
@@ -323,9 +349,7 @@ std::size_t TcpStream::recv_some(std::span<std::byte> out) {
   }
   std::size_t chunk = std::min(rx_buffer_.size(), out.size());
   if (fast_) chunk = std::min(chunk, rx_staged_);
-  port_->node_->charge_memcpy(chunk);
-  std::copy(rx_buffer_.begin(), rx_buffer_.begin() + chunk, out.begin());
-  rx_buffer_.erase(rx_buffer_.begin(), rx_buffer_.begin() + chunk);
+  take_rx(out.data(), chunk);
   if (fast_) rx_staged_ -= chunk;
   return chunk;
 }
@@ -346,6 +370,7 @@ void TcpStream::fail(const Status& status) {
   tx_room_.notify_all();
   tx_data_.notify_all();
   rx_data_.notify_all();
+  tx_window_.notify_all();
 }
 
 Status TcpStream::send_checked(std::span<const std::byte> data) {
@@ -369,9 +394,7 @@ Status TcpStream::recv_some_checked(std::span<std::byte> out,
     return failed_;
   }
   const std::size_t chunk = std::min(rx_buffer_.size(), out.size());
-  port_->node_->charge_memcpy(chunk);
-  std::copy(rx_buffer_.begin(), rx_buffer_.begin() + chunk, out.begin());
-  rx_buffer_.erase(rx_buffer_.begin(), rx_buffer_.begin() + chunk);
+  take_rx(out.data(), chunk);
   *got = chunk;
   return Status::ok();
 }

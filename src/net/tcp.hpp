@@ -5,6 +5,15 @@
 // (syscall entry, checksum+copy) and MSS framing on a 12.5 MB/s wire.
 // Calibration: raw one-way latency ~75 us, stream bandwidth ~11.5 MB/s.
 //
+// Flow control: each stream's receive window is the socket buffer size.
+// The transmit fiber ships a frame only while the bytes it has shipped and
+// the peer application has not yet read, plus that frame, fit in
+// TcpParams::socket_buffer; every read returns its bytes to the sender at
+// once (the window update carries no modelled ACK delay, since 64 KB is
+// ~30x the ~2 KB bandwidth-delay product of the wire). So a stream holds
+// at most one socket buffer of unread bytes at the receiver plus one in
+// its own send buffer, and a sender whose peer stops reading parks.
+//
 // When a FaultPlan is attached (TcpParams::fabric::faults), frames ride
 // the reliable-delivery shim (net/reliable) instead of the raw fabric —
 // the kernel's seq/ack/retransmit machinery, collapsed to the shim — so
@@ -121,6 +130,8 @@ class TcpStream {
 
   [[nodiscard]] bool readable() const { return !rx_buffer_.empty(); }
   void wait_readable();
+  /// Bytes delivered to this end and not yet read (at most socket_buffer).
+  [[nodiscard]] std::size_t rx_buffered() const { return rx_buffer_.size(); }
 
   [[nodiscard]] std::uint32_t peer() const { return peer_; }
 
@@ -143,7 +154,10 @@ class TcpStream {
 
   /// Block until every byte accepted by send() has left the socket buffer
   /// and — over a faulty fabric — been acknowledged by the peer's shim.
-  /// OK from flush() therefore means delivered, not merely queued.
+  /// OK from flush() therefore means delivered, not merely queued. The
+  /// peer's receive window bounds delivery: with more than one socket
+  /// buffer of bytes unread by the peer, flush() completes only while the
+  /// other end reads.
   Status flush();
 
   // --- fastpath (mad/progress.hpp; see docs/PERFORMANCE.md) --------------
@@ -175,6 +189,9 @@ class TcpStream {
 
   void tx_loop();
   void on_frame(std::vector<std::byte> data);
+  /// Move the first `chunk` buffered bytes to `out` and hand their window
+  /// back to the sending end, waking its transmit fiber.
+  void take_rx(std::byte* out, std::size_t chunk);
   void fail(const Status& status);
   /// send() minus the syscall charge: checksum+copy into the socket
   /// buffer, blocking while it is full. Caller holds the TxWriter turn.
@@ -189,9 +206,16 @@ class TcpStream {
   Status failed_;
   std::deque<std::byte> tx_buffer_;
   std::deque<std::byte> rx_buffer_;
+  // The peer's stream with the same id: it reads what this end ships and
+  // ships what this end reads. Linked when the second of the pair is
+  // created, which is before the first frame between them arrives.
+  TcpStream* mirror_ = nullptr;
+  // Shipped by tx_loop and not yet read by the peer application.
+  std::size_t peer_unread_ = 0;
   sim::WaitQueue tx_room_;
   sim::WaitQueue tx_data_;
   sim::WaitQueue rx_data_;
+  sim::WaitQueue tx_window_;  // tx_loop parked on a full receive window
   bool tx_started_ = false;         // tx_loop spawned (first byte queued)
   bool fast_ = false;
   bool tx_writing_ = false;         // a TxWriter turn is in flight

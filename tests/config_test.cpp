@@ -544,7 +544,19 @@ INSTANTIATE_TEST_SUITE_P(
         // directives
         FullMessageCase{"nodes 2\nfrobnicate\n",
                         "config line 2: unknown directive 'frobnicate'"},
-        FullMessageCase{"", "config: missing 'nodes'"}),
+        FullMessageCase{"", "config: missing 'nodes'"},
+        // NaN compares false to every bound, so each predicate must state
+        // the range it accepts rather than negate the one it rejects.
+        FullMessageCase{"nodes 2\ncongestion gain=nan\n",
+                        "config line 2: invalid congestion gain 'gain=nan' "
+                        "(must be positive)"},
+        FullMessageCase{"nodes 2\ncongestion decrease=nan\n",
+                        "config line 2: invalid congestion decrease "
+                        "'decrease=nan' (must be in (0, 1))"},
+        FullMessageCase{"nodes 2\ncongestion backlog=nan\n",
+                        "config line 2: invalid congestion backlog "
+                        "'backlog=nan' (must be > 1: smoothed delay at the "
+                        "observed floor is not congestion)"}),
     full_message_case_name);
 
 TEST_P(ConfigMessages, MatchInFull) {

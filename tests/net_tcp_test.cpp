@@ -132,6 +132,53 @@ TEST(Tcp, SendBlocksOnFullSocketBufferUntilReceiverDrains) {
   EXPECT_GT(recv_done, send_done);
 }
 
+TEST(Tcp, ReceiveWindowBoundsUnreadBytes) {
+  // The peer's receive window is one socket buffer: a sender writing
+  // 1 MiB to a peer that is not reading ships whole frames until the next
+  // one would overfill it, then parks; each 64 KB the peer reads lets
+  // exactly that much more through, rounded down to whole frames.
+  TcpBed bed(2);
+  const TcpParams& params = bed.network.params();
+  const std::size_t size = 1 << 20;
+  const std::size_t step = 64 * 1024;
+  const auto payload = make_pattern_buffer(size, 5);
+  bool send_done = false;
+  bed.simulator.spawn("sender", [&] {
+    bed.network.port(0).stream(1).send(payload);
+    send_done = true;
+  });
+  bed.simulator.spawn("receiver", [&] {
+    TcpStream& stream = bed.network.port(1).stream(0);
+    std::vector<std::byte> out(size);
+    std::size_t read = 0;
+    for (;;) {
+      // 20 ms moves ~230 KB at wire speed: far more than the window.
+      bed.simulator.advance(sim::milliseconds(20));
+      EXPECT_LE(stream.rx_buffered(), params.socket_buffer);
+      // Whole frames up to the window's end, or the stream's short tail
+      // frame once that fits too.
+      const std::size_t delivered =
+          size - read <= params.socket_buffer
+              ? size
+              : (read + params.socket_buffer) / params.mss * params.mss;
+      EXPECT_EQ(read + stream.rx_buffered(), delivered)
+          << "after reading " << read;
+      // send() cannot return while more than the window plus the
+      // sender's own socket buffer is still unread.
+      if (read + 2 * params.socket_buffer < size) {
+        EXPECT_FALSE(send_done) << "after reading " << read;
+      }
+      if (read == size) break;
+      const std::size_t chunk = std::min(step, size - read);
+      stream.recv(std::span(out).subspan(read, chunk));
+      read += chunk;
+    }
+    EXPECT_TRUE(send_done);
+    EXPECT_TRUE(verify_pattern(out, 5));
+  });
+  ASSERT_TRUE(bed.simulator.run().is_ok());
+}
+
 TEST(Tcp, DirectSendWaitsForInFlightPendingFlush) {
   // Regression: a flush_pending() parked mid-batch on socket-buffer room
   // must finish its whole span before a racing direct send() may start
@@ -232,6 +279,51 @@ TEST(Tcp, ConcurrentBidirectionalStreams) {
   }
   ASSERT_TRUE(bed.simulator.run().is_ok());
   EXPECT_EQ(done, 4);
+}
+
+TEST(Tcp, PoisonWakesASenderParkedOnTheWindow) {
+  // Rank 1 never reads, so rank 0's transmit fiber parks on the receive
+  // window and the writer parks on the full socket buffer behind it. A
+  // permanent partition then kills the link, detected on rank 1's reply,
+  // the only traffic left. Both checked calls must return the link
+  // Status, and the transmit fiber must leave the window wait too: it
+  // ships its last frames into the partition, so rank 0's shim gives up
+  // as well. A fiber still parked on the window would leave it healthy.
+  FaultPlan plan(/*seed=*/5);
+  plan.partition(0, 1, sim::milliseconds(30), sim::kNever);
+  TcpParams params = TcpParams::fast_ethernet();
+  params.fabric.faults = &plan;
+  params.reliability.max_retransmits = 5;
+  Testbed bed(2);
+  TcpNetwork network(&bed.simulator, bed.node_ptrs(), params);
+  const auto payload = make_pattern_buffer(1 << 20, 6);
+  Status sent = Status::ok();
+  Status flushed = Status::ok();
+  std::size_t buffered = 0;
+  bed.simulator.spawn("sender", [&] {
+    TcpStream& stream = network.port(0).stream(1);
+    sent = stream.send_checked(payload);
+    flushed = stream.flush();
+  });
+  bed.simulator.spawn("receiver", [&] {
+    TcpStream& stream = network.port(1).stream(0);
+    bed.simulator.advance(sim::milliseconds(40));
+    buffered = stream.rx_buffered();
+    const std::vector<std::byte> reply(64);
+    (void)stream.send_checked(reply);
+    while (stream.status().is_ok()) {
+      bed.simulator.advance(sim::milliseconds(1));
+    }
+  });
+  ASSERT_TRUE(bed.simulator.run().is_ok());
+  EXPECT_GT(buffered, params.socket_buffer - params.mss);
+  EXPECT_LE(buffered, params.socket_buffer);
+  const Status& death = network.port(0).stream(1).status();
+  ASSERT_EQ(death.code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(sent.message(), death.message());
+  EXPECT_EQ(flushed.message(), death.message());
+  EXPECT_EQ(network.reliable()->endpoint(0).health().code(),
+            ErrorCode::kUnavailable);
 }
 
 TEST(Tcp, StreamOpenedAfterItsEndpointDiedStartsPoisoned) {

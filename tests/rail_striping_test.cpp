@@ -130,6 +130,27 @@ TEST(RailStriping, ConnectionsBuiltAfterSetupStillStripe) {
   EXPECT_GT(tx.rails.at("ch1").bytes, 0u);
 }
 
+TEST(RailStriping, FallibleTcpRailCarriesSegmentsBeyondTwoSocketBuffers) {
+  // A fallible TCP rail sends a segment with send_checked() and then
+  // flush(), whose OK means delivered. A segment over two socket buffers
+  // (the sender's own plus the peer's receive window) therefore completes
+  // only while the receiving lane drains the rail. The striped transfer
+  // must not wedge on it, and no segment may be resubmitted.
+  net::FaultPlan plan(/*seed=*/7);  // no faults: only the fallible path
+  net::TcpParams tcp = net::TcpParams::fast_ethernet();
+  tcp.fabric.faults = &plan;
+  SessionConfig config = tcp_rails_config(2);
+  config.networks[1].tcp_params = tcp;
+  Session session(std::move(config));
+  const Status run = run_transfer(session, {1 << 20});
+  ASSERT_TRUE(run.is_ok()) << run.to_string();
+  EXPECT_TRUE(session.rail_set("r").health().is_ok());
+  const TrafficStats rx = session.endpoint("ch0", 1).connection(0).stats();
+  ASSERT_EQ(rx.rails.count("ch1"), 1u);
+  EXPECT_GT(rx.rails.at("ch1").bytes, 2 * tcp.socket_buffer);
+  EXPECT_EQ(rx.rails.at("ch1").resubmits, 0u);
+}
+
 TEST(RailStriping, BelowThresholdBlocksAreNotStriped) {
   Session session(tcp_rails_config(2));
   const Status run =

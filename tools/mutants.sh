@@ -4,11 +4,11 @@
 #
 #   tools/mutants.sh [build-type]      (default: Release)
 #
-# The tracked and untracked-but-not-ignored files are copied to a scratch
-# directory, so the checkout itself is never modified. There the named
-# test binary is built and run once on the clean tree (it must pass), then
-# once per patch with the patch applied (it must fail). Exits nonzero if a
-# clean run fails or a mutant survives.
+# The tracked and untracked-but-not-ignored files that exist in the working
+# tree are copied to a scratch directory, so the checkout itself is never
+# modified. There the named test binary is built and run once on the clean
+# tree (it must pass), then once per patch with the patch applied (it must
+# fail). Exits nonzero if a clean run fails or a mutant survives.
 #
 # A patch file starts with three header lines before its diff:
 #   Mutant: <what the bug is>
@@ -21,7 +21,11 @@ build_type="${1:-Release}"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-(cd "$repo" && git ls-files -co --exclude-standard -z |
+# A tracked file deleted in the working tree but not staged is still
+# listed by ls-files -c; leave it out (ls-files -d) or tar cannot stat it.
+(cd "$repo" && export LC_ALL=C &&
+   comm -z -23 <(git ls-files -co --exclude-standard -z | sort -z) \
+               <(git ls-files -d -z | sort -z) |
    tar --null -T - -cf -) | tar -xf - -C "$work"
 cmake -S "$work" -B "$work/build" -DCMAKE_BUILD_TYPE="$build_type" >/dev/null
 
