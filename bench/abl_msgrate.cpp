@@ -46,7 +46,7 @@ mad::SessionConfig msgrate_config(mad::NetworkKind kind, bool fastpath) {
     params.fabric.wire_mbs = 125.0;
     config.networks[0].tcp_params = params;
   }
-  if (fastpath) config.fastpath = mad::FastPathConfig{};
+  config.fastpath = fastpath;
   return config;
 }
 

@@ -57,7 +57,7 @@ void BipPmm::finish_setup() {
 
   // Fastpath: owed credits accumulate for the node's progress tick.
   const SessionConfig& config = endpoint_.session().config();
-  if (config.fastpath.has_value() && config.fastpath->defer_bip_credits) {
+  if (config.fastpath) {
     engine_ = endpoint_.session().progress_engine(endpoint_.local());
     doorbell_ = engine_->register_client(this, [](void* ctx) {
       static_cast<BipPmm*>(ctx)->flush_owed_credits();

@@ -15,6 +15,19 @@ namespace {
 constexpr std::size_t kCtsEntryBytes = 16;
 constexpr std::size_t kReadEntryBytes = 24;
 
+std::vector<IbPmm::RemoteBlock> decode_blocks(const std::byte* p,
+                                              bool with_len) {
+  std::vector<IbPmm::RemoteBlock> blocks(load_u32(p));
+  p += 4;
+  for (IbPmm::RemoteBlock& block : blocks) {
+    block.rkey = load_u64(p);
+    block.offset = load_u64(p + 8);
+    if (with_len) block.len = load_u64(p + 16);
+    p += with_len ? kReadEntryBytes : kCtsEntryBytes;
+  }
+  return blocks;
+}
+
 IbPmm::MsgKind imm_kind(std::uint64_t imm) {
   return static_cast<IbPmm::MsgKind>(imm & 0xff);
 }
@@ -56,7 +69,7 @@ std::size_t IbPmm::recv_pool_size() const {
   //    is bounded by `window`, not window/credit_batch;
   //  - one RTS / RTS_READ (rendezvous announcements are serialized per
   //    direction) and one CTS / DONE (answers to our own announcements),
-  //    plus slack for a checked rail-segment handshake racing a TM one.
+  //    plus slack for a rail segment's handshake racing a TM one.
   return 2 * window() + 4;
 }
 
@@ -94,7 +107,7 @@ void IbPmm::finish_setup() {
         if (it != by_port_.end()) mark_dead(*it->second, status);
       });
   Session& session = endpoint_.session();
-  if (session.config().fastpath.has_value()) {
+  if (session.config().fastpath) {
     // CQ reaping as a progress-engine client: the CQ doorbell rings the
     // engine, one drain pass per scheduled batch reaps every completion.
     engine_ = session.progress_engine(endpoint_.local());
@@ -171,18 +184,20 @@ bool IbPmm::check_dead(State& state) {
   return false;
 }
 
-bool IbPmm::wait_or_give_up(State& state, sim::WaitQueue& wq,
-                            sim::Time deadline) {
-  if (wq.wait(deadline)) {
-    // The handshake went quiet past the give-up deadline: declare the
-    // link dead ourselves (no-op if a timer beat us to it).
-    port_->fail_link(state.remote_port,
-                     Status(ErrorCode::kUnavailable,
-                            "ib: rendezvous handshake timed out"));
+template <typename Ready>
+bool IbPmm::await(State& state, sim::WaitQueue& wq, sim::Time deadline,
+                  Ready ready) {
+  while (!ready() && !state.dead) {
+    if (wq.wait(deadline)) {
+      // The handshake went quiet past the give-up deadline: declare the
+      // link dead ourselves (no-op if a timer beat us to it).
+      port_->fail_link(state.remote_port,
+                       Status(ErrorCode::kUnavailable,
+                              "ib: rendezvous handshake timed out"));
+    }
     check_dead(state);
-    return false;
   }
-  return !check_dead(state);
+  return !state.dead;
 }
 
 void IbPmm::pump_loop() {
@@ -226,39 +241,18 @@ void IbPmm::dispatch(const net::IbCompletion& completion) {
           state.dispatch(StaticSlotTm::Packet::kReq, value);
           repost(state, index);
           break;
-        case MsgKind::kCts: {
-          Cts cts;
-          cts.seq = value;
-          const std::byte* p = completion.buffer.data();
-          const std::uint32_t count = load_u32(p);
-          p += 4;
-          cts.blocks.resize(count);
-          for (std::uint32_t i = 0; i < count; ++i) {
-            cts.blocks[i].rkey = load_u64(p);
-            cts.blocks[i].offset = load_u64(p + 8);
-            p += kCtsEntryBytes;
-          }
-          state.cts_queue.push_back(std::move(cts));
+        case MsgKind::kCts:
+          state.cts_queue.push_back(
+              Cts{value, decode_blocks(completion.buffer.data(), false)});
           state.rdv_wq.notify_all();
           repost(state, index);
           break;
-        }
-        case MsgKind::kRtsRead: {
-          const std::byte* p = completion.buffer.data();
-          const std::uint32_t count = load_u32(p);
-          p += 4;
-          std::vector<ReadBlock> blocks(count);
-          for (std::uint32_t i = 0; i < count; ++i) {
-            blocks[i].rkey = load_u64(p);
-            blocks[i].offset = load_u64(p + 8);
-            blocks[i].len = load_u64(p + 16);
-            p += kReadEntryBytes;
-          }
-          state.rts_read.push_back(std::move(blocks));
+        case MsgKind::kRtsRead:
+          state.rts_read.push_back(
+              decode_blocks(completion.buffer.data(), /*with_len=*/true));
           state.recv_wq.notify_all();
           repost(state, index);
           break;
-        }
         case MsgKind::kDone:
           ++state.read_done_acks;
           state.rdv_wq.notify_all();
@@ -335,11 +329,40 @@ void IbPmm::send_credits(StaticSlotTm::Slots& slots, std::size_t count) {
   send_ctrl(static_cast<State&>(slots), MsgKind::kCredit, count);
 }
 
+// ------------------------------------------------ shared rendezvous steps ---
+
+template <typename Byte>
+std::vector<std::byte> IbPmm::pin_and_advertise(
+    const std::vector<std::span<Byte>>& group, bool with_len,
+    std::vector<net::IbMr>& mrs) {
+  const std::size_t entry = with_len ? kReadEntryBytes : kCtsEntryBytes;
+  MAD2_CHECK(4 + group.size() * entry <= options_.eager_cutoff,
+             "rendezvous group too large for one control message");
+  mrs.reserve(group.size());
+  std::vector<std::byte> payload(4 + group.size() * entry);
+  store_u32(payload.data(), static_cast<std::uint32_t>(group.size()));
+  std::byte* p = payload.data() + 4;
+  for (const auto& block : group) {
+    const net::IbMr mr = port_->reg_cache().acquire(block.data(), block.size());
+    store_u64(p, mr.key);
+    store_u64(p + 8, reinterpret_cast<std::uintptr_t>(block.data()) - mr.base);
+    if (with_len) store_u64(p + 16, block.size());
+    p += entry;
+    mrs.push_back(mr);
+  }
+  return payload;
+}
+
+void IbPmm::release(const std::vector<net::IbMr>& mrs) {
+  for (const net::IbMr& mr : mrs) port_->reg_cache().release(mr);
+}
+
 // ---------------------------------------------------------- IbRdmaWriteTm ---
 
-void IbRdmaWriteTm::send_buffer_group(
+Status IbRdmaWriteTm::send(
     Connection& connection,
-    const std::vector<std::span<const std::byte>>& group) {
+    const std::vector<std::span<const std::byte>>& group,
+    sim::Time deadline) {
   auto& state = connection.state<IbPmm::State>();
   std::uint64_t total = 0;
   for (const auto& block : group) total += block.size();
@@ -349,9 +372,11 @@ void IbRdmaWriteTm::send_buffer_group(
     MAD2_TRACE_SPAN(wait, obs::Category::kTm, "ib.cts_wait");
     wait.args(total, group.size());
     pmm_->drain_cq();
-    while (state.cts_queue.empty() && !state.dead) state.rdv_wq.wait();
+    if (!pmm_->await(state, state.rdv_wq, deadline,
+                     [&] { return !state.cts_queue.empty(); })) {
+      return state.dead_status;  // nothing sane to send
+    }
   }
-  if (state.dead) return;  // session is failing; nothing sane to send
   IbPmm::Cts cts = std::move(state.cts_queue.front());
   state.cts_queue.pop_front();
   MAD2_CHECK(cts.blocks.size() == group.size(),
@@ -375,20 +400,26 @@ void IbRdmaWriteTm::send_buffer_group(
   {
     MAD2_TRACE_SPAN(wait, obs::Category::kTm, "ib.write_ack_wait");
     wait.args(total);
-    while (state.write_acks < group.size() && !state.dead) {
-      state.rdv_wq.wait();
-    }
+    (void)pmm_->await(state, state.rdv_wq, deadline,
+                      [&] { return state.write_acks >= group.size(); });
   }
+  // Error completions count too, so a dead link may leave acks behind.
   if (state.write_acks >= group.size()) state.write_acks -= group.size();
-  for (const net::IbMr& mr : mrs) pmm_->port().reg_cache().release(mr);
+  pmm_->release(mrs);
+  // All-or-nothing: a dead link claims nothing delivered, even if some
+  // blocks landed (the receiver re-lands a resubmitted copy bit-identically).
+  return state.dead ? state.dead_status : Status::ok();
 }
 
-void IbRdmaWriteTm::receive_sub_buffer_group(
-    Connection& connection, const std::vector<std::span<std::byte>>& group) {
+Status IbRdmaWriteTm::receive(Connection& connection,
+                              const std::vector<std::span<std::byte>>& group,
+                              sim::Time deadline) {
   auto& state = connection.state<IbPmm::State>();
   pmm_->drain_cq();
-  while (state.reqs.empty() && !state.dead) state.recv_wq.wait();
-  if (state.dead) return;
+  if (!pmm_->await(state, state.recv_wq, deadline,
+                   [&] { return !state.reqs.empty(); })) {
+    return state.dead_status;
+  }
   const std::uint64_t announced = state.reqs.front();
   state.reqs.pop_front();
 
@@ -398,35 +429,24 @@ void IbRdmaWriteTm::receive_sub_buffer_group(
              "rendezvous size mismatch: asymmetric pack/unpack sequences");
 
   // Pin the landing blocks and advertise their rkeys in the CTS.
-  MAD2_CHECK(4 + group.size() * kCtsEntryBytes <= pmm_->options().eager_cutoff,
-             "rendezvous group too large for one CTS");
   const std::uint64_t seq = state.next_seq++;
   std::vector<net::IbMr> mrs;
-  mrs.reserve(group.size());
-  std::vector<std::byte> payload(4 + group.size() * kCtsEntryBytes);
-  store_u32(payload.data(), static_cast<std::uint32_t>(group.size()));
-  std::byte* p = payload.data() + 4;
-  for (const auto& block : group) {
-    const net::IbMr mr =
-        pmm_->port().reg_cache().acquire(block.data(), block.size());
-    store_u64(p, mr.key);
-    store_u64(p + 8,
-              reinterpret_cast<std::uintptr_t>(block.data()) - mr.base);
-    p += kCtsEntryBytes;
-    mrs.push_back(mr);
-  }
-  pmm_->send_ctrl(state, IbPmm::MsgKind::kCts, seq, payload);
+  pmm_->send_ctrl(state, IbPmm::MsgKind::kCts, seq,
+                  pmm_->pin_and_advertise(group, /*with_len=*/false, mrs));
   {
     MAD2_TRACE_SPAN(wait, obs::Category::kTm, "ib.write_imm_wait");
     wait.args(total, group.size());
-    while (state.write_imms.empty() && !state.dead) state.rdv_wq.wait();
+    (void)pmm_->await(state, state.rdv_wq, deadline,
+                      [&] { return !state.write_imms.empty(); });
   }
-  if (!state.write_imms.empty()) {
+  const bool landed = !state.write_imms.empty();
+  if (landed) {
     MAD2_CHECK(state.write_imms.front() == seq,
                "write-rendezvous completion out of order");
     state.write_imms.pop_front();
   }
-  for (const net::IbMr& mr : mrs) pmm_->port().reg_cache().release(mr);
+  pmm_->release(mrs);
+  return landed ? Status::ok() : state.dead_status;
 }
 
 // ----------------------------------------------------------- IbRdmaReadTm ---
@@ -440,25 +460,9 @@ void IbRdmaReadTm::send_buffer_group(
 
   // Pin the source blocks and advertise them; the receiver pulls with
   // RDMA reads whenever it lands the data (receiver-driven CHEAPER).
-  MAD2_CHECK(
-      4 + group.size() * kReadEntryBytes <= pmm_->options().eager_cutoff,
-      "rendezvous group too large for one RTS_READ");
   std::vector<net::IbMr> mrs;
-  mrs.reserve(group.size());
-  std::vector<std::byte> payload(4 + group.size() * kReadEntryBytes);
-  store_u32(payload.data(), static_cast<std::uint32_t>(group.size()));
-  std::byte* p = payload.data() + 4;
-  for (const auto& block : group) {
-    const net::IbMr mr =
-        pmm_->port().reg_cache().acquire(block.data(), block.size());
-    store_u64(p, mr.key);
-    store_u64(p + 8,
-              reinterpret_cast<std::uintptr_t>(block.data()) - mr.base);
-    store_u64(p + 16, block.size());
-    p += kReadEntryBytes;
-    mrs.push_back(mr);
-  }
-  pmm_->send_ctrl(state, IbPmm::MsgKind::kRtsRead, total, payload);
+  pmm_->send_ctrl(state, IbPmm::MsgKind::kRtsRead, total,
+                  pmm_->pin_and_advertise(group, /*with_len=*/true, mrs));
   {
     MAD2_TRACE_SPAN(wait, obs::Category::kTm, "ib.read_done_wait");
     wait.args(total, group.size());
@@ -466,7 +470,7 @@ void IbRdmaReadTm::send_buffer_group(
     while (state.read_done_acks == 0 && !state.dead) state.rdv_wq.wait();
   }
   if (state.read_done_acks > 0) --state.read_done_acks;
-  for (const net::IbMr& mr : mrs) pmm_->port().reg_cache().release(mr);
+  pmm_->release(mrs);
 }
 
 void IbRdmaReadTm::receive_sub_buffer_group(
@@ -475,7 +479,7 @@ void IbRdmaReadTm::receive_sub_buffer_group(
   pmm_->drain_cq();
   while (state.rts_read.empty() && !state.dead) state.recv_wq.wait();
   if (state.dead) return;
-  std::vector<IbPmm::ReadBlock> blocks = std::move(state.rts_read.front());
+  std::vector<IbPmm::RemoteBlock> blocks = std::move(state.rts_read.front());
   state.rts_read.pop_front();
   MAD2_CHECK(blocks.size() == group.size(),
              "rendezvous block-count mismatch: asymmetric pack/unpack "
@@ -500,90 +504,9 @@ void IbRdmaReadTm::receive_sub_buffer_group(
     }
   }
   if (state.read_dones >= group.size()) state.read_dones -= group.size();
-  for (const net::IbMr& mr : mrs) pmm_->port().reg_cache().release(mr);
+  pmm_->release(mrs);
   // Fire-and-forget: the source only needs to know its pins can drop.
   pmm_->send_ctrl(state, IbPmm::MsgKind::kDone, 0);
-}
-
-// ------------------------------------------------- checked rail segments ---
-
-Status IbPmm::segment_send_checked(Connection& connection,
-                                   std::span<const std::byte> data) {
-  auto& state = connection.state<State>();
-  if (check_dead(state)) return state.dead_status;
-  const sim::Time deadline =
-      endpoint_.session().simulator().now() + port_->params().op_timeout;
-
-  send_ctrl(state, MsgKind::kRts, data.size());
-  drain_cq();
-  while (state.cts_queue.empty()) {
-    if (check_dead(state)) return state.dead_status;
-    if (!wait_or_give_up(state, state.rdv_wq, deadline)) {
-      return state.dead_status;
-    }
-  }
-  Cts cts = std::move(state.cts_queue.front());
-  state.cts_queue.pop_front();
-  MAD2_CHECK(cts.blocks.size() == 1, "checked segment expects one block");
-
-  const net::IbMr mr = port_->reg_cache().acquire(data.data(), data.size());
-  (void)port_->post_rdma_write(state.remote_port, qp(), data,
-                               cts.blocks[0].rkey, cts.blocks[0].offset,
-                               encode_imm(MsgKind::kFin, cts.seq));
-  while (state.write_acks == 0) {
-    if (state.dead) break;  // error CQE resolves write_acks; fall through
-    if (!wait_or_give_up(state, state.rdv_wq, deadline)) break;
-  }
-  if (state.write_acks > 0) --state.write_acks;
-  port_->reg_cache().release(mr);
-  // All-or-nothing: a dead link means the segment is not claimed
-  // delivered, even if some fragments landed (the receiver re-lands the
-  // resubmitted copy bit-identically).
-  return state.dead ? state.dead_status : Status::ok();
-}
-
-Status IbPmm::segment_recv_checked(Connection& connection,
-                                   std::span<std::byte> out) {
-  auto& state = connection.state<State>();
-  if (check_dead(state)) return state.dead_status;
-  const sim::Time deadline =
-      endpoint_.session().simulator().now() + port_->params().op_timeout;
-
-  drain_cq();
-  while (state.reqs.empty()) {
-    if (check_dead(state)) return state.dead_status;
-    if (!wait_or_give_up(state, state.recv_wq, deadline)) {
-      return state.dead_status;
-    }
-  }
-  const std::uint64_t announced = state.reqs.front();
-  state.reqs.pop_front();
-  MAD2_CHECK(announced == out.size(),
-             "checked rail segment size mismatch");
-
-  const net::IbMr mr = port_->reg_cache().acquire(out.data(), out.size());
-  const std::uint64_t seq = state.next_seq++;
-  std::vector<std::byte> payload(4 + kCtsEntryBytes);
-  store_u32(payload.data(), 1);
-  store_u64(payload.data() + 4, mr.key);
-  store_u64(payload.data() + 12,
-            reinterpret_cast<std::uintptr_t>(out.data()) - mr.base);
-  send_ctrl(state, MsgKind::kCts, seq, payload);
-  while (state.write_imms.empty()) {
-    if (check_dead(state)) {
-      port_->reg_cache().release(mr);
-      return state.dead_status;
-    }
-    if (!wait_or_give_up(state, state.rdv_wq, deadline)) {
-      port_->reg_cache().release(mr);
-      return state.dead_status;
-    }
-  }
-  MAD2_CHECK(state.write_imms.front() == seq,
-             "checked segment completion out of order");
-  state.write_imms.pop_front();
-  port_->reg_cache().release(mr);
-  return Status::ok();
 }
 
 }  // namespace mad2::mad

@@ -22,10 +22,11 @@
 // that drains the CQ once per scheduled batch, with the CQ's doorbell
 // callback ringing the engine.
 //
-// Rail integration: segment_send_checked / segment_recv_checked run the
-// write rendezvous with Status propagation and a give-up deadline instead
-// of aborting, so an IB rail inside a RailSet survives mid-rendezvous
-// link death (the RailSet resubmits the segment elsewhere).
+// Rail integration: a RailSet moves an IB segment as a one-block group
+// through the write TM's own send/receive bodies, with a give-up deadline.
+// Link death comes back as a Status instead of wedging, so an IB rail
+// survives mid-rendezvous link death (the RailSet resubmits the segment
+// elsewhere).
 #pragma once
 
 #include <deque>
@@ -50,10 +51,24 @@ class IbRdmaWriteTm final : public GroupTm {
 
   void send_buffer_group(
       Connection& connection,
-      const std::vector<std::span<const std::byte>>& group) override;
+      const std::vector<std::span<const std::byte>>& group) override {
+    (void)send(connection, group, sim::kNever);
+  }
   void receive_sub_buffer_group(
       Connection& connection,
-      const std::vector<std::span<std::byte>>& group) override;
+      const std::vector<std::span<std::byte>>& group) override {
+    (void)receive(connection, group, sim::kNever);
+  }
+
+  /// The write rendezvous of one group; the GroupTm calls pass sim::kNever.
+  /// A handshake still quiet at `deadline` kills the link. All-or-nothing:
+  /// a dead link's Status claims nothing of the group delivered.
+  Status send(Connection& connection,
+              const std::vector<std::span<const std::byte>>& group,
+              sim::Time deadline);
+  Status receive(Connection& connection,
+                 const std::vector<std::span<std::byte>>& group,
+                 sim::Time deadline);
 
  private:
   IbPmm* pmm_;
@@ -93,16 +108,12 @@ class IbPmm final : public Pmm, private StaticSlotTm::Driver {
     kFin = 7,      ///< write-with-immediate marker; value = seq
   };
 
-  /// A peer block advertised in a CTS (write rendezvous).
+  /// A peer block advertised in a CTS (write rendezvous) or an RTS_READ
+  /// (read rendezvous, which also carries the length).
   struct RemoteBlock {
     std::uint64_t rkey = 0;
     std::uint64_t offset = 0;  // within the registered region
-  };
-  /// A source block advertised in an RTS_READ (read rendezvous).
-  struct ReadBlock {
-    std::uint64_t rkey = 0;
-    std::uint64_t offset = 0;
-    std::uint64_t len = 0;
+    std::uint64_t len = 0;     // RTS_READ only
   };
   struct Cts {
     std::uint64_t seq = 0;
@@ -122,7 +133,7 @@ class IbPmm final : public Pmm, private StaticSlotTm::Driver {
     sim::WaitQueue rdv_wq;
     // --- receive side (filled by the CQ dispatch; woken via recv_wq;
     // Slots::reqs holds the announced write totals) ---
-    std::deque<std::vector<ReadBlock>> rts_read;
+    std::deque<std::vector<RemoteBlock>> rts_read;
     std::deque<std::uint64_t> write_imms;    // landed write seqs
     std::size_t read_dones = 0;              // kRdmaRead completions
     std::uint64_t next_seq = 1;
@@ -130,7 +141,7 @@ class IbPmm final : public Pmm, private StaticSlotTm::Driver {
     // StaticBuffer handle is its index here plus one.
     std::vector<std::vector<std::byte>> pool;
     // Set once the link died (error CQE or give-up deadline); every
-    // checked wait bails with dead_status.
+    // rendezvous wait bails, the write TM's with dead_status.
     bool dead = false;
     Status dead_status;
   };
@@ -170,15 +181,8 @@ class IbPmm final : public Pmm, private StaticSlotTm::Driver {
   /// call from anywhere; re-entry (engine tick vs inline drain) no-ops.
   void drain_cq();
 
-  // --- RailSet integration (see rail_set.cpp) -----------------------------
-  /// One checked write-rendezvous segment: like the write TM, but link
-  /// death (error completions, or a give-up deadline on a handshake that
-  /// went quiet) returns a Status instead of wedging. All-or-nothing: an
-  /// error means nothing of `data` is claimed delivered.
-  Status segment_send_checked(Connection& connection,
-                              std::span<const std::byte> data);
-  Status segment_recv_checked(Connection& connection,
-                              std::span<std::byte> out);
+  /// The write TM; a RailSet moves its IB segments through it.
+  [[nodiscard]] IbRdmaWriteTm& write_tm() { return write_tm_; }
 
  private:
   // --- StaticSlotTm::Driver: registered staging out, posted pool in ---
@@ -203,9 +207,18 @@ class IbPmm final : public Pmm, private StaticSlotTm::Driver {
   void mark_dead(State& state, const Status& status);
   /// True once the connection is unusable (local flag or poisoned port).
   bool check_dead(State& state);
-  /// Deadline-guarded wait on `wq`: returns false and kills the
-  /// connection if `deadline` passes first.
-  bool wait_or_give_up(State& state, sim::WaitQueue& wq, sim::Time deadline);
+  /// Wait on `wq` until `ready()` or the connection dies (a `deadline`
+  /// passing first kills the link). True iff the connection is alive.
+  template <typename Ready>
+  bool await(State& state, sim::WaitQueue& wq, sim::Time deadline,
+             Ready ready);
+  /// Pin each block through the registration cache into `mrs` and encode
+  /// the CTS / RTS_READ payload (see decode_blocks in pmm_ib.cpp).
+  template <typename Byte>
+  std::vector<std::byte> pin_and_advertise(
+      const std::vector<std::span<Byte>>& group, bool with_len,
+      std::vector<net::IbMr>& mrs);
+  void release(const std::vector<net::IbMr>& mrs);
 
   ChannelEndpoint& endpoint_;
   IbPmmOptions options_;

@@ -60,7 +60,7 @@ void SciPmm::finish_setup() {
   // Fastpath: consumed-counter feedback accumulates for the node's
   // progress tick instead of one PIO write per consumed unit.
   const SessionConfig& config = endpoint_.session().config();
-  if (config.fastpath.has_value() && config.fastpath->defer_sci_feedback) {
+  if (config.fastpath) {
     engine_ = endpoint_.session().progress_engine(endpoint_.local());
     doorbell_ = engine_->register_client(this, [](void* ctx) {
       static_cast<SciPmm*>(ctx)->flush_owed_feedback();

@@ -20,7 +20,7 @@ void TcpTm::send_buffer(Connection& connection,
   // bytes first, so ordering holds across the mix.
   if (pmm_->fastpath() && data.size() < kCoalesceMax) {
     stream->send_deferred(data);
-    if (stream->pending_bytes() >= pmm_->flush_bytes()) {
+    if (stream->pending_bytes() >= TcpPmm::kFlushBytes) {
       stream->flush_pending();
     } else {
       pmm_->ring_doorbell();
@@ -156,8 +156,7 @@ Tm& TcpPmm::select_tm(std::size_t, SendMode, ReceiveMode) { return tm_; }
 
 void TcpPmm::finish_setup() {
   Session& session = endpoint_.session();
-  if (!session.config().fastpath.has_value()) return;
-  fast_flush_bytes_ = session.config().fastpath->tcp_flush_bytes;
+  if (!session.config().fastpath) return;
   engine_ = session.progress_engine(endpoint_.local());
   doorbell_ = engine_->register_client(this, [](void* ctx) {
     static_cast<TcpPmm*>(ctx)->flush_pending_streams();

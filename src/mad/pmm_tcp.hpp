@@ -91,7 +91,7 @@ class TcpPmm final : public Pmm {
   // --- fastpath hooks for TcpTm ------------------------------------------
   [[nodiscard]] bool fastpath() const { return fast_; }
   /// Inline-flush threshold for a stream's deferred-send staging.
-  [[nodiscard]] std::size_t flush_bytes() const { return fast_flush_bytes_; }
+  static constexpr std::size_t kFlushBytes = 8 * 1024;
   void ring_doorbell() { engine_->ring(doorbell_); }
 
  private:
@@ -114,7 +114,6 @@ class TcpPmm final : public Pmm {
   ProgressEngine* engine_ = nullptr;
   std::size_t doorbell_ = 0;
   bool fast_ = false;
-  std::size_t fast_flush_bytes_ = 8 * 1024;
 };
 
 }  // namespace mad2::mad

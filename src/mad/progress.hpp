@@ -1,16 +1,19 @@
 // Batched progress engine (ROADMAP item 4, LCI-style).
 //
-// One ProgressEngine runs per node when the session's `fastpath` stanza is
-// present: a daemon fiber that drains every pending doorbell in a single
-// pass per schedule instead of one wakeup per message. Protocol modules
-// register a flush callback once at setup and ring their doorbell from the
-// hot path — a bit set plus one wait-queue notify, no allocation, no
-// std::function construction per message. The tick then coalesces the
-// deferred work: a TCP endpoint pushes every pending deferred send with
-// one kernel crossing per stream, a BIP endpoint returns all owed credits
-// with one control packet per peer.
+// One ProgressEngine runs per node when SessionConfig::fastpath is on: a
+// daemon fiber that drains every pending doorbell in a single pass per
+// schedule instead of one wakeup per message. Protocol modules register a
+// flush callback once at setup and ring their doorbell from the hot path —
+// a bit set plus one wait-queue notify, no allocation, no std::function
+// construction per message. The tick then coalesces the deferred work: a
+// TCP endpoint pushes every pending deferred send with one kernel crossing
+// per stream (a stream whose staging reaches TcpPmm::kFlushBytes flushes
+// inline), a BIP endpoint returns all owed credits with one control packet
+// per peer, and a SISCI endpoint writes each dirty consumed counter once
+// per peer (a fiber about to block still flushes its own first). VIA and
+// SBP keep their per-message behavior.
 //
-// Without the stanza no engine exists and every driver keeps its legacy
+// With the flag off no engine exists and every driver keeps its legacy
 // per-message behavior — virtual time and the wire stay bit-identical.
 #pragma once
 
@@ -22,28 +25,6 @@
 #include "sim/sync.hpp"
 
 namespace mad2::mad {
-
-/// `fastpath` config stanza: opt-in hot-path batching (see
-/// docs/PERFORMANCE.md). Presence of the stanza enables the per-node
-/// progress engines; the fields tune the batching thresholds.
-struct FastPathConfig {
-  /// A TCP stream whose deferred-send staging reaches this many bytes
-  /// flushes inline (bounding staging memory and worst-case latency)
-  /// instead of waiting for the next progress tick.
-  std::size_t tcp_flush_bytes = 8 * 1024;
-  /// BIP: owed receive credits are returned by the progress tick, one
-  /// control packet per peer per tick, instead of inline on the app fiber
-  /// at the batching threshold. The flush-before-block safety net in the
-  /// short TM stays either way.
-  bool defer_bip_credits = true;
-  /// SISCI: consumed-counter feedback (short-slot and bulk-buffer
-  /// credits) is PIO-written by the progress tick, one write per dirty
-  /// counter per peer per tick, instead of per consumed unit on the app
-  /// fiber. A fiber about to block still flushes its owed counters first
-  /// so a peer waiting on them is never stalled behind the tick. VIA and
-  /// SBP keep their legacy per-message behavior.
-  bool defer_sci_feedback = true;
-};
 
 /// What the engine did, exported via Session::export_metrics
 /// ("progress.nodeN.*") and surfaced in the bench JSON sidecars.

@@ -472,11 +472,14 @@ Status RailSet::send_segment(std::size_t rail, std::uint32_t src,
     return status;
   }
   if (network.ib != nullptr) {
-    // Fallible RDMA rail: the checked write rendezvous returns link death
-    // as a Status (all-or-nothing), so a dead HCA link resubmits the
-    // whole segment on the survivors instead of aborting the session.
+    // Fallible RDMA rail: the write TM's rendezvous with a give-up
+    // deadline returns link death as a Status (all-or-nothing), so a dead
+    // HCA link resubmits the whole segment on the survivors instead of
+    // aborting the session.
     return static_cast<IbPmm&>(endpoint.pmm())
-        .segment_send_checked(conn, data);
+        .write_tm()
+        .send(conn, {data},
+              session_->simulator().now() + network.ib->params().op_timeout);
   }
   // A static-buffer-only rail (e.g. SBP) copies through its slots.
   endpoint.pmm()
@@ -506,7 +509,10 @@ Status RailSet::recv_segment(std::size_t rail, std::uint32_t src,
   }
   if (network.ib != nullptr) {
     const Status status = static_cast<IbPmm&>(endpoint.pmm())
-                              .segment_recv_checked(conn, out);
+                              .write_tm()
+                              .receive(conn, {out},
+                                       session_->simulator().now() +
+                                           network.ib->params().op_timeout);
     if (status.is_ok()) *got = out.size();
     return status;
   }

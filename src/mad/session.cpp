@@ -316,7 +316,7 @@ RailSet& Session::rail_set(const std::string& name) {
 }
 
 ProgressEngine* Session::progress_engine(std::uint32_t node) {
-  if (!config_.fastpath.has_value()) return nullptr;
+  if (!config_.fastpath) return nullptr;
   MAD2_CHECK(node < nodes_.size(), "unknown node id");
   if (progress_.empty()) progress_.resize(nodes_.size());
   if (progress_[node] == nullptr) {

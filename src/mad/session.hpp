@@ -144,9 +144,9 @@ struct SessionConfig {
   /// `fastpath` stanza: allocation-free short-message path and batched
   /// progress engine (see docs/PERFORMANCE.md). Each node gets a
   /// ProgressEngine daemon; drivers coalesce small sends and deferred
-  /// credit returns through it. Absent = all off, wire bit-identical to
-  /// earlier releases.
-  std::optional<FastPathConfig> fastpath;
+  /// credit returns through it. Off = wire bit-identical to earlier
+  /// releases.
+  bool fastpath = false;
 };
 
 /// A session network instance: the driver plus the global-node -> local

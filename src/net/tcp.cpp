@@ -118,32 +118,30 @@ TcpStream& TcpPort::stream(std::uint32_t peer, std::uint32_t stream_id) {
 }
 
 void TcpPort::rx_loop() {
-  if (network_->reliable_) {
-    ReliableEndpoint& endpoint = network_->reliable_->endpoint(rank_);
-    for (;;) {
+  ReliableEndpoint* shim = network_->reliable_
+                               ? &network_->reliable_->endpoint(rank_)
+                               : nullptr;
+  for (;;) {
+    // One landing body for both carriers: the reliable shim's in-order
+    // delivery over a lossy wire, or the raw fabric.
+    TcpNetwork::Packet frame;
+    if (shim != nullptr) {
       ReliableEndpoint::Message message;
-      if (!endpoint.recv(message).is_ok()) {
+      if (!shim->recv(message).is_ok()) {
         // Link declared dead; the error handler has fired. Blocked stream
         // readers stay parked until the session tears the simulation down.
         return;
       }
-      node_->pci_bus().transfer(
-          message.payload.size() + network_->params_.frame_overhead,
-          node_->params().pci_dma_mbs, hw::TxClass::kDma,
-          node_->nic_initiator_id(2));
-      stream(message.src, message.channel)
-          .on_frame(std::move(message.payload));
-      any_frame_.notify_all();
+      frame = {message.src, message.channel, std::move(message.payload)};
+    } else {
+      frame = network_->fabric_.receive(rank_);
     }
-  }
-  for (;;) {
-    TcpNetwork::Packet packet = network_->fabric_.receive(rank_);
     // NIC DMA into kernel memory.
     node_->pci_bus().transfer(
-        packet.data.size() + network_->params_.frame_overhead,
+        frame.data.size() + network_->params_.frame_overhead,
         node_->params().pci_dma_mbs, hw::TxClass::kDma,
         node_->nic_initiator_id(2));
-    stream(packet.src, packet.stream).on_frame(std::move(packet.data));
+    stream(frame.src, frame.stream).on_frame(std::move(frame.data));
     any_frame_.notify_all();
   }
 }
@@ -158,7 +156,8 @@ TcpStream::TcpStream(TcpPort* port, std::uint32_t peer,
       tx_room_(port_->network_->simulator_),
       tx_data_(port_->network_->simulator_),
       rx_data_(port_->network_->simulator_),
-      tx_window_(port_->network_->simulator_) {}
+      tx_window_(port_->network_->simulator_),
+      tx_handed_off_(port_->network_->simulator_) {}
 
 // Blocks until no other fiber is inside enqueue_tx() on this stream, then
 // claims the writer turn for the scope. tx_room_ doubles as the turn wait
@@ -266,25 +265,24 @@ void TcpStream::tx_loop() {
                                 tx_buffer_.begin() + chunk);
     tx_buffer_.erase(tx_buffer_.begin(), tx_buffer_.begin() + chunk);
     tx_room_.notify_all();
+    tx_in_hand_ = true;
     // NIC pulls the frame from kernel memory, then it goes on the wire.
     port_->node_->pci_bus().transfer(
         chunk + params.frame_overhead, port_->node_->params().pci_dma_mbs,
         hw::TxClass::kDma, port_->node_->nic_initiator_id(2));
+    Status shipped = Status::ok();
     if (reliable != nullptr) {
-      if (!reliable->endpoint(port_->rank_)
-               .send(peer_, stream_id_, std::move(data))
-               .is_ok()) {
-        // Link declared dead (error handler has fired); stop transmitting.
-        return;
-      }
-      continue;
+      shipped = reliable->endpoint(port_->rank_)
+                    .send(peer_, stream_id_, std::move(data));
+    } else {
+      port_->network_->fabric_.ship(port_->rank_, peer_,
+                                    {port_->rank_, stream_id_, std::move(data)},
+                                    chunk + params.frame_overhead);
     }
-    TcpNetwork::Packet packet;
-    packet.src = port_->rank_;
-    packet.stream = stream_id_;
-    packet.data = std::move(data);
-    port_->network_->fabric_.ship(port_->rank_, peer_, std::move(packet),
-                                  chunk + params.frame_overhead);
+    tx_in_hand_ = false;
+    tx_handed_off_.notify_all();
+    // Link declared dead (error handler has fired); stop transmitting.
+    if (!shipped.is_ok()) return;
   }
 }
 
@@ -293,20 +291,31 @@ void TcpStream::on_frame(std::vector<std::byte> data) {
   rx_data_.notify_all();
 }
 
-void TcpStream::take_rx(std::byte* out, std::size_t chunk) {
+std::size_t TcpStream::take_rx(std::span<std::byte> out) {
+  // Fastpath: one syscall drains everything the kernel has buffered;
+  // reads served out of that staged drain are user-space copies only.
+  if (fast_ && rx_staged_ == 0) {
+    port_->node_->charge_cpu(port_->network_->params_.recv_syscall);
+    rx_staged_ = rx_buffer_.size();
+  }
+  std::size_t chunk = std::min(rx_buffer_.size(), out.size());
+  if (fast_) {
+    chunk = std::min(chunk, rx_staged_);
+    rx_staged_ -= chunk;
+  }
   port_->node_->charge_memcpy(chunk);
-  std::copy(rx_buffer_.begin(), rx_buffer_.begin() + chunk, out);
+  std::copy(rx_buffer_.begin(), rx_buffer_.begin() + chunk, out.begin());
   rx_buffer_.erase(rx_buffer_.begin(), rx_buffer_.begin() + chunk);
   // The window update is a direct call, like fwd's delivery feedback: an
   // ACK delay would not throttle a window ~30x the bandwidth-delay
   // product. Buffered bytes came from the mirror, so it is linked.
   mirror_->peer_unread_ -= chunk;
   mirror_->tx_window_.notify_all();
+  return chunk;
 }
 
 void TcpStream::recv(std::span<std::byte> out) {
-  const TcpParams& params = port_->network_->params_;
-  if (!fast_) port_->node_->charge_cpu(params.recv_syscall);
+  if (!fast_) port_->node_->charge_cpu(port_->network_->params_.recv_syscall);
   std::size_t done = 0;
   while (done < out.size()) {
     while (rx_buffer_.empty() && failed_.is_ok()) rx_data_.wait();
@@ -325,33 +334,14 @@ void TcpStream::recv(std::span<std::byte> out) {
       rx_staged_ = 0;
       return;
     }
-    // Fastpath: one syscall drains everything the kernel has buffered;
-    // reads served out of that staged drain are user-space copies only.
-    if (fast_ && rx_staged_ == 0) {
-      port_->node_->charge_cpu(params.recv_syscall);
-      rx_staged_ = rx_buffer_.size();
-    }
-    std::size_t chunk = std::min(rx_buffer_.size(), out.size() - done);
-    if (fast_) chunk = std::min(chunk, rx_staged_);
-    take_rx(out.data() + done, chunk);
-    if (fast_) rx_staged_ -= chunk;
-    done += chunk;
+    done += take_rx(out.subspan(done));
   }
 }
 
 std::size_t TcpStream::recv_some(std::span<std::byte> out) {
-  const TcpParams& params = port_->network_->params_;
-  if (!fast_) port_->node_->charge_cpu(params.recv_syscall);
-  while (rx_buffer_.empty()) rx_data_.wait();
-  if (fast_ && rx_staged_ == 0) {
-    port_->node_->charge_cpu(params.recv_syscall);
-    rx_staged_ = rx_buffer_.size();
-  }
-  std::size_t chunk = std::min(rx_buffer_.size(), out.size());
-  if (fast_) chunk = std::min(chunk, rx_staged_);
-  take_rx(out.data(), chunk);
-  if (fast_) rx_staged_ -= chunk;
-  return chunk;
+  if (!fast_) port_->node_->charge_cpu(port_->network_->params_.recv_syscall);
+  wait_readable();
+  return take_rx(out);
 }
 
 void TcpStream::wait_readable() {
@@ -371,6 +361,7 @@ void TcpStream::fail(const Status& status) {
   tx_data_.notify_all();
   rx_data_.notify_all();
   tx_window_.notify_all();
+  tx_handed_off_.notify_all();
 }
 
 Status TcpStream::send_checked(std::span<const std::byte> data) {
@@ -386,16 +377,13 @@ Status TcpStream::send_checked(std::span<const std::byte> data) {
 
 Status TcpStream::recv_some_checked(std::span<std::byte> out,
                                     std::size_t* got) {
-  const TcpParams& params = port_->network_->params_;
-  port_->node_->charge_cpu(params.recv_syscall);
+  if (!fast_) port_->node_->charge_cpu(port_->network_->params_.recv_syscall);
   while (rx_buffer_.empty() && failed_.is_ok()) rx_data_.wait();
   if (rx_buffer_.empty()) {
     *got = 0;
     return failed_;
   }
-  const std::size_t chunk = std::min(rx_buffer_.size(), out.size());
-  take_rx(out.data(), chunk);
-  *got = chunk;
+  *got = take_rx(out);
   return Status::ok();
 }
 
@@ -409,6 +397,10 @@ Status TcpStream::flush() {
   while (failed_.is_ok() && (tx_writing_ || !tx_buffer_.empty())) {
     tx_room_.wait();
   }
+  // The last frame taken may still be crossing the PCI bus, not yet in
+  // the shim's outstanding set. Its own queue keeps this wait from waking
+  // room or writer-turn waiters.
+  while (failed_.is_ok() && tx_in_hand_) tx_handed_off_.wait();
   if (!failed_.is_ok()) return failed_;
   ReliableNetwork* reliable = port_->network_->reliable_.get();
   if (reliable != nullptr) {

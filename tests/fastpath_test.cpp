@@ -26,7 +26,7 @@ SessionConfig one_network_config(NetworkKind kind, bool fastpath = false) {
   net.nodes = {0, 1};
   config.networks.push_back(net);
   config.channels.push_back(ChannelDef{"ch0", "net0"});
-  if (fastpath) config.fastpath = FastPathConfig{};
+  config.fastpath = fastpath;
   return config;
 }
 

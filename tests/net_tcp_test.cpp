@@ -357,5 +357,35 @@ TEST(Tcp, StreamOpenedAfterItsEndpointDiedStartsPoisoned) {
   }
 }
 
+
+TEST(Tcp, FlushWaitsForTheLastFrameToReachTheShim) {
+  // The transmit fiber takes a frame out of the socket buffer before its
+  // PCI transfer and its hand-off to the reliable shim. A flush that
+  // wakes in between sees an empty socket buffer and a shim with nothing
+  // outstanding; it must still wait for that frame, so on a link that
+  // never delivers it reports the link's death instead of OK.
+  FaultPlan plan(/*seed=*/7);
+  plan.partition(0, 1, 0, sim::kNever);
+  TcpParams params = TcpParams::fast_ethernet();
+  params.fabric.faults = &plan;
+  params.reliability.max_retransmits = 5;
+  Testbed bed(2);
+  TcpNetwork network(&bed.simulator, bed.node_ptrs(), params);
+  Status sent = Status::ok();
+  Status flushed = Status::ok();
+  bed.simulator.spawn("sender", [&] {
+    TcpStream& stream = network.port(0).stream(1);
+    const std::vector<std::byte> payload(64);
+    sent = stream.send_checked(payload);
+    flushed = stream.flush();
+  });
+  ASSERT_TRUE(bed.simulator.run().is_ok());
+  EXPECT_TRUE(sent.is_ok());
+  const Status& death = network.port(0).stream(1).status();
+  ASSERT_EQ(death.code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(flushed.code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(flushed.message(), death.message());
+}
+
 }  // namespace
 }  // namespace mad2::net
