@@ -166,8 +166,9 @@ class RailSet {
       std::uint64_t total) const;
 
   // Raw segment transfer on rail `rail` between global nodes src -> dst,
-  // outside any pack/unpack message (rails are dedicated). Fallible only
-  // on a faulty-fabric TCP rail; every other driver is lossless.
+  // outside any pack/unpack message (rails are dedicated). Fallible on a
+  // faulty-fabric TCP rail and on an IB rail (the write TM's rendezvous
+  // with a give-up deadline); every other driver is lossless.
   Status send_segment(std::size_t rail, std::uint32_t src, std::uint32_t dst,
                       std::span<const std::byte> data);
   Status recv_segment(std::size_t rail, std::uint32_t src, std::uint32_t dst,
