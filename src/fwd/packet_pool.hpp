@@ -9,11 +9,18 @@
 // lookahead) a steady forwarding flow performs no heap allocation at all
 // — the pool hands the same buffers around in a cycle, which the per-node
 // alloc/recycle counters (hw::MemCounters) make observable.
+//
+// The landing areas are carved from slabs that are never zero-filled: the
+// prewarm is one allocation that set-up writes no byte of, so the pages of
+// buffers that never carry a packet are never touched. Every byte a piece
+// points at was first written by the landing loop, so no unwritten byte is
+// ever read.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -27,13 +34,15 @@ namespace mad2::fwd {
 
 class PacketPool;
 
-/// One recyclable packet body: `bytes` is the fixed-MTU landing area, and
-/// the scratch vectors (gather list, piece sizes, borrowed driver slots)
-/// ride along so the hot path never allocates. Piece spans point into
-/// `bytes` (staged data) or into `borrows` (driver slots lent out by a
-/// static-buffer TM, kept alive until the buffer is recycled).
+/// One recyclable packet body: `bytes` is the fixed-MTU landing area (a
+/// window into one of the pool's slabs, uninitialised until a packet
+/// lands there), and the scratch vectors (gather list, piece sizes,
+/// borrowed driver slots) ride along so the hot path never allocates.
+/// Piece spans point into `bytes` (staged data) or into `borrows` (driver
+/// slots lent out by a static-buffer TM, kept alive until the buffer is
+/// recycled).
 struct PacketBuffer {
-  std::vector<std::byte> bytes;
+  std::span<std::byte> bytes;
   std::vector<std::span<const std::byte>> pieces;
   std::vector<std::uint32_t> sizes;
   std::vector<mad::BorrowedBlock> borrows;
@@ -87,7 +96,9 @@ class PacketPool {
  public:
   explicit PacketPool(std::size_t mtu);
 
-  /// Allocate `count` buffers up front (outside fiber context: free).
+  /// Grow the pool to `count` buffers up front, carving the missing ones
+  /// from one new slab. Counts no allocation on any node: the prewarm is
+  /// set-up, not traffic.
   void prewarm(std::size_t count);
 
   /// Hand out a free buffer, growing the pool if it ran dry. `node`
@@ -100,12 +111,20 @@ class PacketPool {
   /// handed-out buffer came back — the leak check after a gateway death.
   [[nodiscard]] std::size_t free_buffers() const { return free_.size(); }
 
+  /// Tests only: fill every slab allocated from now on with `fill`
+  /// (std::nullopt, the default, leaves slabs uninitialised). Running a
+  /// scenario under two fills and comparing the results proves that no
+  /// unwritten pool byte reaches the wire or the application.
+  static void fill_fresh_slabs_for_testing(std::optional<std::byte> fill);
+
  private:
   friend class PooledBuffer;
   void recycle(PacketBuffer* buffer);
-  [[nodiscard]] std::unique_ptr<PacketBuffer> make_buffer() const;
+  /// Allocate one slab of `count` buffers and put them on the free list.
+  void add_slab(std::size_t count);
 
   std::size_t mtu_;
+  std::vector<std::unique_ptr<std::byte[]>> slabs_;
   std::vector<std::unique_ptr<PacketBuffer>> all_;
   std::vector<PacketBuffer*> free_;
 };

@@ -409,7 +409,7 @@ Packet VirtualChannel::receive_packet(mad::ChannelEndpoint& hop_endpoint,
         buffer.pieces.push_back(buffer.borrows[i].data);
       }
     } else {
-      const auto dst = std::span<std::byte>(buffer.bytes).subspan(offset, size);
+      const auto dst = buffer.bytes.subspan(offset, size);
       conn.unpack(dst, mad::send_CHEAPER, mad::receive_CHEAPER);
       buffer.pieces.push_back(dst);
       offset += size;

@@ -12,8 +12,10 @@
 #
 # A patch file starts with three header lines before its diff:
 #   Mutant: <what the bug is>
-#   Target: <test binary, a target in tests/CMakeLists.txt>
+#   Target: <test binaries, targets in tests/CMakeLists.txt, space-separated>
 #   Kills: <gtest filter naming the tests that must fail>
+# With several targets the filter runs in each of them, and each run must
+# fail: the filter names at least one killing test in every binary.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -39,17 +41,27 @@ run_target() {  # run_target <target> <filter>; returns the test's status
 failed=0
 for patch in "$repo"/tests/mutants/*.patch; do
   name="$(basename "$patch" .patch)"
-  target="$(header Target "$patch")"
+  read -r -a targets <<<"$(header Target "$patch")"
   filter="$(header Kills "$patch")"
-  if ! run_target "$target" "$filter"; then
-    echo "FAIL  $name: the clean tree already fails $filter"
-    tail -n 20 "$work/last.log"
+  clean=1
+  for target in "${targets[@]}"; do
+    if ! run_target "$target" "$filter"; then
+      echo "FAIL  $name: the clean tree already fails $filter in $target"
+      tail -n 20 "$work/last.log"
+      clean=0
+    fi
+  done
+  if [ "$clean" = 0 ]; then
     failed=1
     continue
   fi
   git -C "$work" apply "$patch"
-  if run_target "$target" "$filter"; then
-    echo "FAIL  $name survived: $(header Mutant "$patch")"
+  survived=()
+  for target in "${targets[@]}"; do
+    if run_target "$target" "$filter"; then survived+=("$target"); fi
+  done
+  if [ "${#survived[@]}" -gt 0 ]; then
+    echo "FAIL  $name survived in ${survived[*]}: $(header Mutant "$patch")"
     failed=1
   else
     echo "ok    $name killed by $filter"
