@@ -7,7 +7,6 @@
 #include <string>
 
 #include "bench_util.hpp"
-#include "mad/bip_options.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -18,7 +17,7 @@ double messages_per_ms(std::size_t credits) {
   // Large windows need a larger driver-side buffer pool to back them.
   net::BipParams driver = net::BipParams::myrinet_lanai43();
   driver.short_host_slots = 256;
-  config.networks[0].bip_params = driver;
+  config.networks[0].params = driver;
   mad::BipPmmOptions options;
   options.credits = credits;
   options.credit_batch = credits / 2;

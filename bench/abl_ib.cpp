@@ -102,7 +102,7 @@ CacheResult run_cache_flood(std::size_t size, int iterations,
   mad::SessionConfig config = bench::two_node_config(mad::NetworkKind::kIb);
   net::IbParams params = net::IbParams::mellanox_like();
   params.regcache_capacity = capacity;
-  config.networks[0].ib_params = params;
+  config.networks[0].params = params;
   mad::Session session(std::move(config));
 
   sim::Time recv_start = 0;
@@ -133,7 +133,7 @@ CacheResult run_cache_flood(std::size_t size, int iterations,
       static_cast<double>(size) * iterations / elapsed_us;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  net::IbNetwork& network = *session.network("net0").ib;
+  net::IbNetwork& network = session.network("net0").as<net::IbNetwork>();
   for (std::uint32_t port = 0; port < 2; ++port) {
     const net::IbRegCacheStats stats =
         network.port(port).reg_cache().stats();

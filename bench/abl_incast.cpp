@@ -70,7 +70,7 @@ mad::SessionConfig incast_config(std::size_t bulk_senders, bool fair) {
   // where the scheduler can see it.
   net::TcpParams choke = net::TcpParams::fast_ethernet();
   choke.socket_buffer = 16 * 1024;
-  right.tcp_params = choke;
+  right.params = choke;
   config.networks.push_back(left);
   config.networks.push_back(right);
   config.channels.emplace_back(kLeft, left.name);

@@ -44,7 +44,7 @@ mad::SessionConfig msgrate_config(mad::NetworkKind kind, bool fastpath) {
     // test) but take wire serialization out of the critical path.
     net::TcpParams params = net::TcpParams::fast_ethernet();
     params.fabric.wire_mbs = 125.0;
-    config.networks[0].tcp_params = params;
+    config.networks[0].params = params;
   }
   config.fastpath = fastpath;
   return config;

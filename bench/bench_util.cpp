@@ -244,14 +244,14 @@ PerfSeries mpi_sweep(const std::string& label, MpiImpl impl,
         break;
       case MpiImpl::kScampiLike:
         baseline = std::make_unique<mpi::SciBaselineWorld>(
-            *session.network("net0").sci,
+            session.network("net0").as<net::SciNetwork>(),
             mpi::SciBaselineParams::scampi_like());
         a = &baseline->comm(0);
         b = &baseline->comm(1);
         break;
       case MpiImpl::kScimpichLike:
         baseline = std::make_unique<mpi::SciBaselineWorld>(
-            *session.network("net0").sci,
+            session.network("net0").as<net::SciNetwork>(),
             mpi::SciBaselineParams::scimpich_like());
         a = &baseline->comm(0);
         b = &baseline->comm(1);

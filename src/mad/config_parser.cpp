@@ -7,6 +7,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 namespace mad2::mad {
@@ -194,16 +195,12 @@ Result<SessionConfig> parse_session_config(std::string_view text) {
         return error_at(line_number,
                         "duplicate network name '" + net.name + "'");
       }
-      // Every built-in kind, by its to_string name (kCustom is last and has
-      // no driver a config could name).
-      net.kind = NetworkKind::kCustom;
-      for (int k = 0; k < static_cast<int>(NetworkKind::kCustom); ++k) {
-        if (to_string(NetworkKind(k)) == tokens[2]) net.kind = NetworkKind(k);
-      }
-      if (net.kind == NetworkKind::kCustom) {
+      const NetworkDriver* row = driver_named(tokens[2]);
+      if (row == nullptr) {
         return error_at(line_number,
                         "unknown network kind '" + tokens[2] + "'");
       }
+      net.kind = row->kind;
       // Node ids, then trailing key=value tokens that tune the adapter
       // (IB only: they size HCA resources shared by every channel on the
       // port).
@@ -235,8 +232,8 @@ Result<SessionConfig> parse_session_config(std::string_view text) {
                           "network option '" + tokens[i] +
                               "' is only valid for kind 'ib'");
         }
-        net::IbParams& ib = net.ib_params.emplace(
-            net::IbParams::mellanox_like());
+        net.params = row->preset;
+        net::IbParams& ib = std::get<net::IbParams>(net.params);
         const Option options[] = {
             {"qp_depth=", number(&ib.qp_depth), "qp_depth",
              " (send queue depth and eager credit window; must be positive)"},

@@ -19,15 +19,11 @@ BipPmm::BipPmm(ChannelEndpoint& endpoint, BipPmmOptions options)
       short_tm_(this, "bip-short", "bip.credit_wait"),
       long_tm_(this),
       incoming_wq_(&endpoint_.session().simulator()) {
-  NetworkInstance& network = endpoint_.channel().network();
-  MAD2_CHECK(network.bip != nullptr, "BipPmm on a non-BIP network");
-  MAD2_CHECK(options_.credits <= network.bip->params().short_host_slots / 2,
+  auto& network = endpoint_.channel().network().as<net::BipNetwork>();
+  port_ = &network.port(my_port_);
+  params_ = &network.params();
+  MAD2_CHECK(options_.credits <= params_->short_host_slots / 2,
              "credit window exceeds what the BIP buffer pool can back");
-  port_ = &network.bip->port(my_port_);
-}
-
-std::uint32_t BipPmm::short_capacity() const {
-  return endpoint_.channel().network().bip->params().short_max_bytes;
 }
 
 void BipPmm::make_conn_state(std::uint32_t remote) {
@@ -217,9 +213,9 @@ void BipLongTm::receive_sub_buffer_group(
 
 
 double BipPmm::bandwidth_hint_mbs() const {
-  const net::BipParams& p = endpoint_.channel().network().bip->params();
   // Long messages are NIC DMA transfers: the slower of wire and PCI DMA.
-  return std::min(p.fabric.wire_mbs, endpoint_.node().params().pci_dma_mbs);
+  return std::min(params_->fabric.wire_mbs,
+                  endpoint_.node().params().pci_dma_mbs);
 }
 
 }  // namespace mad2::mad

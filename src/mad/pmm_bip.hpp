@@ -19,7 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "mad/bip_options.hpp"
 #include "mad/pmm.hpp"
 #include "mad/session.hpp"
 #include "mad/static_slot_tm.hpp"
@@ -76,7 +75,9 @@ class BipPmm final : public Pmm, private StaticSlotTm::Driver {
   // --- helpers used by the TMs ---
   [[nodiscard]] net::BipPort& port() { return *port_; }
   [[nodiscard]] ChannelEndpoint& endpoint() { return endpoint_; }
-  [[nodiscard]] std::uint32_t short_capacity() const;
+  [[nodiscard]] std::uint32_t short_capacity() const {
+    return params_->short_max_bytes;
+  }
   [[nodiscard]] const StaticSlotTm::Tags& tags() const { return tags_; }
   [[nodiscard]] std::uint32_t my_port() const { return my_port_; }
 
@@ -104,6 +105,7 @@ class BipPmm final : public Pmm, private StaticSlotTm::Driver {
   StaticSlotTm::Tags tags_;
   std::uint32_t my_port_;
   net::BipPort* port_;
+  const net::BipParams* params_;
   StaticSlotTm short_tm_;
   BipLongTm long_tm_;
   std::map<std::uint32_t, std::unique_ptr<State>> states_;  // by remote

@@ -43,8 +43,7 @@ IbPmm::IbPmm(ChannelEndpoint& endpoint, IbPmmOptions options)
       read_tm_(this),
       incoming_wq_(&endpoint_.session().simulator()) {
   NetworkInstance& network = endpoint_.channel().network();
-  MAD2_CHECK(network.ib != nullptr, "IbPmm on a non-IB network");
-  port_ = &network.ib->port(network.port(endpoint_.local()));
+  port_ = &network.as<net::IbNetwork>().port(network.port(endpoint_.local()));
   MAD2_CHECK(options_.eager_cutoff >= 64, "IB eager cutoff too small");
   // Batch at most half the window so the sender is never starved waiting
   // for a batch that cannot fill. The receive pool is sized for any batch

@@ -34,7 +34,6 @@
 #include <memory>
 #include <vector>
 
-#include "mad/ib_options.hpp"
 #include "mad/pmm.hpp"
 #include "mad/session.hpp"
 #include "mad/static_slot_tm.hpp"

@@ -12,9 +12,7 @@ SbpPmm::SbpPmm(ChannelEndpoint& endpoint)
       my_port_(endpoint.channel().network().port(endpoint.local())),
       tm_(this, "sbp", "sbp.credit_wait"),
       incoming_wq_(&endpoint_.session().simulator()) {
-  NetworkInstance& network = endpoint_.channel().network();
-  MAD2_CHECK(network.sbp != nullptr, "SbpPmm on a non-SBP network");
-  port_ = &network.sbp->port(my_port_);
+  port_ = &endpoint_.channel().network().as<net::SbpNetwork>().port(my_port_);
 }
 
 void SbpPmm::make_conn_state(std::uint32_t remote) {
@@ -90,7 +88,7 @@ void SbpPmm::send_credits(StaticSlotTm::Slots& slots, std::size_t count) {
 }
 
 double SbpPmm::bandwidth_hint_mbs() const {
-  const net::SbpParams& p = endpoint_.channel().network().sbp->params();
+  const auto& p = endpoint_.channel().network().as<net::SbpNetwork>().params();
   // Fixed kernel buffers: every buffer_bytes of payload pays header_bytes
   // of framing on the wire.
   const double framed =

@@ -15,8 +15,7 @@ SciPmm::SciPmm(ChannelEndpoint& endpoint, SciPmmOptions options)
       pio_tm_(this, /*dma=*/false),
       dma_tm_(this, /*dma=*/true) {
   NetworkInstance& network = endpoint_.channel().network();
-  MAD2_CHECK(network.sci != nullptr, "SciPmm on a non-SISCI network");
-  port_ = &network.sci->port(network.port(endpoint_.local()));
+  port_ = &network.as<net::SciNetwork>().port(network.port(endpoint_.local()));
 }
 
 std::uint64_t SciPmm::short_slot_offset(std::uint64_t index) const {
@@ -315,7 +314,7 @@ void SciBulkTm::receive_buffer(Connection& connection,
 
 
 double SciPmm::bandwidth_hint_mbs() const {
-  const net::SciParams& p = endpoint_.channel().network().sci->params();
+  const auto& p = endpoint_.channel().network().as<net::SciNetwork>().params();
   if (options_.enable_dma) {
     // Bulk blocks ride the (D310: poor) DMA engine above dma_min_bytes.
     return std::min(p.fabric.wire_mbs, p.dma_engine_mbs);

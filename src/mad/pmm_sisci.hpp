@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "mad/pmm.hpp"
-#include "mad/sci_options.hpp"
 #include "mad/session.hpp"
 #include "net/sisci.hpp"
 

@@ -122,8 +122,7 @@ void TcpTm::receive_sub_buffer_group(
 TcpPmm::TcpPmm(ChannelEndpoint& endpoint)
     : endpoint_(endpoint), tm_(this) {
   NetworkInstance& network = endpoint_.channel().network();
-  MAD2_CHECK(network.tcp != nullptr, "TcpPmm on a non-TCP network");
-  port_ = &network.tcp->port(network.port(endpoint_.local()));
+  port_ = &network.as<net::TcpNetwork>().port(network.port(endpoint_.local()));
   states_.resize(network.def.nodes.size());
 }
 
@@ -186,7 +185,7 @@ std::uint32_t TcpPmm::wait_incoming() {
 
 
 double TcpPmm::bandwidth_hint_mbs() const {
-  const net::TcpParams& p = endpoint_.channel().network().tcp->params();
+  const auto& p = endpoint_.channel().network().as<net::TcpNetwork>().params();
   // Wire rate minus Ethernet/IP/TCP framing; kernel costs are per-block,
   // not per-byte, so they do not cap the large-block rate.
   return p.fabric.wire_mbs * static_cast<double>(p.mss) /

@@ -12,8 +12,7 @@ ViaPmm::ViaPmm(ChannelEndpoint& endpoint)
       bulk_tm_(this),
       incoming_wq_(&endpoint_.session().simulator()) {
   NetworkInstance& network = endpoint_.channel().network();
-  MAD2_CHECK(network.via != nullptr, "ViaPmm on a non-VIA network");
-  port_ = &network.via->port(network.port(endpoint_.local()));
+  port_ = &network.as<net::ViaNetwork>().port(network.port(endpoint_.local()));
 }
 
 std::uint32_t ViaPmm::short_vi() const {
@@ -185,7 +184,7 @@ void ViaBulkTm::receive_sub_buffer_group(
 
 
 double ViaPmm::bandwidth_hint_mbs() const {
-  const net::ViaParams& p = endpoint_.channel().network().via->params();
+  const auto& p = endpoint_.channel().network().as<net::ViaNetwork>().params();
   return std::min(p.fabric.wire_mbs, endpoint_.node().params().pci_dma_mbs);
 }
 

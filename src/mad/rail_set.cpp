@@ -461,8 +461,8 @@ Status RailSet::send_segment(std::size_t rail, std::uint32_t src,
   Channel& channel = *rails_[rail].channel;
   ChannelEndpoint& endpoint = channel.endpoint(src);
   Connection& conn = endpoint.connection(dst);
-  NetworkInstance& network = channel.network();
-  if (network.tcp != nullptr && network.tcp->reliable() != nullptr) {
+  net::TcpNetwork* tcp = channel.network().as_if<net::TcpNetwork>();
+  if (tcp != nullptr && tcp->reliable() != nullptr) {
     // Fallible rail: drive the stream with the checked calls and flush,
     // so OK means *delivered* — the trailer's failed mask must be
     // truthful by the time the sender emits it.
@@ -471,7 +471,7 @@ Status RailSet::send_segment(std::size_t rail, std::uint32_t src,
     if (status.is_ok()) status = stream->flush();
     return status;
   }
-  if (network.ib != nullptr) {
+  if (const auto* ib = channel.network().as_if<net::IbNetwork>()) {
     // Fallible RDMA rail: the write TM's rendezvous with a give-up
     // deadline returns link death as a Status (all-or-nothing), so a dead
     // HCA link resubmits the whole segment on the survivors instead of
@@ -479,7 +479,7 @@ Status RailSet::send_segment(std::size_t rail, std::uint32_t src,
     return static_cast<IbPmm&>(endpoint.pmm())
         .write_tm()
         .send(conn, {data},
-              session_->simulator().now() + network.ib->params().op_timeout);
+              session_->simulator().now() + ib->params().op_timeout);
   }
   // A static-buffer-only rail (e.g. SBP) copies through its slots.
   endpoint.pmm()
@@ -495,8 +495,8 @@ Status RailSet::recv_segment(std::size_t rail, std::uint32_t src,
   Channel& channel = *rails_[rail].channel;
   ChannelEndpoint& endpoint = channel.endpoint(dst);
   Connection& conn = endpoint.connection(src);
-  NetworkInstance& network = channel.network();
-  if (network.tcp != nullptr && network.tcp->reliable() != nullptr) {
+  net::TcpNetwork* tcp = channel.network().as_if<net::TcpNetwork>();
+  if (tcp != nullptr && tcp->reliable() != nullptr) {
     net::TcpStream* stream = &TcpPmm::stream_of(conn);
     while (*got < out.size()) {
       std::size_t chunk = 0;
@@ -507,12 +507,12 @@ Status RailSet::recv_segment(std::size_t rail, std::uint32_t src,
     }
     return Status::ok();
   }
-  if (network.ib != nullptr) {
+  if (const auto* ib = channel.network().as_if<net::IbNetwork>()) {
     const Status status = static_cast<IbPmm&>(endpoint.pmm())
                               .write_tm()
                               .receive(conn, {out},
                                        session_->simulator().now() +
-                                           network.ib->params().op_timeout);
+                                           ib->params().op_timeout);
     if (status.is_ok()) *got = out.size();
     return status;
   }
@@ -533,7 +533,7 @@ void RailSet::drain_segment(std::size_t rail, std::uint32_t src,
   // filling rx until the shim's queue is empty, so this terminates
   // exactly at the segment boundary.
   Channel& channel = *rails_[rail].channel;
-  MAD2_CHECK(channel.network().tcp != nullptr,
+  MAD2_CHECK(channel.network().as_if<net::TcpNetwork>() != nullptr,
              "drained a non-stream rail");
   Connection& conn = channel.endpoint(dst).connection(src);
   net::TcpStream* stream = &TcpPmm::stream_of(conn);

@@ -3,30 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "mad/pmm_factory.hpp"
 #include "obs/span_weaver.hpp"
 
 namespace mad2::mad {
-
-std::string_view to_string(NetworkKind kind) {
-  switch (kind) {
-    case NetworkKind::kBip:
-      return "bip";
-    case NetworkKind::kSisci:
-      return "sisci";
-    case NetworkKind::kTcp:
-      return "tcp";
-    case NetworkKind::kVia:
-      return "via";
-    case NetworkKind::kSbp:
-      return "sbp";
-    case NetworkKind::kIb:
-      return "ib";
-    case NetworkKind::kCustom:
-      return "custom";
-  }
-  return "?";
-}
 
 std::string_view to_string(FailureDomain domain) {
   switch (domain) {
@@ -53,7 +32,7 @@ std::uint32_t NetworkInstance::port(std::uint32_t node) const {
 ChannelEndpoint::ChannelEndpoint(Session* session, Channel* channel,
                                  std::uint32_t local)
     : session_(session), channel_(channel), local_(local) {
-  pmm_ = make_pmm(*this);
+  pmm_ = driver(channel_->network().def.kind).make_pmm(*this);
   for (std::uint32_t peer : channel_->nodes()) {
     if (peer != local_) pmm_->make_conn_state(peer);
   }
@@ -163,83 +142,32 @@ Session::Session(SessionConfig config) : config_(std::move(config)) {
       MAD2_CHECK(node < nodes_.size(), "network references unknown node");
       instance->port_of_node[node] =
           static_cast<std::uint32_t>(members.size());
-      instance->node_of_port.push_back(node);
       hostdb_.add_adapter(node, def.name);
       members.push_back(nodes_[node].get());
     }
-    switch (def.kind) {
-      case NetworkKind::kBip:
-        instance->bip = std::make_unique<net::BipNetwork>(
-            &simulator_, members,
-            def.bip_params.value_or(net::BipParams::myrinet_lanai43()));
-        break;
-      case NetworkKind::kSisci:
-        instance->sci = std::make_unique<net::SciNetwork>(
-            &simulator_, members,
-            def.sci_params.value_or(net::SciParams::dolphin_d310()));
-        break;
-      case NetworkKind::kTcp:
-        instance->tcp = std::make_unique<net::TcpNetwork>(
-            &simulator_, members,
-            def.tcp_params.value_or(net::TcpParams::fast_ethernet()));
-        // A faulty fabric can give up on a link. Triage in
-        // route_network_failure decides whether a rail set or a resilient
-        // forwarding layer absorbs the failure (the session runs on
-        // degraded) or the session fails cleanly instead of deadlocking
-        // the stuck fibers. Ports map back to global node ids so the
-        // failure carries its endpoints.
-        instance->tcp->set_link_error_handler(
-            [this, raw = instance.get()](std::uint32_t a, std::uint32_t b,
-                                         const Status& status) {
-              NetworkFailure failure;
-              failure.network = raw;
-              failure.status = status;
-              if (a < raw->node_of_port.size()) {
-                failure.src_node = raw->node_of_port[a];
-              }
-              if (b < raw->node_of_port.size()) {
-                failure.dst_node = raw->node_of_port[b];
-              }
-              route_network_failure(failure);
-            });
-        break;
-      case NetworkKind::kVia:
-        instance->via = std::make_unique<net::ViaNetwork>(
-            &simulator_, members,
-            def.via_params.value_or(net::ViaParams::generic_nic()));
-        break;
-      case NetworkKind::kSbp:
-        instance->sbp = std::make_unique<net::SbpNetwork>(
-            &simulator_, members,
-            def.sbp_params.value_or(net::SbpParams::fast_ethernet()));
-        break;
-      case NetworkKind::kIb:
-        instance->ib = std::make_unique<net::IbNetwork>(
-            &simulator_, members,
-            def.ib_params.value_or(net::IbParams::mellanox_like()));
-        // Same triage as TCP: an HCA gives up on a peer (work-request
-        // timeout, scripted fault) and the session decides whether a
-        // rail set absorbs it or the run fails cleanly.
-        instance->ib->set_link_error_handler(
-            [this, raw = instance.get()](std::uint32_t a, std::uint32_t b,
-                                         const Status& status) {
-              NetworkFailure failure;
-              failure.network = raw;
-              failure.status = status;
-              if (a < raw->node_of_port.size()) {
-                failure.src_node = raw->node_of_port[a];
-              }
-              if (b < raw->node_of_port.size()) {
-                failure.dst_node = raw->node_of_port[b];
-              }
-              route_network_failure(failure);
-            });
-        break;
-      case NetworkKind::kCustom:
-        MAD2_CHECK(static_cast<bool>(def.custom_pmm),
-                   "custom network without a custom_pmm factory");
-        break;
-    }
+    const NetworkDriver& row = driver(def.kind);
+    const bool preset = std::holds_alternative<std::monostate>(def.params);
+    MAD2_CHECK(preset || def.params.index() == row.preset.index(),
+               "network params belong to another kind");
+    instance->network = row.make_network(&simulator_, std::move(members),
+                                         preset ? row.preset : def.params);
+    // A driver that can give up on a link (TCP over a faulty fabric, an IB
+    // HCA) reports it here, with its ports mapped back to global node ids.
+    // Triage decides whether a rail set or a resilient forwarding layer
+    // absorbs it, or the session fails cleanly instead of deadlocking.
+    const net::LinkErrorHandler on_link_error =
+        [this, raw = instance.get()](std::uint32_t a, std::uint32_t b,
+                                     const Status& status) {
+          route_network_failure(NetworkFailure{
+              raw, status, raw->def.nodes.at(a), raw->def.nodes.at(b)});
+        };
+    std::visit(
+        [&](auto& network) {
+          if constexpr (requires { network->set_link_error_handler({}); }) {
+            network->set_link_error_handler(on_link_error);
+          }
+        },
+        instance->network);
     networks_.push_back(std::move(instance));
   }
 
@@ -467,51 +395,47 @@ void Session::export_metrics(obs::MetricsRegistry& registry) {
     registry.set_value(prefix + "doorbells", u(c.doorbells));
     registry.set_value(prefix + "flushes", u(c.flushes));
   }
-  // IB verbs activity plus registration-cache effectiveness, once per
-  // (network, port).
+  // Driver work once per (network, port): IB verbs activity plus
+  // registration-cache effectiveness, and the reliable shim under TCP.
   for (auto& network : networks_) {
-    if (network->ib == nullptr) continue;
-    for (const auto& [node, port_index] : network->port_of_node) {
-      net::IbPort& port = network->ib->port(port_index);
-      const net::IbCounters& c = port.counters();
-      const net::IbRegCacheStats& rc = port.reg_cache().stats();
-      const std::string prefix =
-          "ib." + network->def.name + ":" + std::to_string(port_index) + ".";
-      registry.set_value(prefix + "send_wrs", u(c.send_wrs));
-      registry.set_value(prefix + "recv_posts", u(c.recv_posts));
-      registry.set_value(prefix + "write_wrs", u(c.write_wrs));
-      registry.set_value(prefix + "read_wrs", u(c.read_wrs));
-      registry.set_value(prefix + "cqes", u(c.cqes));
-      registry.set_value(prefix + "cq_polls", u(c.cq_polls));
-      registry.set_value(prefix + "regcache.hits", u(rc.hits));
-      registry.set_value(prefix + "regcache.misses", u(rc.misses));
-      registry.set_value(prefix + "regcache.evictions", u(rc.evictions));
-      registry.set_value(prefix + "regcache.invalidations",
-                         u(rc.invalidations));
-      registry.set_value(prefix + "regcache.merges", u(rc.merges));
-    }
-  }
-  // Link-level reliable-shim work, once per (network, port).
-  for (auto& network : networks_) {
-    if (network->tcp == nullptr || network->tcp->reliable() == nullptr) {
-      continue;
-    }
-    for (const auto& [node, port] : network->port_of_node) {
-      const net::ReliabilityCounters& c =
-          network->tcp->reliable()->endpoint(port).counters();
-      const std::string prefix =
-          "rel." + network->def.name + ":" + std::to_string(port) + ".";
-      registry.set_value(prefix + "data_frames", u(c.data_frames));
-      registry.set_value(prefix + "retransmits", u(c.retransmits));
-      registry.set_value(prefix + "acks_sent", u(c.acks_sent));
-      registry.set_value(prefix + "dup_frames", u(c.dup_frames));
-      registry.set_value(prefix + "corrupt_frames", u(c.corrupt_frames));
-      registry.set_value(prefix + "give_ups", u(c.give_ups));
-      registry.set_value(prefix + "rtt_samples", u(c.rtt_samples));
-      registry.set_value(prefix + "srtt_us",
-                         static_cast<std::int64_t>(sim::to_us(c.srtt)));
-      registry.set_value(prefix + "min_rtt_us",
-                         static_cast<std::int64_t>(sim::to_us(c.min_rtt)));
+    net::IbNetwork* ib = network->as_if<net::IbNetwork>();
+    net::TcpNetwork* tcp = network->as_if<net::TcpNetwork>();
+    net::ReliableNetwork* rel = tcp != nullptr ? tcp->reliable() : nullptr;
+    for (std::uint32_t port = 0; port < network->def.nodes.size(); ++port) {
+      const std::string at =
+          network->def.name + ":" + std::to_string(port) + ".";
+      if (ib != nullptr) {
+        const net::IbCounters& c = ib->port(port).counters();
+        const net::IbRegCacheStats& rc = ib->port(port).reg_cache().stats();
+        const std::string prefix = "ib." + at;
+        registry.set_value(prefix + "send_wrs", u(c.send_wrs));
+        registry.set_value(prefix + "recv_posts", u(c.recv_posts));
+        registry.set_value(prefix + "write_wrs", u(c.write_wrs));
+        registry.set_value(prefix + "read_wrs", u(c.read_wrs));
+        registry.set_value(prefix + "cqes", u(c.cqes));
+        registry.set_value(prefix + "cq_polls", u(c.cq_polls));
+        registry.set_value(prefix + "regcache.hits", u(rc.hits));
+        registry.set_value(prefix + "regcache.misses", u(rc.misses));
+        registry.set_value(prefix + "regcache.evictions", u(rc.evictions));
+        registry.set_value(prefix + "regcache.invalidations",
+                           u(rc.invalidations));
+        registry.set_value(prefix + "regcache.merges", u(rc.merges));
+      }
+      if (rel != nullptr) {
+        const net::ReliabilityCounters& c = rel->endpoint(port).counters();
+        const std::string prefix = "rel." + at;
+        registry.set_value(prefix + "data_frames", u(c.data_frames));
+        registry.set_value(prefix + "retransmits", u(c.retransmits));
+        registry.set_value(prefix + "acks_sent", u(c.acks_sent));
+        registry.set_value(prefix + "dup_frames", u(c.dup_frames));
+        registry.set_value(prefix + "corrupt_frames", u(c.corrupt_frames));
+        registry.set_value(prefix + "give_ups", u(c.give_ups));
+        registry.set_value(prefix + "rtt_samples", u(c.rtt_samples));
+        registry.set_value(prefix + "srtt_us",
+                           static_cast<std::int64_t>(sim::to_us(c.srtt)));
+        registry.set_value(prefix + "min_rtt_us",
+                           static_cast<std::int64_t>(sim::to_us(c.min_rtt)));
+      }
     }
   }
 }

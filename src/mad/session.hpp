@@ -5,6 +5,7 @@
 // on first use (ChannelEndpoint::connection).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -12,17 +13,15 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <variant>
 #include <vector>
 
 #include "hw/node.hpp"
 #include "mad/congestion.hpp"
 #include "mad/connection.hpp"
 #include "mad/hostdb.hpp"
-#include "mad/bip_options.hpp"
-#include "mad/ib_options.hpp"
 #include "mad/progress.hpp"
 #include "mad/rail_set.hpp"
-#include "mad/sci_options.hpp"
 #include "net/bip.hpp"
 #include "net/ib.hpp"
 #include "net/sbp.hpp"
@@ -64,21 +63,66 @@ enum class NetworkKind {
 
 std::string_view to_string(NetworkKind kind);
 
+/// Driver parameters of one built-in network kind. std::monostate stands
+/// for the kind's preset (the paper's models, see mad/network_driver.cpp).
+using NetworkParams =
+    std::variant<std::monostate, net::BipParams, net::SciParams,
+                 net::TcpParams, net::ViaParams, net::SbpParams,
+                 net::IbParams>;
+
 /// One physical network in the session configuration.
 struct NetworkDef {
   std::string name;
   NetworkKind kind = NetworkKind::kTcp;
   /// Global node ids attached to this network (its adapter set).
   std::vector<std::uint32_t> nodes;
-  // Optional driver parameter overrides (defaults are the paper's models).
-  std::optional<net::BipParams> bip_params;
-  std::optional<net::SciParams> sci_params;
-  std::optional<net::TcpParams> tcp_params;
-  std::optional<net::ViaParams> via_params;
-  std::optional<net::SbpParams> sbp_params;
-  std::optional<net::IbParams> ib_params;
+  /// Driver parameter override; it must be of this kind's params type.
+  NetworkParams params;
   /// For kCustom: builds the protocol module of each endpoint.
   std::function<std::unique_ptr<class Pmm>(ChannelEndpoint&)> custom_pmm;
+};
+
+/// Tunables of the SISCI protocol module (e.g. benchmarks that enable the
+/// DMA TM the paper ships disabled).
+struct SciPmmOptions {
+  std::uint32_t short_slots = 8;
+  std::uint32_t short_capacity = 256;  // short TM cutoff
+  /// Ring depth for the bulk TM. The paper's implementation dual-buffers
+  /// (2); the simulated wire is store-and-forward at packet granularity,
+  /// which adds latency real PIO does not have, so a depth of 4 is needed
+  /// to keep the sender streaming. The overlap behaviour (the Figure 4
+  /// kink at bulk_capacity) is unchanged.
+  std::uint32_t bulk_buffers = 4;
+  std::uint32_t bulk_capacity = 8192;  // the Figure 4 kink
+  bool enable_dma = false;             // paper: implemented but not active
+  std::uint32_t dma_min_bytes = 32768;
+  /// Receiver returns short-slot credits every this many consumptions.
+  std::uint32_t short_feedback_batch = 4;
+};
+
+/// Tunables of the BIP protocol module (e.g. credit-window experiments).
+struct BipPmmOptions {
+  /// Shorts in flight allowed per connection before the sender must wait
+  /// for credit returns. Must stay within what the driver's host buffer
+  /// pool can back.
+  std::size_t credits = 8;
+  /// Receiver returns credits in batches of this size (<= credits / 2).
+  std::size_t credit_batch = 4;
+};
+
+/// Tunables of the IB protocol module. The network-level knobs (qp_depth,
+/// regcache_capacity) live in net::IbParams, since they size adapter
+/// resources shared by every channel on the port.
+struct IbPmmOptions {
+  /// Messages up to this many bytes go eager (copied through pre-posted
+  /// registered buffers); larger blocks rendezvous via RDMA. Also sizes
+  /// the eager buffers, so raising it trades pinned memory for a later
+  /// protocol switch — the abl_ib crossover sweep measures the trade.
+  std::size_t eager_cutoff = 8192;
+  /// Receiver returns eager credits in batches of this size. Clamped by
+  /// the IbPmm to [1, qp_depth/2] so a shallow QP degrades batching
+  /// instead of starving the sender.
+  std::size_t credit_batch = 4;
 };
 
 /// One Madeleine channel: a closed world for communication, bound to one
@@ -90,12 +134,9 @@ struct ChannelDef {
 
   std::string name;
   std::string network;
-  /// SISCI-channel override (e.g. enable the DMA TM); ignored elsewhere.
+  /// Protocol-module overrides, each read only on its own kind of network.
   std::optional<SciPmmOptions> sci_options;
-  /// BIP-channel override (credit window sizing); ignored elsewhere.
   std::optional<BipPmmOptions> bip_options;
-  /// IB-channel override (eager cutoff, credit batching); ignored
-  /// elsewhere.
   std::optional<IbPmmOptions> ib_options;
   /// Debug aid: prepend a check block to every packed block so asymmetric
   /// pack/unpack sequences fail loudly at the first divergence instead of
@@ -149,26 +190,63 @@ struct SessionConfig {
   bool fastpath = false;
 };
 
+/// One built driver; std::monostate for a kCustom network, which has none.
+using AnyNetwork =
+    std::variant<std::monostate, std::unique_ptr<net::BipNetwork>,
+                 std::unique_ptr<net::SciNetwork>,
+                 std::unique_ptr<net::TcpNetwork>,
+                 std::unique_ptr<net::ViaNetwork>,
+                 std::unique_ptr<net::SbpNetwork>,
+                 std::unique_ptr<net::IbNetwork>>;
+
 /// A session network instance: the driver plus the global-node -> local
 /// port mapping.
 struct NetworkInstance {
   NetworkDef def;
-  std::unique_ptr<net::BipNetwork> bip;
-  std::unique_ptr<net::SciNetwork> sci;
-  std::unique_ptr<net::TcpNetwork> tcp;
-  std::unique_ptr<net::ViaNetwork> via;
-  std::unique_ptr<net::SbpNetwork> sbp;
-  std::unique_ptr<net::IbNetwork> ib;
+  AnyNetwork network;
+  /// Ports are numbered in def.nodes order: port i is def.nodes[i].
   std::map<std::uint32_t, std::uint32_t> port_of_node;
-  /// Reverse lookup (port index -> global node id); same order as
-  /// def.nodes since ports are assigned by membership order.
-  std::vector<std::uint32_t> node_of_port;
 
   [[nodiscard]] bool has_node(std::uint32_t node) const {
     return port_of_node.count(node) != 0;
   }
   [[nodiscard]] std::uint32_t port(std::uint32_t node) const;
+
+  /// The driver if it is a `Network`, else nullptr.
+  template <class Network>
+  [[nodiscard]] Network* as_if() {
+    auto* held = std::get_if<std::unique_ptr<Network>>(&network);
+    return held != nullptr ? held->get() : nullptr;
+  }
+  /// The driver, which must be a `Network`.
+  template <class Network>
+  [[nodiscard]] Network& as() {
+    MAD2_CHECK(as_if<Network>() != nullptr, "driver of another kind");
+    return *as_if<Network>();
+  }
 };
+
+/// One row of the network driver table (mad/network_driver.cpp): all the
+/// session knows of a kind. Adding a network adds a row plus its protocol
+/// module and TMs; the Switch and the BMMs are shared (paper Section 3).
+struct NetworkDriver {
+  NetworkKind kind;
+  /// to_string(kind), and the kind's name in config files.
+  std::string_view name;
+  /// What a NetworkDef that sets no params gets.
+  NetworkParams preset;
+  /// Builds the driver; port i is members[i]. `params` are this row's type.
+  AnyNetwork (*make_network)(sim::Simulator* simulator,
+                             std::vector<hw::Node*> members,
+                             const NetworkParams& params);
+  std::unique_ptr<class Pmm> (*make_pmm)(ChannelEndpoint& endpoint);
+};
+
+const NetworkDriver& driver(NetworkKind kind);
+
+/// The built-in row named `name`, or nullptr: kCustom networks carry their
+/// own factory, so no config file can name that row.
+const NetworkDriver* driver_named(std::string_view name);
 
 /// Where a network failure was absorbed (Session::route_network_failure).
 enum class FailureDomain {

@@ -200,8 +200,6 @@ class IbNetwork {
   [[nodiscard]] const IbParams& params() const { return params_; }
 
   /// Called once per dead link (both port directions poisoned first).
-  using LinkErrorHandler =
-      std::function<void(std::uint32_t, std::uint32_t, const Status&)>;
   void set_link_error_handler(LinkErrorHandler handler) {
     link_error_handler_ = std::move(handler);
   }

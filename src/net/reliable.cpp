@@ -311,7 +311,6 @@ void ReliableEndpoint::fail_link(std::uint32_t peer,
   if (network_->link_error_handler_) {
     network_->link_error_handler_(rank_, peer, health_);
   }
-  if (network_->error_handler_) network_->error_handler_(health_);
 }
 
 }  // namespace mad2::net

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -94,19 +93,9 @@ class ReliableNetwork {
   [[nodiscard]] const ReliableParams& params() const { return params_; }
   [[nodiscard]] sim::Simulator* simulator() const { return simulator_; }
 
-  /// Called (at most once per endpoint) when a link is declared dead.
-  void set_error_handler(std::function<void(const Status&)> handler) {
-    error_handler_ = std::move(handler);
-  }
-
-  /// Like set_error_handler, but identifies the dead link: (rank, peer)
-  /// is the directed link whose sender gave up. Fires before the plain
-  /// error handler, so an embedding driver can tear its own per-link
-  /// state down before the session-level handler runs.
-  void set_link_error_handler(
-      std::function<void(std::uint32_t rank, std::uint32_t peer,
-                         const Status&)>
-          handler) {
+  /// Called (at most once per endpoint) when a link is declared dead:
+  /// (rank, peer) is the directed link whose sender gave up.
+  void set_link_error_handler(LinkErrorHandler handler) {
     link_error_handler_ = std::move(handler);
   }
 
@@ -116,9 +105,7 @@ class ReliableNetwork {
   ReliableParams params_;
   PacketFabric<ReliableFrame> fabric_;
   std::vector<std::unique_ptr<ReliableEndpoint>> endpoints_;
-  std::function<void(const Status&)> error_handler_;
-  std::function<void(std::uint32_t, std::uint32_t, const Status&)>
-      link_error_handler_;
+  LinkErrorHandler link_error_handler_;
 };
 
 class ReliableEndpoint {

@@ -34,8 +34,7 @@ TcpNetwork::TcpNetwork(sim::Simulator* simulator,
     reliable_ = std::make_unique<ReliableNetwork>(
         simulator, params_.fabric, params_.reliability);
     reliable_->set_link_error_handler(
-        [this](std::uint32_t rank, std::uint32_t peer,
-               const Status& status) { on_link_failed(rank, peer, status); });
+        std::bind_front(&TcpNetwork::on_link_failed, this));
   }
   for (hw::Node* node : nodes) {
     const std::uint32_t rank =
@@ -45,17 +44,6 @@ TcpNetwork::TcpNetwork(sim::Simulator* simulator,
 }
 
 TcpNetwork::~TcpNetwork() = default;
-
-void TcpNetwork::set_error_handler(
-    std::function<void(const Status&)> handler) {
-  error_handler_ = std::move(handler);
-}
-
-void TcpNetwork::set_link_error_handler(
-    std::function<void(std::uint32_t, std::uint32_t, const Status&)>
-        handler) {
-  link_error_handler_ = std::move(handler);
-}
 
 void TcpNetwork::on_link_failed(std::uint32_t a, std::uint32_t b,
                                 const Status& status) {
@@ -69,11 +57,7 @@ void TcpNetwork::on_link_failed(std::uint32_t a, std::uint32_t b,
       if (port->rank_ == a || stream->peer() == a) stream->fail(status);
     }
   }
-  if (link_error_handler_) {
-    link_error_handler_(a, b, status);
-    return;
-  }
-  if (error_handler_) error_handler_(status);
+  if (link_error_handler_) link_error_handler_(a, b, status);
 }
 
 // -------------------------------------------------------------- TcpPort ---

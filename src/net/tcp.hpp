@@ -18,7 +18,7 @@
 // the reliable-delivery shim (net/reliable) instead of the raw fabric —
 // the kernel's seq/ack/retransmit machinery, collapsed to the shim — so
 // the byte streams stay reliable over a lossy wire. A link that gives up
-// retransmitting reports through set_error_handler().
+// retransmitting reports through set_link_error_handler().
 #pragma once
 
 #include <cstdint>
@@ -70,17 +70,12 @@ class TcpNetwork {
   [[nodiscard]] ReliableNetwork* reliable() { return reliable_.get(); }
 
   /// Fires when a link gives up retransmitting, after every stream
-  /// touching the dead link has been poisoned (see TcpStream::status()).
-  /// Never fires on a lossless fabric, which cannot fail.
-  void set_error_handler(std::function<void(const Status&)> handler);
-
-  /// Like set_error_handler but keeps the endpoint ranks of the dead link:
-  /// `a` is the rank whose shim gave up, `b` the unresponsive peer. When
-  /// both handlers are set, only this one fires — the caller is expected
-  /// to fold the plain handler's behavior into its richer one.
-  void set_link_error_handler(
-      std::function<void(std::uint32_t a, std::uint32_t b, const Status&)>
-          handler);
+  /// touching the dead link has been poisoned (see TcpStream::status()):
+  /// `a` is the rank whose shim gave up, `b` the unresponsive peer. Never
+  /// fires on a lossless fabric, which cannot fail.
+  void set_link_error_handler(LinkErrorHandler handler) {
+    link_error_handler_ = std::move(handler);
+  }
 
  private:
   friend class TcpPort;
@@ -106,9 +101,7 @@ class TcpNetwork {
   std::vector<std::unique_ptr<TcpPort>> ports_;
   // Ranks whose shim gave up, with their death Status, in failure order.
   std::vector<std::pair<std::uint32_t, Status>> dead_;
-  std::function<void(const Status&)> error_handler_;
-  std::function<void(std::uint32_t, std::uint32_t, const Status&)>
-      link_error_handler_;
+  LinkErrorHandler link_error_handler_;
 };
 
 /// One directed byte stream endpoint pair. Obtained from TcpPort::stream();

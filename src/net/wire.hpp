@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -30,8 +31,14 @@
 #include "hw/resource.hpp"
 #include "net/fault.hpp"
 #include "sim/sync.hpp"
+#include "util/status.hpp"
 
 namespace mad2::net {
+
+/// A driver's report of a dead link: `a` is the port that gave up on it,
+/// `b` the unresponsive peer.
+using LinkErrorHandler =
+    std::function<void(std::uint32_t a, std::uint32_t b, const Status&)>;
 
 /// Fault-injection byte access. The fabric corrupts packets through this
 /// hook; packet types that want corruption to be observable define a

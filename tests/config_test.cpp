@@ -156,9 +156,10 @@ channel d plain
 )");
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   const SessionConfig& config = result.value();
-  EXPECT_FALSE(config.networks[0].ib_params.has_value());
-  ASSERT_TRUE(config.networks[1].ib_params.has_value());
-  const net::IbParams& params = *config.networks[1].ib_params;
+  const std::vector<NetworkDef>& networks = config.networks;
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(networks[0].params));
+  ASSERT_TRUE(std::holds_alternative<net::IbParams>(networks[1].params));
+  const net::IbParams& params = std::get<net::IbParams>(networks[1].params);
   EXPECT_EQ(params.qp_depth, 8u);
   EXPECT_EQ(params.regcache_capacity, 0u);
   // Options left unset keep the adapter preset.
@@ -556,7 +557,10 @@ INSTANTIATE_TEST_SUITE_P(
         FullMessageCase{"nodes 2\ncongestion backlog=nan\n",
                         "config line 2: invalid congestion backlog "
                         "'backlog=nan' (must be > 1: smoothed delay at the "
-                        "observed floor is not congestion)"}),
+                        "observed floor is not congestion)"},
+        // kCustom networks carry their own factory: no config names one.
+        FullMessageCase{"nodes 2\nnetwork n custom 0 1\n",
+                        "config line 2: unknown network kind 'custom'"}),
     full_message_case_name);
 
 TEST_P(ConfigMessages, MatchInFull) {
@@ -564,6 +568,19 @@ TEST_P(ConfigMessages, MatchInFull) {
   ASSERT_FALSE(result.is_ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(result.status().message(), GetParam().message);
+}
+
+TEST(ConfigParser, EveryBuiltInKindNameMapsBackToItsKind) {
+  for (NetworkKind kind :
+       {NetworkKind::kBip, NetworkKind::kSisci, NetworkKind::kTcp,
+        NetworkKind::kVia, NetworkKind::kSbp, NetworkKind::kIb}) {
+    const std::string name(to_string(kind));
+    auto result =
+        parse_session_config("nodes 2\nnetwork n " + name + " 0 1\n");
+    ASSERT_TRUE(result.is_ok()) << name << ": "
+                                << result.status().to_string();
+    EXPECT_EQ(result.value().networks[0].kind, kind) << name;
+  }
 }
 
 TEST(ConfigParser, ErrorsCarryLineNumbers) {

@@ -39,7 +39,10 @@ struct FuzzParam {
 const net::ReliabilityCounters& left_link_counters(Session& session,
                                                    std::uint32_t node) {
   mad::NetworkInstance& left = session.network("left");
-  return left.tcp->reliable()->endpoint(left.port(node)).counters();
+  return left.as<net::TcpNetwork>()
+      .reliable()
+      ->endpoint(left.port(node))
+      .counters();
 }
 
 /// Faulty-Ethernet parameters: a FaultPlan with light loss/dup/reorder
@@ -107,14 +110,14 @@ TEST_P(FwdFuzz, RandomSchedulesSurviveTheGateway) {
   left.kind = param.left;
   left.nodes = {0, 1};
   if (param.fault_drop > 0 && param.left == NetworkKind::kTcp) {
-    left.tcp_params = faulty_tcp(left_plan, param.fault_drop);
+    left.params = faulty_tcp(left_plan, param.fault_drop);
   }
   NetworkDef right;
   right.name = "right";
   right.kind = param.right;
   right.nodes = {1, 2};
   if (param.fault_drop > 0 && param.right == NetworkKind::kTcp) {
-    right.tcp_params = faulty_tcp(right_plan, param.fault_drop);
+    right.params = faulty_tcp(right_plan, param.fault_drop);
   }
   config.networks = {left, right};
   ChannelDef cl{"cl", "left"};
@@ -342,12 +345,12 @@ TEST(FwdFaultAcceptance, TenThousandMessagesThroughLossyGateway) {
     left.name = "left";
     left.kind = NetworkKind::kTcp;
     left.nodes = {0, 1};
-    left.tcp_params = left_tcp;
+    left.params = left_tcp;
     NetworkDef right;
     right.name = "right";
     right.kind = NetworkKind::kTcp;
     right.nodes = {1, 2};
-    right.tcp_params = right_tcp;
+    right.params = right_tcp;
     config.networks = {left, right};
     config.channels = {ChannelDef{"cl", "left"}, ChannelDef{"cr", "right"}};
     Session session(std::move(config));

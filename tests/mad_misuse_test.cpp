@@ -333,6 +333,15 @@ TEST(Misuse, StaticBufferAccountingCatchesGrossAsymmetry) {
   EXPECT_DEATH({ (void)session.run(); }, "asymmetric");
 }
 
+// A network's params must be of its own kind's type: a BIP network given
+// TCP params aborts instead of running on the BIP preset.
+TEST(Misuse, ParamsOfAnotherKindAbort) {
+  SessionConfig config = config_for(NetworkKind::kBip, false);
+  config.networks[0].params = net::TcpParams::fast_ethernet();
+  EXPECT_DEATH({ Session session(std::move(config)); },
+               "params belong to another kind");
+}
+
 // Failure triage is for failures: reporting a healthy link (OK status)
 // into route_network_failure is a driver bug, not a routable event.
 TEST(Misuse, RouteNetworkFailureWithOkStatusAborts) {

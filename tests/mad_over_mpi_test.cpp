@@ -43,7 +43,7 @@ struct MadOverMpiBed {
         "madompi", members, [world, holder](std::uint32_t node) -> Comm& {
           if (!*world) {
             *world = std::make_unique<SciBaselineWorld>(
-                *(*holder)->network("sci0").sci,
+                (*holder)->network("sci0").as<net::SciNetwork>(),
                 SciBaselineParams::scampi_like());
           }
           return (*world)->comm(node);

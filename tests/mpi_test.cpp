@@ -216,7 +216,7 @@ SciBaselineParams baseline_params(bool scampi) {
 
 TEST_P(SciBaseline, RoundTripsAcrossSizes) {
   Session session(mpi_config(NetworkKind::kSisci, 2));
-  SciBaselineWorld world(*session.network("net0").sci,
+  SciBaselineWorld world(session.network("net0").as<net::SciNetwork>(),
                          baseline_params(GetParam()));
   const std::vector<std::size_t> sizes{0, 4, 1000, 8192, 16384, 100000};
   session.spawn(0, "r0", [&](NodeRuntime&) {
@@ -238,7 +238,7 @@ TEST_P(SciBaseline, RoundTripsAcrossSizes) {
 
 TEST_P(SciBaseline, AnySourceWildcardWorks) {
   Session session(mpi_config(NetworkKind::kSisci, 3));
-  SciBaselineWorld world(*session.network("net0").sci,
+  SciBaselineWorld world(session.network("net0").as<net::SciNetwork>(),
                          baseline_params(GetParam()));
   session.spawn(2, "r2", [&](NodeRuntime&) {
     auto payload = make_pattern_buffer(300, 3);
@@ -293,14 +293,14 @@ TEST(Figure6, LatencyOrderMatchesThePaper) {
   }
   {
     Session session(mpi_config(NetworkKind::kSisci, 2));
-    SciBaselineWorld world(*session.network("net0").sci,
+    SciBaselineWorld world(session.network("net0").as<net::SciNetwork>(),
                            SciBaselineParams::scampi_like());
     scampi_lat = mpi_pingpong_latency_us(world.comm(0), world.comm(1),
                                          session, 4);
   }
   {
     Session session(mpi_config(NetworkKind::kSisci, 2));
-    SciBaselineWorld world(*session.network("net0").sci,
+    SciBaselineWorld world(session.network("net0").as<net::SciNetwork>(),
                            SciBaselineParams::scimpich_like());
     scimpich_lat = mpi_pingpong_latency_us(world.comm(0), world.comm(1),
                                            session, 4);
@@ -324,14 +324,14 @@ TEST(Figure6, ChMadWinsBandwidthAtLargeSizes) {
   }
   {
     Session session(mpi_config(NetworkKind::kSisci, 2));
-    SciBaselineWorld world(*session.network("net0").sci,
+    SciBaselineWorld world(session.network("net0").as<net::SciNetwork>(),
                            SciBaselineParams::scampi_like());
     scampi_lat = mpi_pingpong_latency_us(world.comm(0), world.comm(1),
                                          session, size, 4);
   }
   {
     Session session(mpi_config(NetworkKind::kSisci, 2));
-    SciBaselineWorld world(*session.network("net0").sci,
+    SciBaselineWorld world(session.network("net0").as<net::SciNetwork>(),
                            SciBaselineParams::scimpich_like());
     scimpich_lat = mpi_pingpong_latency_us(world.comm(0), world.comm(1),
                                            session, size, 4);

@@ -437,7 +437,7 @@ void run_faulty_incast(std::uint64_t seed, const LinkFaults& faults,
   FaultPlan* active = scripted != nullptr ? scripted : &plan;
   TcpParams tcp = TcpParams::fast_ethernet();
   tcp.fabric.faults = active;
-  bed.config.networks[0].tcp_params = tcp;  // the contended left hop
+  bed.config.networks[0].params = tcp;  // the contended left hop
   mad::CongestionConfig cc;
   cc.enabled = true;
   cc.max_window = 8;

@@ -206,7 +206,7 @@ mad::SessionConfig chain_config(net::FaultPlan* middle_faults,
       // delay is honest wire time, not retransmission noise.
       tcp.reliability.rto_initial = sim::milliseconds(20);
       tcp.reliability.rto_max = sim::milliseconds(50);
-      net.tcp_params = tcp;
+      net.params = tcp;
     }
     config.networks.push_back(net);
   }

@@ -19,15 +19,13 @@
 namespace mad2::mad {
 namespace {
 
-SessionConfig ib_net(std::optional<IbPmmOptions> options = {},
-                     std::optional<net::IbParams> params = {}) {
+SessionConfig ib_net(std::optional<IbPmmOptions> options = {}) {
   SessionConfig config;
   config.node_count = 2;
   NetworkDef net;
   net.name = "n";
   net.kind = NetworkKind::kIb;
   net.nodes = {0, 1};
-  net.ib_params = params;
   config.networks.push_back(net);
   ChannelDef channel{"ch", "n"};
   channel.ib_options = options;
@@ -321,7 +319,7 @@ SessionConfig ib_rail_config(net::FaultPlan* plan, sim::Duration timeout) {
   ibnet.name = "ib0";
   ibnet.kind = NetworkKind::kIb;
   ibnet.nodes = {0, 1};
-  ibnet.ib_params = ib;
+  ibnet.params = ib;
   config.networks = {myri, ibnet};
   config.channels = {ChannelDef{"ch0", "myri0"}, ChannelDef{"ch1", "ib0"}};
   config.rail_sets.push_back(RailSetDef{"r", {"ch0", "ch1"}});
@@ -484,7 +482,7 @@ IbTransfer run_on_rail_set(const std::string& channel, std::size_t size,
   EXPECT_TRUE(session.rail_set("r").health().is_ok());
   for (std::uint32_t rank : {0u, 1u}) {
     const net::IbCounters& c =
-        session.network("ib0").ib->port(rank).counters();
+        session.network("ib0").as<net::IbNetwork>().port(rank).counters();
     result.send_wrs += c.send_wrs;
     result.write_wrs += c.write_wrs;
     result.read_wrs += c.read_wrs;
@@ -521,6 +519,36 @@ TEST(PmmIb, RailSegmentMatchesTheWriteTm) {
   EXPECT_EQ(striped.landed_at, 1200911);
   EXPECT_EQ(direct.sent_at, 840878);
   EXPECT_EQ(direct.landed_at, 839173);
+}
+
+// The session's link-error hook turns a driver's port numbers into global
+// node ids. Members {3, 1, 4} of 5 nodes sit on ports 0, 1 and 2, so a
+// hook that passed ports through, or swapped the two ends, names the
+// wrong nodes. Here the HCA of node 3 declares its link to node 4 dead.
+TEST(LinkErrorHook, IbFailLinkNamesTheNodes) {
+  SessionConfig config;
+  config.node_count = 5;
+  NetworkDef ib;
+  ib.name = "ib0";
+  ib.kind = NetworkKind::kIb;
+  ib.nodes = {3, 1, 4};
+  config.networks.push_back(ib);
+  config.channels.push_back(ChannelDef{"ch", "ib0"});
+  Session session(std::move(config));
+
+  std::vector<NetworkFailure> reports;
+  session.add_failure_listener([&](const NetworkFailure& failure) {
+    reports.push_back(failure);
+    return FailureDomain::kUnknown;
+  });
+  session.network("ib0").as<net::IbNetwork>().fail_link(
+      /*port of node 3*/ 0, /*port of node 4*/ 2,
+      unavailable("HCA gave up (test)"));
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].network->def.name, "ib0");
+  EXPECT_EQ(reports[0].src_node, 3u);
+  EXPECT_EQ(reports[0].dst_node, 4u);
+  EXPECT_EQ(session.health().code(), ErrorCode::kUnavailable);
 }
 
 }  // namespace

@@ -210,7 +210,9 @@ TEST(PmmProtocol, TcpStreamsOpenOnFirstUseInPairs) {
   Session session(std::move(config));
   NetworkInstance& network = session.network("n");
   const auto streams = [&](std::uint32_t node) {
-    return network.tcp->port(network.port(node)).stream_count();
+    return network.as<net::TcpNetwork>()
+        .port(network.port(node))
+        .stream_count();
   };
   for (std::uint32_t node = 0; node < 3; ++node) {
     EXPECT_EQ(streams(node), 0u) << "node " << node;

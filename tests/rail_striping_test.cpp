@@ -140,7 +140,7 @@ TEST(RailStriping, FallibleTcpRailCarriesSegmentsBeyondTwoSocketBuffers) {
   net::TcpParams tcp = net::TcpParams::fast_ethernet();
   tcp.fabric.faults = &plan;
   SessionConfig config = tcp_rails_config(2);
-  config.networks[1].tcp_params = tcp;
+  config.networks[1].params = tcp;
   Session session(std::move(config));
   const Status run = run_transfer(session, {1 << 20});
   ASSERT_TRUE(run.is_ok()) << run.to_string();
@@ -224,14 +224,10 @@ TEST(RailStriping, MixedProtocolRails) {
   // the IB rail's checked RDMA rendezvous per segment.
   SessionConfig config;
   config.node_count = 2;
-  NetworkDef myri{"myri0", NetworkKind::kBip, {0, 1}, {}, {}, {}, {}, {}, {},
-                  nullptr};
-  NetworkDef sci{"sci0", NetworkKind::kSisci, {0, 1}, {}, {}, {}, {}, {}, {},
-                 nullptr};
-  NetworkDef eth{"eth0", NetworkKind::kTcp, {0, 1}, {}, {}, {}, {}, {}, {},
-                 nullptr};
-  NetworkDef ib{"ib0", NetworkKind::kIb, {0, 1}, {}, {}, {}, {}, {}, {},
-                nullptr};
+  NetworkDef myri{"myri0", NetworkKind::kBip, {0, 1}, {}, nullptr};
+  NetworkDef sci{"sci0", NetworkKind::kSisci, {0, 1}, {}, nullptr};
+  NetworkDef eth{"eth0", NetworkKind::kTcp, {0, 1}, {}, nullptr};
+  NetworkDef ib{"ib0", NetworkKind::kIb, {0, 1}, {}, nullptr};
   config.networks = {myri, sci, eth, ib};
   config.channels = {ChannelDef{"ch0", "myri0"}, ChannelDef{"ch1", "sci0"},
                      ChannelDef{"ch2", "eth0"}, ChannelDef{"ch3", "ib0"}};
@@ -282,11 +278,9 @@ SessionConfig faulty_rail_config(net::FaultPlan* plan) {
   tcp.reliability.max_retransmits = 5;
   SessionConfig config;
   config.node_count = 2;
-  NetworkDef myri{"myri0", NetworkKind::kBip, {0, 1}, {}, {}, {}, {}, {}, {},
-                  nullptr};
-  NetworkDef eth{"eth0", NetworkKind::kTcp, {0, 1}, {}, {}, {}, {}, {}, {},
-                 nullptr};
-  eth.tcp_params = tcp;
+  NetworkDef myri{"myri0", NetworkKind::kBip, {0, 1}, {}, nullptr};
+  NetworkDef eth{"eth0", NetworkKind::kTcp, {0, 1}, {}, nullptr};
+  eth.params = tcp;
   config.networks = {myri, eth};
   config.channels = {ChannelDef{"ch0", "myri0"}, ChannelDef{"ch1", "eth0"}};
   config.rail_sets.push_back(RailSetDef{"r", {"ch0", "ch1"}});

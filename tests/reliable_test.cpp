@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/fault.hpp"
@@ -220,7 +221,12 @@ TEST(ReliableSweep, PermanentPartitionGivesUpWithUnavailable) {
   const std::uint32_t a = network.add_port();
   const std::uint32_t b = network.add_port();
   Status handled = Status::ok();
-  network.set_error_handler([&](const Status& status) { handled = status; });
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> dead_links;
+  network.set_link_error_handler(
+      [&](std::uint32_t rank, std::uint32_t peer, const Status& status) {
+        dead_links.emplace_back(rank, peer);
+        handled = status;
+      });
   Status send_status = Status::ok();
   Status recv_status = Status::ok();
   simulator.spawn("tx", [&] {
@@ -241,6 +247,10 @@ TEST(ReliableSweep, PermanentPartitionGivesUpWithUnavailable) {
   EXPECT_EQ(send_status.code(), ErrorCode::kUnavailable);
   EXPECT_EQ(recv_status.code(), ErrorCode::kUnavailable);
   EXPECT_EQ(handled.code(), ErrorCode::kUnavailable);
+  // Only a sends, so only the a -> b link gives up.
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> expected = {
+      {a, b}};
+  EXPECT_EQ(dead_links, expected);
   EXPECT_GE(network.endpoint(a).counters().give_ups, 1u);
 }
 

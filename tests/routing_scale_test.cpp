@@ -312,7 +312,7 @@ TEST(RoutingScale, PartitionTriggersFailoverEndToEnd) {
     tcp.reliability.rto_max = sim::microseconds(800);
     tcp.reliability.max_retransmits = 5;
     for (mad::NetworkDef& net : bed.config.networks) {
-      if (net.name == "ft_core_net") net.tcp_params = tcp;
+      if (net.name == "ft_core_net") net.params = tcp;
     }
 
     Session session(bed.config);

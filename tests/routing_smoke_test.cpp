@@ -13,6 +13,7 @@
 
 #include "fwd/virtual_channel.hpp"
 #include "mad/hostdb.hpp"
+#include "net/fault.hpp"
 #include "routing_testlib.hpp"
 #include "testbed.hpp"
 
@@ -111,6 +112,46 @@ TEST(RoutingSmoke, LeafFailureFailsTheSessionAsANodeDomain) {
   session.fail(unavailable("second failure (test)"));
   EXPECT_EQ(session.health(), report.status);
   EXPECT_EQ(session.hostdb().dead_count(), 1u);
+}
+
+// The session's link-error hook turns a driver's port numbers into global
+// node ids. Members {3, 1, 4} of 5 nodes sit on ports 0, 1 and 2, so a
+// hook that passed ports through, or swapped the two ends, names the
+// wrong nodes. Here a TCP link dies for real: node 3's reliable shim gives
+// up on a permanent partition toward node 4.
+TEST(LinkErrorHook, TcpGiveUpNamesTheNodes) {
+  net::FaultPlan plan(/*seed=*/3);
+  plan.partition(/*port of node 3*/ 0, /*port of node 4*/ 2, 0, sim::kNever);
+  net::TcpParams tcp = net::TcpParams::fast_ethernet();
+  tcp.fabric.faults = &plan;
+  tcp.reliability.max_retransmits = 3;
+  mad::SessionConfig config;
+  config.node_count = 5;
+  mad::NetworkDef eth;
+  eth.name = "eth";
+  eth.kind = mad::NetworkKind::kTcp;
+  eth.nodes = {3, 1, 4};
+  eth.params = tcp;
+  config.networks.push_back(eth);
+  config.channels.push_back(mad::ChannelDef{"ch", "eth"});
+  Session session(std::move(config));
+
+  std::vector<mad::NetworkFailure> reports;
+  session.add_failure_listener([&](const mad::NetworkFailure& failure) {
+    reports.push_back(failure);
+    return mad::FailureDomain::kUnknown;
+  });
+  session.spawn(3, "tx", [](mad::NodeRuntime& rt) {
+    const std::vector<std::byte> payload = make_pattern_buffer(64, 1);
+    auto& conn = rt.channel("ch").begin_packing(4);
+    conn.pack(payload);
+    conn.end_packing();
+  });
+  EXPECT_EQ(session.run().code(), ErrorCode::kUnavailable);
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].network->def.name, "eth");
+  EXPECT_EQ(reports[0].src_node, 3u);
+  EXPECT_EQ(reports[0].dst_node, 4u);
 }
 
 /// One gateway pump mode: the queue between a gateway's rx and tx fibers.

@@ -170,7 +170,7 @@ FaultySessionResult run_faulty_tcp_session(std::uint64_t seed) {
   net_def.name = "n";
   net_def.kind = mad::NetworkKind::kTcp;
   net_def.nodes = {0, 1, 2};
-  net_def.tcp_params = tcp;
+  net_def.params = tcp;
   config.networks.push_back(net_def);
   config.channels.push_back(mad::ChannelDef{"ch", "n"});
   mad::Session session(std::move(config));
@@ -206,8 +206,11 @@ FaultySessionResult run_faulty_tcp_session(std::uint64_t seed) {
   EXPECT_TRUE(session.run().is_ok());
   result.final_us = sim::to_us(session.simulator().now());
   result.faults = plan.counters();
-  mad::NetworkInstance& net = session.network("n");
-  result.reliability = net.tcp->reliable()->endpoint(net.port(0)).counters();
+  mad::NetworkInstance& network = session.network("n");
+  result.reliability = network.as<net::TcpNetwork>()
+                           .reliable()
+                           ->endpoint(network.port(0))
+                           .counters();
   return result;
 }
 
