@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "fwd/packet_pool.hpp"
+#include "fwd/router.hpp"
 #include "mad/congestion.hpp"
 #include "mad/madeleine.hpp"
 #include "sim/sync.hpp"
@@ -185,7 +186,6 @@ class VirtualConnection {
   void append_piece(std::span<const std::byte> data);
   void read_block_header(std::size_t expected_len, mad::SendMode smode,
                          mad::ReceiveMode rmode);
-  void drop_view();
 
   VirtualEndpoint* endpoint_;
   std::uint32_t remote_;
@@ -211,7 +211,8 @@ class VirtualConnection {
   bool unpacking_ = false;
   // Backing for the current unpack_view: a fully consumed packet whose
   // memory is still lent out, or the scratch copy for non-contiguous
-  // blocks. Released at the next unpack / end_unpacking.
+  // blocks. view_hold_ is released at the next unpack / end_unpacking;
+  // view_scratch_ keeps its capacity for reuse.
   PooledBuffer view_hold_;
   std::vector<std::byte> view_scratch_;
 
@@ -272,7 +273,8 @@ class VirtualEndpoint {
  private:
   friend class VirtualChannel;
   friend class VirtualConnection;
-  VirtualEndpoint(VirtualChannel* channel, std::uint32_t local);
+  VirtualEndpoint(VirtualChannel* channel, std::uint32_t local)
+      : channel_(channel), local_(local) {}
 
   /// The connection to `remote`, created on first use; aborts for a node
   /// outside the channel and for this endpoint's own node.
@@ -304,15 +306,12 @@ class VirtualEndpoint {
   /// demand-directed fetch cost nothing here.
   void read_stream(std::uint32_t src, std::span<std::byte> out);
 
-  /// Drop the front packet of `stream`, resetting the cursor; `retain`
-  /// receives the packet's storage instead of the pool when the caller
-  /// still needs the memory (unpack_view).
-  void retire_front(Stream& stream, PooledBuffer* retain);
-
   /// Normalize the cursor: skip exhausted pieces and recycle fully
   /// consumed front packets, so the cursor points at unread data whenever
-  /// the stream has any.
-  void settle(Stream& stream);
+  /// the stream has any. `retain` receives a retired packet's storage
+  /// instead of the pool when the caller still lends its memory out
+  /// (unpack_view); only the front packet can be fully consumed.
+  void settle(Stream& stream, PooledBuffer* retain = nullptr);
 
   VirtualChannel* channel_;
   std::uint32_t local_;
@@ -339,13 +338,13 @@ class VirtualChannel {
 
   /// The nodes reachable through this virtual channel (union of hops).
   [[nodiscard]] const std::vector<std::uint32_t>& nodes() const {
-    return nodes_;
+    return router_.nodes();
   }
 
   /// OK while every hop's links are healthy; the session's first recorded
   /// failure otherwise. A failed hop stops the gateway pumps, so senders
   /// and receivers should consult this after run() returns early.
-  [[nodiscard]] const Status& health() const;
+  [[nodiscard]] const Status& health() const { return session_->health(); }
 
   /// The channel's packet-buffer pool (introspection for tests/benches).
   [[nodiscard]] const PacketPool& pool() const { return pool_; }
@@ -401,17 +400,15 @@ class VirtualChannel {
   /// Packets forwarded by `gateway`'s pumps (spread/evidence for tests).
   [[nodiscard]] std::uint64_t gateway_forwarded(std::uint32_t gateway) const;
 
+  /// Routes of this channel: hop_of, next_node, terminal_hop.
+  [[nodiscard]] const Router& router() const { return router_; }
   /// Boundary introspection: gateway sets joining consecutive hops.
   [[nodiscard]] std::size_t boundary_count() const {
-    return boundaries_.size();
+    return router_.boundaries().size();
   }
   [[nodiscard]] const std::vector<std::uint32_t>& boundary_gateways(
       std::size_t boundary) const {
-    return boundaries_[boundary].gateways;
-  }
-  [[nodiscard]] const std::vector<std::uint32_t>& healthy_gateways(
-      std::size_t boundary) const {
-    return boundaries_[boundary].healthy;
+    return router_.boundaries()[boundary].gateways;
   }
 
   /// Weighted-fair share for flow src -> dst at every gateway fair queue
@@ -438,28 +435,9 @@ class VirtualChannel {
   [[nodiscard]] std::vector<std::size_t> gateway_queue_depths() const;
 
   // --- internals shared with endpoints/gateway pumps ---------------------
-  /// Per-block self-description prepended to each packed block.
-  struct BlockHeader {
-    std::uint64_t len;
-    std::uint8_t smode;
-    std::uint8_t rmode;
-  };
+  /// Per-block self-description prepended to each packed block: u64
+  /// length, send mode, receive mode.
   static constexpr std::size_t kBlockHeaderBytes = 10;
-
-  /// Index of the hop channel `node` uses to make progress toward `dst`
-  /// (the first hop containing `node` that is not already past `dst`).
-  /// Precomputed into a flat dense table at construction (O(1) at
-  /// 1024-node fan-out) — no per-packet work.
-  [[nodiscard]] std::size_t hop_of(std::uint32_t node,
-                                   std::uint32_t dst) const;
-  /// Next node on hop `hop` for flow src -> dst: `dst` itself if it is on
-  /// the hop, else a gateway of the boundary toward `dst` — the flow's
-  /// deterministic hash pick among the boundary's *currently healthy*
-  /// gateways, so an epoch bump re-routes the very next packet.
-  [[nodiscard]] std::uint32_t next_node(std::size_t hop, std::uint32_t src,
-                                        std::uint32_t dst) const;
-  /// The hop channel on which `node` receives virtual-channel traffic.
-  [[nodiscard]] std::size_t terminal_hop(std::uint32_t node) const;
 
   /// Ship one packet: header, the riding fields of `ext` and the
   /// piece-size list (EXPRESS), then the pieces (CHEAPER — ridden
@@ -485,8 +463,6 @@ class VirtualChannel {
  private:
   friend class VirtualEndpoint;
   friend class VirtualConnection;
-  void spawn_gateway(std::uint32_t gateway, std::size_t hop_in,
-                     std::size_t hop_out);
   /// One gateway pump direction: packets landed on `hop_in` leave on
   /// `hop_out`, through `queue` (FIFO pipeline or DRR) or, with none,
   /// inline from the receiving fiber (store-and-forward).
@@ -494,11 +470,16 @@ class VirtualChannel {
     std::uint32_t gateway;
     std::size_t hop_in;
     std::size_t hop_out;
-    PacketQueue* queue;
+    std::unique_ptr<PacketQueue> queue;
+    FairPacketQueue* fair = nullptr;  // `queue` when it is a DRR queue
+    std::uint64_t forwarded = 0;
   };
+  /// Build a pump record per gateway and direction, then start each.
+  void spawn_gateways();
+  void spawn_pump(GatewayPump& pump);
   /// The tx half shared by every pump mode: route, stamp this gateway's
   /// hop, and re-send the landed gather list on `out`.
-  void forward_packet(const GatewayPump& pump, mad::ChannelEndpoint& out,
+  void forward_packet(GatewayPump& pump, mad::ChannelEndpoint& out,
                       Packet& packet);
 
   /// One retained (sent but unconfirmed) packet of a resilient flow: the
@@ -546,44 +527,7 @@ class VirtualChannel {
   /// histograms. No-op with propagation off.
   void note_packet_trace(Packet& packet);
 
-  /// Gateway set joining hops i and i+1. `healthy` shrinks on deaths;
-  /// `gateways` is the construction-time inventory.
-  struct Boundary {
-    std::vector<std::uint32_t> gateways;
-    std::vector<std::uint32_t> healthy;
-  };
-
-  /// One routing-table cell: how hop `hop` reaches a destination.
-  struct NextHop {
-    enum class Kind : std::uint8_t {
-      kUnreachable,
-      kDirect,    // dst is on the hop
-      kForward,   // through boundary `boundary` (toward hop+1)
-      kBackward,  // through boundary `boundary` (toward hop-1)
-    };
-    Kind kind = Kind::kUnreachable;
-    std::uint32_t boundary = 0;
-  };
-
-  static constexpr std::uint32_t kNoIndex = 0xffffffffu;
-  static constexpr std::uint16_t kNoHop = 0xffffu;
-
-  /// Whether `node` (a global id) is a member of this channel.
-  [[nodiscard]] bool has_node(std::uint32_t node) const {
-    return node < node_index_.size() && node_index_[node] != kNoIndex;
-  }
-  [[nodiscard]] std::uint32_t dense_index(std::uint32_t node) const;
-  [[nodiscard]] std::uint32_t pick_gateway(std::uint32_t boundary,
-                                           std::uint32_t src,
-                                           std::uint32_t dst) const;
-  /// Walks the flow's current deterministic route; true if it crosses
-  /// `gateway`. Used at kill time, before the healthy sets shrink, to
-  /// find the flows that need replay.
-  [[nodiscard]] bool route_uses_gateway(std::uint32_t src, std::uint32_t dst,
-                                        std::uint32_t gateway) const;
-  /// True if this channel can absorb `node`'s death: it is a healthy
-  /// gateway here and every boundary holding it keeps a sibling.
-  [[nodiscard]] bool can_absorb_gateway(std::uint32_t node) const;
+  // --- resilient mode (failover.cpp) ---
   mad::FailureDomain on_network_failure(const mad::NetworkFailure& failure);
   sim::Mutex& send_mutex(std::uint32_t src);
   void note_gateway_packet();
@@ -597,34 +541,21 @@ class VirtualChannel {
   bool propagation_ = false;          // resolved (def > session > off)
   PacketExt::Layout ext_layout_;      // derived from the three above
   std::vector<mad::Channel*> hop_channels_;
-  std::vector<Boundary> boundaries_;  // boundaries_[i] joins hop i, i+1
-  std::vector<std::uint32_t> nodes_;
-  // Flat directory-indexed routing tables, precomputed at construction:
-  // global node id -> dense index, then dense n x n lookups. O(1) with no
-  // tree walks at 256-1024-node fan-out.
-  std::vector<std::uint32_t> node_index_;   // by global id; kNoIndex = off
-  std::vector<std::uint16_t> hop_table_;    // [src_dense * n + dst_dense]
-  std::vector<std::uint16_t> terminal_table_;  // [dense]; kNoHop = gateway
-  std::vector<std::vector<NextHop>> next_table_;  // [hop][dst_dense]
+  Router router_;
   // Declared before every Packet holder below so recycling handles in
-  // endpoints_/queues_/flows_ still find the pool during destruction.
+  // endpoints_/pumps_/flows_ still find the pool during destruction.
   PacketPool pool_;
   std::map<std::uint32_t, std::unique_ptr<VirtualEndpoint>> endpoints_;
-  std::vector<std::unique_ptr<PacketQueue>> queues_;  // every pump's queue
   // Congestion-control / failover state (empty/idle when both are off).
   std::map<std::pair<std::uint32_t, std::uint32_t>, FlowControl> flows_;
-  /// The DRR queues of queues_. Under congestion control every pump has
-  /// one, so fair_queues_[i] belongs to pumps_[i].
-  std::vector<FairPacketQueue*> fair_queues_;
   std::vector<GatewayPump> pumps_;
   // --- resilient-mode machinery ---
   RoutingCounters counters_;
-  std::map<std::uint32_t, std::uint64_t> forwarded_by_gateway_;
   /// Per-source send serialization: flush and replay of the same flow
   /// must not interleave, or a replayed seq could chase a newer one.
-  std::map<std::uint32_t, std::unique_ptr<sim::Mutex>> send_mutexes_;
-  std::unique_ptr<sim::WaitQueue> replay_settled_;   // replay_pending off
-  std::unique_ptr<sim::WaitQueue> retention_freed_;  // unacked slot freed
+  std::map<std::uint32_t, sim::Mutex> send_mutexes_;
+  sim::WaitQueue replay_settled_;   // replay_pending off
+  sim::WaitQueue retention_freed_;  // unacked slot freed
   struct ArmedKill {
     std::uint32_t gateway;
     std::uint64_t after_packets;

@@ -198,7 +198,7 @@ class RailSet {
   Status degraded_;
   // Directed (rail, src, dst) -> lane job queue; one persistent fiber per
   // queue, spawned in finish_setup (fiber-per-rail, not fiber-per-segment:
-  // fiber stacks live until the simulator dies).
+  // a finished Fiber object lives until the simulator dies, item 1.2).
   std::map<std::uint64_t, std::unique_ptr<sim::BoundedChannel<SendJob>>>
       send_lanes_;
   std::map<std::uint64_t, std::unique_ptr<sim::BoundedChannel<RecvJob>>>

@@ -140,6 +140,7 @@ Session::Session(SessionConfig config) : config_(std::move(config)) {
     std::vector<hw::Node*> members;
     for (std::uint32_t node : def.nodes) {
       MAD2_CHECK(node < nodes_.size(), "network references unknown node");
+      MAD2_CHECK(!instance->has_node(node), "network node listed twice");
       instance->port_of_node[node] =
           static_cast<std::uint32_t>(members.size());
       hostdb_.add_adapter(node, def.name);

@@ -604,7 +604,8 @@ TEST(VirtualChannelCongestion, WindowSurvivesGatewayDeathMidTransfer) {
 
   const std::vector<FlowSpec> flows = {{bed.leaf(0, 0), bed.leaf(1, 0)},
                                        {bed.leaf(0, 1), bed.leaf(1, 1)}};
-  const std::uint32_t victim = vc.next_node(0, flows[0].src, flows[0].dst);
+  const std::uint32_t victim =
+      vc.router().next_node(0, flows[0].src, flows[0].dst);
   GatewayKiller::at_packet_count(vc, victim, 6);
 
   auto failure = run_flows(session, vc, flows, /*messages=*/2,

@@ -484,7 +484,7 @@ RunPrint fat_tree_run(bool congestion, bool kill) {
   VirtualChannel vc(session, def);
   if (kill) {
     GatewayKiller::at_packet_count(
-        vc, vc.next_node(0, flows[0].src, flows[0].dst), 12);
+        vc, vc.router().next_node(0, flows[0].src, flows[0].dst), 12);
   }
   auto failure = run_flows(session, vc, flows, /*messages=*/2,
                            /*message_bytes=*/10 * 1024 + 77);

@@ -293,6 +293,19 @@ TEST(Misuse, NetworkReferencingUnknownNodeAborts) {
   EXPECT_DEATH({ Session session(std::move(config)); }, "unknown node");
 }
 
+// Ports are numbered in list order, so a repeated node would build a port
+// that belongs to no node. The config parser rejects it with the same word.
+TEST(Misuse, NetworkListingANodeTwiceAborts) {
+  SessionConfig config;
+  config.node_count = 2;
+  NetworkDef net;
+  net.name = "net0";
+  net.kind = NetworkKind::kTcp;
+  net.nodes = {0, 1, 1};
+  config.networks.push_back(net);
+  EXPECT_DEATH({ Session session(std::move(config)); }, "listed twice");
+}
+
 TEST(Misuse, ChannelOnUnknownNetworkAborts) {
   SessionConfig config;
   config.node_count = 2;

@@ -162,44 +162,45 @@ struct ChainBed {
 
 TEST(Routing, SameHopIsDirect) {
   ChainBed bed;
-  EXPECT_EQ(bed.vc->hop_of(0, 4), 0u);
-  EXPECT_EQ(bed.vc->next_node(0, 0, 4), 4u);
+  EXPECT_EQ(bed.vc->router().hop_of(0, 4), 0u);
+  EXPECT_EQ(bed.vc->router().next_node(0, 0, 4), 4u);
 }
 
 TEST(Routing, ForwardAcrossOneGateway) {
   ChainBed bed;
-  EXPECT_EQ(bed.vc->hop_of(0, 2), 0u);
-  EXPECT_EQ(bed.vc->next_node(0, 0, 2), 1u);  // via gateway 1
+  EXPECT_EQ(bed.vc->router().hop_of(0, 2), 0u);
+  EXPECT_EQ(bed.vc->router().next_node(0, 0, 2), 1u);  // via gateway 1
   // At gateway 1, hop 1 reaches node 2 directly.
-  EXPECT_EQ(bed.vc->next_node(1, 0, 2), 2u);
+  EXPECT_EQ(bed.vc->router().next_node(1, 0, 2), 2u);
 }
 
 TEST(Routing, ForwardAcrossTwoGateways) {
   ChainBed bed;
-  EXPECT_EQ(bed.vc->hop_of(0, 3), 0u);
-  EXPECT_EQ(bed.vc->next_node(0, 0, 3), 1u);  // first gateway
-  EXPECT_EQ(bed.vc->next_node(1, 0, 3), 2u);  // second gateway
-  EXPECT_EQ(bed.vc->next_node(2, 0, 3), 3u);  // final hop
+  EXPECT_EQ(bed.vc->router().hop_of(0, 3), 0u);
+  EXPECT_EQ(bed.vc->router().next_node(0, 0, 3), 1u);  // first gateway
+  EXPECT_EQ(bed.vc->router().next_node(1, 0, 3), 2u);  // second gateway
+  EXPECT_EQ(bed.vc->router().next_node(2, 0, 3), 3u);  // final hop
 }
 
 TEST(Routing, BackwardDirection) {
   ChainBed bed;
-  EXPECT_EQ(bed.vc->hop_of(3, 0), 2u);
-  EXPECT_EQ(bed.vc->next_node(2, 3, 0), 2u);  // gateway joining hops 1,2
-  EXPECT_EQ(bed.vc->next_node(1, 3, 0), 1u);
-  EXPECT_EQ(bed.vc->next_node(0, 3, 0), 0u);
+  EXPECT_EQ(bed.vc->router().hop_of(3, 0), 2u);
+  // Gateway 2 joins hops 1 and 2.
+  EXPECT_EQ(bed.vc->router().next_node(2, 3, 0), 2u);
+  EXPECT_EQ(bed.vc->router().next_node(1, 3, 0), 1u);
+  EXPECT_EQ(bed.vc->router().next_node(0, 3, 0), 0u);
 }
 
 TEST(Routing, TerminalHopOfNonGatewayNodes) {
   ChainBed bed;
-  EXPECT_EQ(bed.vc->terminal_hop(0), 0u);
-  EXPECT_EQ(bed.vc->terminal_hop(4), 0u);
-  EXPECT_EQ(bed.vc->terminal_hop(3), 2u);
+  EXPECT_EQ(bed.vc->router().terminal_hop(0), 0u);
+  EXPECT_EQ(bed.vc->router().terminal_hop(4), 0u);
+  EXPECT_EQ(bed.vc->router().terminal_hop(3), 2u);
 }
 
 TEST(Routing, GatewayNodesCannotBeReceivers) {
   ChainBed bed;
-  EXPECT_DEATH({ (void)bed.vc->terminal_hop(1); }, "gateway");
+  EXPECT_DEATH({ (void)bed.vc->router().terminal_hop(1); }, "gateway");
 }
 
 TEST(Routing, NodesAreTheHopUnion) {

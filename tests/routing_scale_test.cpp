@@ -108,7 +108,8 @@ TEST(RoutingScale, FatTree256KilledGatewayMidTransfer) {
   const std::vector<FlowSpec> flows = cross_cluster_flows(bed, 8);
   // Kill the gateway flow 0 actually routes through, once the channel's
   // gateways have moved 40 packets — squarely mid-transfer.
-  const std::uint32_t victim = vc.next_node(0, flows[0].src, flows[0].dst);
+  const std::uint32_t victim =
+      vc.router().next_node(0, flows[0].src, flows[0].dst);
   GatewayKiller::at_packet_count(vc, victim, 40);
 
   auto failure = run_flows(session, vc, flows, /*messages=*/2,
@@ -122,7 +123,7 @@ TEST(RoutingScale, FatTree256KilledGatewayMidTransfer) {
   EXPECT_FALSE(session.hostdb().alive(victim));
   EXPECT_EQ(session.hostdb().epoch(), 1u);
   for (std::size_t b = 0; b < vc.boundary_count(); ++b) {
-    for (std::uint32_t g : vc.healthy_gateways(b)) {
+    for (std::uint32_t g : vc.router().boundaries()[b].healthy) {
       EXPECT_NE(g, victim) << "dead gateway still in a healthy set";
     }
   }
@@ -217,7 +218,8 @@ TEST(RoutingScale, Torus1024KilledGatewayMidTransfer) {
   }
   // Victim on the middle boundary, so both the upstream and downstream
   // legs of the route survive around the hole.
-  const std::uint32_t victim = vc.next_node(1, flows[0].src, flows[0].dst);
+  const std::uint32_t victim =
+      vc.router().next_node(1, flows[0].src, flows[0].dst);
   GatewayKiller::at_packet_count(vc, victim, 30);
 
   auto failure = run_flows(session, vc, flows, /*messages=*/2,
@@ -244,7 +246,7 @@ TEST(RoutingScale, KilledGatewaySeedSweep) {
     VirtualChannel vc(session, resilient_vdef(bed.route(0, 1)));
     const std::vector<FlowSpec> flows = cross_cluster_flows(bed, 4);
     const std::uint32_t victim =
-        vc.next_node(0, flows[0].src, flows[0].dst);
+        vc.router().next_node(0, flows[0].src, flows[0].dst);
     GatewayKiller::at_packet_count(vc, victim, after_packets);
 
     auto failure = run_flows(session, vc, flows, /*messages=*/3,
@@ -295,8 +297,8 @@ TEST(RoutingScale, PartitionTriggersFailoverEndToEnd) {
   {
     Session probe(probe_bed.config);
     VirtualChannel vc(probe, resilient_vdef(probe_bed.route(0, 1)));
-    gw_out = vc.next_node(0, flows[0].src, flows[0].dst);
-    gw_in = vc.next_node(1, flows[0].src, flows[0].dst);
+    gw_out = vc.router().next_node(0, flows[0].src, flows[0].dst);
+    gw_in = vc.router().next_node(1, flows[0].src, flows[0].dst);
   }
 
   std::uint64_t total_kills = 0;
@@ -348,7 +350,7 @@ TEST(RoutingScale, FailoverWindowExploredSchedules) {
     const std::vector<FlowSpec> flows = {{bed.leaf(0, 0), bed.leaf(1, 0)},
                                          {bed.leaf(0, 1), bed.leaf(1, 1)}};
     const std::uint32_t victim =
-        vc.next_node(0, flows[0].src, flows[0].dst);
+        vc.router().next_node(0, flows[0].src, flows[0].dst);
     GatewayKiller::at_packet_count(vc, victim, 4);
     auto failure = run_flows(session, vc, flows, /*messages=*/2,
                              /*message_bytes=*/6 * 1024);

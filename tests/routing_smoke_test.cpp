@@ -182,7 +182,7 @@ TEST_P(RoutingSmokeKill, KilledGatewayMidTransferKeepsEveryMessage) {
   // Kill the gateway flow 0 is actually routed through, a deterministic
   // choice, once the gateways have moved a couple dozen packets.
   const std::uint32_t victim =
-      vc.next_node(0, flows[0].src, flows[0].dst);
+      vc.router().next_node(0, flows[0].src, flows[0].dst);
   GatewayKiller::at_packet_count(vc, victim, 20);
 
   auto failure = run_flows(session, vc, flows, /*messages=*/2,
@@ -201,7 +201,7 @@ TEST_P(RoutingSmokeKill, KilledGatewayMidTransferKeepsEveryMessage) {
   EXPECT_FALSE(session.hostdb().alive(victim));
   EXPECT_EQ(session.hostdb().dead_count(), 1u);
   for (std::size_t b = 0; b < vc.boundary_count(); ++b) {
-    for (std::uint32_t g : vc.healthy_gateways(b)) {
+    for (std::uint32_t g : vc.router().boundaries()[b].healthy) {
       EXPECT_NE(g, victim) << "dead gateway still in a healthy set";
     }
   }
