@@ -17,70 +17,35 @@ BipParams BipParams::myrinet_lanai43() {
 
 BipNetwork::BipNetwork(sim::Simulator* simulator,
                        std::vector<hw::Node*> nodes, BipParams params)
-    : simulator_(simulator),
-      params_(std::move(params)),
-      fabric_(simulator, params_.fabric) {
+    : NicNetwork(simulator, std::move(params)) {
   MAD2_CHECK(params_.long_mtu > 0, "long_mtu must be positive");
-  for (hw::Node* node : nodes) {
-    const std::uint32_t rank = fabric_.add_port();
-    ports_.emplace_back(new BipPort(this, node, rank));
-  }
+  add_ports(this, nodes);
 }
-
-BipNetwork::~BipNetwork() = default;
 
 // -------------------------------------------------------------- BipPort ---
 
 BipPort::BipPort(BipNetwork* network, hw::Node* node, std::uint32_t rank)
-    : network_(network), node_(node), rank_(rank) {
-  any_short_arrival_ = std::make_unique<sim::WaitQueue>(network_->simulator_);
-  tx_stage_ = std::make_unique<sim::BoundedChannel<Packet>>(
-      network_->simulator_, network_->params_.tx_stage_depth);
-  network_->simulator_->spawn_daemon(
-      "bip.tx." + std::to_string(rank), [this] { tx_loop(); });
-  network_->simulator_->spawn_daemon(
-      "bip.rx." + std::to_string(rank), [this] { rx_loop(); });
+    : StagedNicPort(network, node, rank),
+      any_short_arrival_(network->simulator_) {
+  spawn_tx();
+  spawn("rx", [this] { rx_loop(); });
 }
 
 BipPort::TagQueue& BipPort::tag_queue(std::uint32_t tag) {
-  TagQueue& queue = short_queues_[tag];
-  if (!queue.arrival) {
-    queue.arrival =
-        std::make_unique<sim::WaitQueue>(network_->simulator_);
-  }
-  return queue;
+  return short_queues_.try_emplace(tag, network_->simulator_).first->second;
 }
 
 BipPort::PostedQueue& BipPort::posted_queue(std::uint32_t src,
                                             std::uint32_t tag) {
   const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | tag;
-  PostedQueue& queue = posted_[key];
-  if (!queue.completion) {
-    queue.completion =
-        std::make_unique<sim::WaitQueue>(network_->simulator_);
-  }
-  return queue;
+  return posted_.try_emplace(key, network_->simulator_).first->second;
 }
 
 void BipPort::stage_packet(Packet packet) {
   // The NIC pulls the data from host memory over PCI (bus-master DMA);
   // the caller regains its buffer once this completes.
-  const std::uint64_t bus_bytes =
-      packet.data.size() + network_->params_.header_bytes;
-  node_->pci_bus().transfer(bus_bytes, node_->params().pci_dma_mbs,
-                            hw::TxClass::kDma, node_->nic_initiator_id(0));
-  tx_stage_->send(std::move(packet));
-}
-
-void BipPort::tx_loop() {
-  for (;;) {
-    auto packet = tx_stage_->receive();
-    if (!packet.has_value()) return;
-    const std::uint32_t dest = packet->dst;
-    const std::uint64_t wire_bytes =
-        packet->data.size() + network_->params_.header_bytes;
-    network_->fabric_.ship(rank_, dest, std::move(*packet), wire_bytes);
-  }
+  host_dma(packet.data.size());
+  tx_stage_.send(std::move(packet));
 }
 
 void BipPort::send_short(std::uint32_t dst, std::uint32_t tag,
@@ -89,7 +54,7 @@ void BipPort::send_short(std::uint32_t dst, std::uint32_t tag,
              "send_short oversized message");
   node_->charge_cpu(network_->params_.tx_overhead);
   Packet packet;
-  packet.kind = BipNetwork::PacketKind::kShort;
+  packet.kind = Packet::Kind::kShort;
   packet.src = rank_;
   packet.dst = dst;
   packet.tag = tag;
@@ -109,7 +74,7 @@ void BipPort::send_long(std::uint32_t dst, std::uint32_t tag,
     const std::uint64_t chunk = std::min<std::uint64_t>(
         total - offset, network_->params_.long_mtu);
     Packet packet;
-    packet.kind = BipNetwork::PacketKind::kLongChunk;
+    packet.kind = Packet::Kind::kLongChunk;
     packet.src = rank_;
     packet.dst = dst;
     packet.tag = tag;
@@ -125,23 +90,8 @@ void BipPort::rx_loop() {
   for (;;) {
     // Chained receive DMA: when several packets are queued in NIC SRAM,
     // the LANai pushes them to host memory as one multi-descriptor burst.
-    // The burst holds the PCI bus against programmed I/O (the Section
-    // 6.2.3 effect) and amortizes bus turnaround.
-    std::vector<Packet> batch;
-    batch.push_back(network_->fabric_.receive(rank_));
-    while (batch.size() < 8) {
-      auto more = network_->fabric_.try_receive(rank_);
-      if (!more.has_value()) break;
-      batch.push_back(std::move(*more));
-    }
-    std::uint64_t bus_bytes = 0;
-    for (const Packet& packet : batch) {
-      bus_bytes += packet.data.size() + network_->params_.header_bytes;
-    }
-    node_->pci_bus().transfer(bus_bytes, node_->params().pci_dma_mbs,
-                              hw::TxClass::kDma, node_->nic_initiator_id(0));
-    for (Packet& packet : batch) {
-      if (packet.kind == BipNetwork::PacketKind::kShort) {
+    for (Packet& packet : receive_burst()) {
+      if (packet.kind == Packet::Kind::kShort) {
         handle_short(std::move(packet));
       } else {
         handle_long_chunk(std::move(packet));
@@ -158,8 +108,8 @@ void BipPort::handle_short(Packet packet) {
   TagQueue& queue = tag_queue(packet.tag);
   queue.entries.push_back(
       ShortQueueEntry{packet.src, std::move(packet.data), next_slot_id_++});
-  queue.arrival->notify_all();
-  any_short_arrival_->notify_all();
+  queue.arrival.notify_all();
+  any_short_arrival_.notify_all();
 }
 
 void BipPort::handle_long_chunk(Packet packet) {
@@ -181,13 +131,13 @@ void BipPort::handle_long_chunk(Packet packet) {
   recv->received += packet.data.size();
   if (recv->received >= packet.total_len) {
     recv->complete = true;
-    queue.completion->notify_all();
+    queue.completion.notify_all();
   }
 }
 
 BipShortSlot BipPort::recv_short(std::uint32_t tag) {
   TagQueue& queue = tag_queue(tag);
-  while (queue.entries.empty()) queue.arrival->wait();
+  while (queue.entries.empty()) queue.arrival.wait();
   ShortQueueEntry entry = std::move(queue.entries.front());
   queue.entries.pop_front();
   node_->charge_cpu(network_->params_.rx_overhead);
@@ -230,7 +180,7 @@ bool BipPort::short_pending(std::uint32_t tag) const {
 
 std::uint32_t BipPort::wait_short(std::uint32_t tag) {
   TagQueue& queue = tag_queue(tag);
-  while (queue.entries.empty()) queue.arrival->wait();
+  while (queue.entries.empty()) queue.arrival.wait();
   return queue.entries.front().src;
 }
 
@@ -241,7 +191,7 @@ std::uint32_t BipPort::wait_short_multi(
     for (std::uint32_t tag : tags) {
       if (short_pending(tag)) return tag;
     }
-    any_short_arrival_->wait();
+    any_short_arrival_.wait();
   }
 }
 
@@ -256,7 +206,7 @@ void BipPort::post_recv_long(std::uint32_t src, std::uint32_t tag,
 void BipPort::wait_recv_long(std::uint32_t src, std::uint32_t tag) {
   PostedQueue& queue = posted_queue(src, tag);
   MAD2_CHECK(!queue.posts.empty(), "wait_recv_long with nothing posted");
-  while (!queue.posts.front().complete) queue.completion->wait();
+  while (!queue.posts.front().complete) queue.completion.wait();
   queue.posts.pop_front();
   node_->charge_cpu(network_->params_.rx_overhead);
 }

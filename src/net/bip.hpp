@@ -18,13 +18,10 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "hw/node.hpp"
-#include "net/wire.hpp"
-#include "sim/sync.hpp"
+#include "net/nic.hpp"
 #include "util/status.hpp"
 
 namespace mad2::net {
@@ -36,8 +33,6 @@ struct BipParams {
   std::uint32_t long_mtu = 4096;
   /// Internal short-message buffers per tag; overflow aborts (see above).
   std::size_t short_host_slots = 64;
-  /// NIC staging depth in packets (overlap host DMA with the wire).
-  std::size_t tx_stage_depth = 4;
   /// Per-packet header on the wire.
   std::uint32_t header_bytes = 16;
   sim::Duration tx_overhead = sim::from_us(1.5);  // host send entry cost
@@ -57,35 +52,28 @@ struct BipParams {
 
 class BipPort;
 
+/// A Myrinet packet: a whole short message or one chunk of a long one.
+struct BipPacket {
+  enum class Kind : std::uint8_t { kShort, kLongChunk };
+  Kind kind;
+  std::uint32_t src;
+  std::uint32_t dst;
+  std::uint32_t tag;
+  std::uint64_t offset;     // long chunks: position in the message
+  std::uint64_t total_len;  // long chunks: full message length
+  std::vector<std::byte> data;
+};
+
 /// One Myrinet network instance: a fabric plus one BipPort per node.
-class BipNetwork {
+class BipNetwork : public NicNetwork<BipPort, BipPacket, BipParams> {
  public:
+  static constexpr NicSpec kNic{"bip", /*pci_slot=*/0, /*stage_depth=*/4};
+
   BipNetwork(sim::Simulator* simulator, std::vector<hw::Node*> nodes,
              BipParams params);
-  ~BipNetwork();
-
-  [[nodiscard]] std::size_t size() const { return ports_.size(); }
-  [[nodiscard]] BipPort& port(std::uint32_t rank) { return *ports_[rank]; }
-  [[nodiscard]] const BipParams& params() const { return params_; }
 
  private:
   friend class BipPort;
-
-  enum class PacketKind : std::uint8_t { kShort, kLongChunk };
-  struct Packet {
-    PacketKind kind;
-    std::uint32_t src;
-    std::uint32_t dst;
-    std::uint32_t tag;
-    std::uint64_t offset;     // long chunks: position in the message
-    std::uint64_t total_len;  // long chunks: full message length
-    std::vector<std::byte> data;
-  };
-
-  sim::Simulator* simulator_;
-  BipParams params_;
-  PacketFabric<Packet> fabric_;
-  std::vector<std::unique_ptr<BipPort>> ports_;
 };
 
 /// A zero-copy view of a received short message, backed by one of BIP's
@@ -97,11 +85,8 @@ struct BipShortSlot {
   std::uint64_t slot_id = 0;  // opaque, for release
 };
 
-class BipPort {
+class BipPort : public StagedNicPort<BipNetwork, BipPacket> {
  public:
-  [[nodiscard]] std::uint32_t rank() const { return rank_; }
-  [[nodiscard]] hw::Node& node() { return *node_; }
-
   // --- Short messages -----------------------------------------------------
   /// Send `data` (<= short_max_bytes) to `dst` on `tag`. Returns when the
   /// host buffer is reusable. The receiver must have an internal buffer
@@ -147,13 +132,12 @@ class BipPort {
                  std::span<const std::byte> data);
 
  private:
-  friend class BipNetwork;
-  using Packet = BipNetwork::Packet;
+  friend class BipNetwork::NicNetwork;
+  using Packet = BipPacket;
 
   BipPort(BipNetwork* network, hw::Node* node, std::uint32_t rank);
 
   void stage_packet(Packet packet);  // host DMA + hand to the tx fiber
-  void tx_loop();
   void rx_loop();
   void handle_short(Packet packet);
   void handle_long_chunk(Packet packet);
@@ -164,8 +148,9 @@ class BipPort {
     std::uint64_t slot_id;
   };
   struct TagQueue {
+    explicit TagQueue(sim::Simulator* simulator) : arrival(simulator) {}
     std::deque<ShortQueueEntry> entries;
-    std::unique_ptr<sim::WaitQueue> arrival;
+    sim::WaitQueue arrival;
   };
   struct PostedRecv {
     std::span<std::byte> out;
@@ -173,21 +158,18 @@ class BipPort {
     bool complete = false;
   };
   struct PostedQueue {
+    explicit PostedQueue(sim::Simulator* simulator) : completion(simulator) {}
     std::deque<PostedRecv> posts;
-    std::unique_ptr<sim::WaitQueue> completion;
+    sim::WaitQueue completion;
   };
 
   TagQueue& tag_queue(std::uint32_t tag);
   PostedQueue& posted_queue(std::uint32_t src, std::uint32_t tag);
 
-  BipNetwork* network_;
-  hw::Node* node_;
-  std::uint32_t rank_;
-  std::unique_ptr<sim::BoundedChannel<Packet>> tx_stage_;
   std::map<std::uint32_t, TagQueue> short_queues_;
   std::map<std::uint64_t, PostedQueue> posted_;  // key: src << 32 | tag
   std::map<std::uint64_t, std::vector<std::byte>> checked_out_;
-  std::unique_ptr<sim::WaitQueue> any_short_arrival_;
+  sim::WaitQueue any_short_arrival_;
   std::size_t short_slots_in_use_ = 0;
   std::uint64_t next_slot_id_ = 1;
 };

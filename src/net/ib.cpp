@@ -118,16 +118,9 @@ bool IbRegCache::evict_lru() {
 
 IbNetwork::IbNetwork(sim::Simulator* simulator, std::vector<hw::Node*> nodes,
                      IbParams params)
-    : simulator_(simulator),
-      params_(std::move(params)),
-      fabric_(simulator, params_.fabric) {
-  for (hw::Node* node : nodes) {
-    const std::uint32_t rank = fabric_.add_port();
-    ports_.emplace_back(new IbPort(this, node, rank));
-  }
+    : NicNetwork(simulator, std::move(params)) {
+  add_ports(this, nodes);
 }
-
-IbNetwork::~IbNetwork() = default;
 
 void IbNetwork::fail_link(std::uint32_t a, std::uint32_t b,
                           const Status& status) {
@@ -147,25 +140,16 @@ void IbNetwork::report_link_failure(std::uint32_t reporter,
 // --- IbPort ---------------------------------------------------------------
 
 IbPort::IbPort(IbNetwork* network, hw::Node* node, std::uint32_t rank)
-    : network_(network), node_(node), rank_(rank) {
-  tx_stage_ = std::make_unique<sim::BoundedChannel<Packet>>(
-      network_->simulator_, network_->params_.tx_stage_depth);
-  tx_work_ = std::make_unique<sim::WaitQueue>(network_->simulator_);
-  reg_cache_ =
-      std::make_unique<IbRegCache>(this, network_->params_.regcache_capacity);
-  network_->simulator_->spawn_daemon("ib.tx." + std::to_string(rank),
-                                     [this] { tx_loop(); });
-  network_->simulator_->spawn_daemon("ib.rx." + std::to_string(rank),
-                                     [this] { rx_loop(); });
+    : StagedNicPort(network, node, rank),
+      tx_work_(network->simulator_),
+      reg_cache_(this, network->params_.regcache_capacity) {
+  spawn("tx", [this] { tx_loop(); });
+  spawn("rx", [this] { rx_loop(); });
 }
 
 IbPort::QpState& IbPort::qp_state(std::uint32_t peer, std::uint32_t qp) {
   const std::uint64_t key = (static_cast<std::uint64_t>(peer) << 32) | qp;
-  QpState& state = qps_[key];
-  if (!state.sq_wq) {
-    state.sq_wq = std::make_unique<sim::WaitQueue>(network_->simulator_);
-  }
-  return state;
+  return qps_.try_emplace(key, network_->simulator_).first->second;
 }
 
 const IbPort::QpState* IbPort::qp_if_exists(std::uint32_t peer,
@@ -176,18 +160,14 @@ const IbPort::QpState* IbPort::qp_if_exists(std::uint32_t peer,
 }
 
 IbPort::Cq& IbPort::cq(std::uint32_t qp) {
-  Cq& queue = cqs_[qp];
-  if (!queue.wq) {
-    queue.wq = std::make_unique<sim::WaitQueue>(network_->simulator_);
-  }
-  return queue;
+  return cqs_.try_emplace(qp, network_->simulator_).first->second;
 }
 
 void IbPort::push_cqe(std::uint32_t qp, IbCompletion completion) {
   Cq& queue = cq(qp);
   queue.cqes.push_back(completion);
   ++counters_.cqes;
-  queue.wq->notify_all();
+  queue.wq.notify_all();
   if (queue.callback) queue.callback();
 }
 
@@ -195,7 +175,7 @@ void IbPort::sq_acquire(std::uint32_t peer, std::uint32_t qp) {
   QpState& state = qp_state(peer, qp);
   while (state.sq_outstanding >= params().qp_depth &&
          peer_status_.find(peer) == peer_status_.end()) {
-    state.sq_wq->wait();
+    state.sq_wq.wait();
   }
   ++state.sq_outstanding;
 }
@@ -204,14 +184,14 @@ void IbPort::sq_release(std::uint32_t peer, std::uint32_t qp) {
   QpState& state = qp_state(peer, qp);
   MAD2_CHECK(state.sq_outstanding > 0, "SQ release without acquire");
   --state.sq_outstanding;
-  state.sq_wq->notify_one();
+  state.sq_wq.notify_one();
 }
 
 void IbPort::charge_dma(std::uint64_t bytes) {
   // The HCA masters its own 64-bit PCI segment (see ib.hpp): DMA is
   // charged at the adapter's rate, not the host's legacy-bus rate.
   node_->pci_bus().transfer(bytes, params().pci_dma_mbs, hw::TxClass::kDma,
-                            node_->nic_initiator_id(4));
+                            pci_initiator());
 }
 
 IbMr IbPort::register_memory(std::span<const std::byte> region) {
@@ -243,8 +223,8 @@ void IbPort::post_recv(std::uint32_t peer, std::uint32_t qp,
 }
 
 void IbPort::stage(Packet packet) {
-  tx_stage_->send(std::move(packet));
-  tx_work_->notify_all();
+  tx_stage_.send(std::move(packet));
+  tx_work_.notify_all();
 }
 
 void IbPort::stage_fragments(Packet prototype,
@@ -268,35 +248,33 @@ void IbPort::stage_fragments(Packet prototype,
   } while (offset < total);
 }
 
+bool IbPort::open_wr(std::uint32_t peer, std::uint32_t qp, std::uint64_t wr,
+                     IbCompletion::Kind kind, bool signaled) {
+  sq_acquire(peer, qp);
+  if (peer_status_.find(peer) == peer_status_.end()) return true;
+  sq_release(peer, qp);
+  if (signaled) {
+    push_cqe(qp, {.kind = kind, .peer = peer, .wr_id = wr, .ok = false});
+  }
+  return false;
+}
+
 std::uint64_t IbPort::post_send(std::uint32_t peer, std::uint32_t qp,
                                 std::span<const std::byte> data,
                                 std::uint64_t imm, bool signaled) {
   node_->charge_cpu(params().doorbell);
   ++counters_.send_wrs;
   const std::uint64_t wr = next_wr_++;
-  sq_acquire(peer, qp);
-  if (peer_status_.find(peer) != peer_status_.end()) {
-    sq_release(peer, qp);
-    if (signaled) {
-      IbCompletion completion;
-      completion.kind = IbCompletion::Kind::kSend;
-      completion.peer = peer;
-      completion.wr_id = wr;
-      completion.ok = false;
-      push_cqe(qp, completion);
-    }
-    return wr;
-  }
-  Packet prototype;
-  prototype.kind = Packet::Kind::kSend;
-  prototype.src = rank_;
-  prototype.dst = peer;
-  prototype.qp = qp;
-  prototype.wr = signaled ? wr : 0;  // 0 = unsignaled (no CQE)
-  prototype.total = data.size();
-  prototype.imm = imm;
-  prototype.offset = 0;
-  stage_fragments(std::move(prototype), data);
+  if (!open_wr(peer, qp, wr, IbCompletion::Kind::kSend, signaled)) return wr;
+  stage_fragments({.kind = Packet::Kind::kSend,
+                   .src = rank_,
+                   .dst = peer,
+                   .qp = qp,
+                   .wr = signaled ? wr : 0,  // 0 = unsignaled (no CQE)
+                   .offset = 0,
+                   .total = data.size(),
+                   .imm = imm},
+                  data);
   return wr;
 }
 
@@ -309,30 +287,19 @@ std::uint64_t IbPort::post_rdma_write(std::uint32_t peer, std::uint32_t qp,
   node_->charge_cpu(params().doorbell);
   ++counters_.write_wrs;
   const std::uint64_t wr = next_wr_++;
-  sq_acquire(peer, qp);
-  if (peer_status_.find(peer) != peer_status_.end()) {
-    sq_release(peer, qp);
-    IbCompletion completion;
-    completion.kind = IbCompletion::Kind::kRdmaWrite;
-    completion.peer = peer;
-    completion.wr_id = wr;
-    completion.ok = false;
-    push_cqe(qp, completion);
-    return wr;
-  }
+  if (!open_wr(peer, qp, wr, IbCompletion::Kind::kRdmaWrite, true)) return wr;
   pending_[wr] =
       PendingOp{peer, qp, IbCompletion::Kind::kRdmaWrite, {}, 0, local.size()};
-  Packet prototype;
-  prototype.kind = Packet::Kind::kWriteData;
-  prototype.src = rank_;
-  prototype.dst = peer;
-  prototype.qp = qp;
-  prototype.wr = wr;
-  prototype.key = rkey;
-  prototype.total = local.size();
-  prototype.imm = imm;
-  prototype.offset = roffset;  // region-absolute landing offset
-  stage_fragments(std::move(prototype), local);
+  stage_fragments({.kind = Packet::Kind::kWriteData,
+                   .src = rank_,
+                   .dst = peer,
+                   .qp = qp,
+                   .wr = wr,
+                   .key = rkey,
+                   .offset = roffset,  // region-absolute landing offset
+                   .total = local.size(),
+                   .imm = imm},
+                  local);
   arm_op_timeout(peer, wr);
   return wr;
 }
@@ -345,30 +312,18 @@ std::uint64_t IbPort::post_rdma_read(std::uint32_t peer, std::uint32_t qp,
   node_->charge_cpu(params().doorbell);
   ++counters_.read_wrs;
   const std::uint64_t wr = next_wr_++;
-  sq_acquire(peer, qp);
-  if (peer_status_.find(peer) != peer_status_.end()) {
-    sq_release(peer, qp);
-    IbCompletion completion;
-    completion.kind = IbCompletion::Kind::kRdmaRead;
-    completion.peer = peer;
-    completion.wr_id = wr;
-    completion.ok = false;
-    push_cqe(qp, completion);
-    return wr;
-  }
+  if (!open_wr(peer, qp, wr, IbCompletion::Kind::kRdmaRead, true)) return wr;
   pending_[wr] = PendingOp{peer, qp, IbCompletion::Kind::kRdmaRead, local, 0,
                            local.size()};
-  Packet request;
-  request.kind = Packet::Kind::kReadReq;
-  request.src = rank_;
-  request.dst = peer;
-  request.qp = qp;
-  request.wr = wr;
-  request.key = rkey;
-  request.offset = roffset;  // region-absolute source offset
-  request.total = local.size();
   charge_dma(params().header_bytes);
-  stage(std::move(request));
+  stage({.kind = Packet::Kind::kReadReq,
+         .src = rank_,
+         .dst = peer,
+         .qp = qp,
+         .wr = wr,
+         .key = rkey,
+         .offset = roffset,  // region-absolute source offset
+         .total = local.size()});
   arm_op_timeout(peer, wr);
   return wr;
 }
@@ -386,16 +341,21 @@ void IbPort::arm_op_timeout(std::uint32_t peer, std::uint64_t wr) {
     }
     // The link was already declared dead but this WR slipped in after the
     // poison pass: flush it directly.
-    const PendingOp op = it->second;
-    pending_.erase(it);
-    sq_release(op.peer, op.qp);
-    IbCompletion completion;
-    completion.kind = op.kind;
-    completion.peer = op.peer;
-    completion.wr_id = wr;
-    completion.ok = false;
-    push_cqe(op.qp, completion);
+    finish_op(it, /*ok=*/false);
   });
+}
+
+void IbPort::finish_op(std::map<std::uint64_t, PendingOp>::iterator it,
+                       bool ok) {
+  const std::uint64_t wr = it->first;
+  const PendingOp op = it->second;
+  pending_.erase(it);
+  sq_release(op.peer, op.qp);
+  push_cqe(op.qp, {.kind = op.kind,
+                   .peer = op.peer,
+                   .wr_id = wr,
+                   .bytes = ok ? op.total : 0,
+                   .ok = ok});
 }
 
 void IbPort::tx_loop() {
@@ -417,7 +377,7 @@ void IbPort::tx_loop() {
       network_->fabric_.ship(rank_, dst, std::move(packet), wire_bytes);
       continue;
     }
-    if (auto staged = tx_stage_->try_receive()) {
+    if (auto staged = tx_stage_.try_receive()) {
       const Packet::Kind kind = staged->kind;
       const std::uint32_t dst = staged->dst;
       const std::uint32_t qp = staged->qp;
@@ -433,17 +393,15 @@ void IbPort::tx_loop() {
         // signaled send additionally raises its local CQE.
         sq_release(dst, qp);
         if (wr != 0) {
-          IbCompletion completion;
-          completion.kind = IbCompletion::Kind::kSend;
-          completion.peer = dst;
-          completion.wr_id = wr;
-          completion.bytes = total;
-          push_cqe(qp, completion);
+          push_cqe(qp, {.kind = IbCompletion::Kind::kSend,
+                        .peer = dst,
+                        .wr_id = wr,
+                        .bytes = total});
         }
       }
       continue;
     }
-    tx_work_->wait();
+    tx_work_.wait();
   }
 }
 
@@ -476,12 +434,11 @@ void IbPort::handle_rx(Packet& packet) {
                 descriptor.buffer.begin() + packet.offset);
       descriptor.received += packet.data.size();
       if (descriptor.received >= packet.total) {
-        IbCompletion completion;
-        completion.kind = IbCompletion::Kind::kRecv;
-        completion.peer = packet.src;
-        completion.imm = packet.imm;
-        completion.bytes = packet.total;
-        completion.buffer = descriptor.buffer;
+        const IbCompletion completion{.kind = IbCompletion::Kind::kRecv,
+                                      .peer = packet.src,
+                                      .imm = packet.imm,
+                                      .bytes = packet.total,
+                                      .buffer = descriptor.buffer};
         state.posted.pop_front();
         push_cqe(packet.qp, completion);
       }
@@ -505,21 +462,17 @@ void IbPort::handle_rx(Packet& packet) {
       if (landing.received >= packet.total) {
         landings_.erase({packet.src, packet.wr});
         if (packet.imm != 0) {
-          IbCompletion completion;
-          completion.kind = IbCompletion::Kind::kWriteImm;
-          completion.peer = packet.src;
-          completion.imm = packet.imm;
-          completion.bytes = packet.total;
-          push_cqe(packet.qp, completion);
+          push_cqe(packet.qp, {.kind = IbCompletion::Kind::kWriteImm,
+                               .peer = packet.src,
+                               .imm = packet.imm,
+                               .bytes = packet.total});
         }
-        Packet ack;
-        ack.kind = Packet::Kind::kWriteAck;
-        ack.src = rank_;
-        ack.dst = packet.src;
-        ack.qp = packet.qp;
-        ack.wr = packet.wr;
-        nic_tx_.push_back(std::move(ack));
-        tx_work_->notify_all();
+        nic_tx_.push_back({.kind = Packet::Kind::kWriteAck,
+                           .src = rank_,
+                           .dst = packet.src,
+                           .qp = packet.qp,
+                           .wr = packet.wr});
+        tx_work_.notify_all();
       }
       break;
     }
@@ -527,15 +480,7 @@ void IbPort::handle_rx(Packet& packet) {
       charge_dma(params.header_bytes);
       auto it = pending_.find(packet.wr);
       if (it == pending_.end()) break;  // already flushed in error
-      const PendingOp op = it->second;
-      pending_.erase(it);
-      sq_release(op.peer, op.qp);
-      IbCompletion completion;
-      completion.kind = IbCompletion::Kind::kRdmaWrite;
-      completion.peer = op.peer;
-      completion.wr_id = packet.wr;
-      completion.bytes = op.total;
-      push_cqe(op.qp, completion);
+      finish_op(it, /*ok=*/true);
       break;
     }
     case Packet::Kind::kReadReq: {
@@ -565,7 +510,7 @@ void IbPort::handle_rx(Packet& packet) {
         nic_tx_.push_back(std::move(response));
         offset += chunk;
       } while (offset < packet.total);
-      tx_work_->notify_all();
+      tx_work_.notify_all();
       break;
     }
     case Packet::Kind::kReadData: {
@@ -578,17 +523,7 @@ void IbPort::handle_rx(Packet& packet) {
       std::copy(packet.data.begin(), packet.data.end(),
                 op.local.begin() + packet.offset);
       op.received += packet.data.size();
-      if (op.received >= op.total) {
-        const PendingOp done = op;
-        pending_.erase(it);
-        sq_release(done.peer, done.qp);
-        IbCompletion completion;
-        completion.kind = IbCompletion::Kind::kRdmaRead;
-        completion.peer = done.peer;
-        completion.wr_id = packet.wr;
-        completion.bytes = done.total;
-        push_cqe(done.qp, completion);
-      }
+      if (op.received >= op.total) finish_op(it, /*ok=*/true);
       break;
     }
   }
@@ -606,7 +541,7 @@ std::optional<IbCompletion> IbPort::poll_cq(std::uint32_t qp) {
 
 IbCompletion IbPort::wait_cq(std::uint32_t qp) {
   Cq& queue = cq(qp);
-  while (queue.cqes.empty()) queue.wq->wait();
+  while (queue.cqes.empty()) queue.wq.wait();
   IbCompletion completion = queue.cqes.front();
   queue.cqes.pop_front();
   ++counters_.cq_polls;
@@ -657,20 +592,12 @@ void IbPort::poison_peer(std::uint32_t peer, const Status& status) {
     if (op.peer == peer) doomed.push_back(wr);
   }
   for (const std::uint64_t wr : doomed) {
-    const PendingOp op = pending_[wr];
-    pending_.erase(wr);
-    sq_release(op.peer, op.qp);
-    IbCompletion completion;
-    completion.kind = op.kind;
-    completion.peer = op.peer;
-    completion.wr_id = wr;
-    completion.ok = false;
-    push_cqe(op.qp, completion);
+    finish_op(pending_.find(wr), /*ok=*/false);
   }
   // Wake SQ-slot waiters so blocked posters re-check the link status.
   for (auto& [key, state] : qps_) {
-    if (static_cast<std::uint32_t>(key >> 32) == peer && state.sq_wq) {
-      state.sq_wq->notify_all();
+    if (static_cast<std::uint32_t>(key >> 32) == peer) {
+      state.sq_wq.notify_all();
     }
   }
   // Last: tell the protocol modules, now that the flushed CQEs are

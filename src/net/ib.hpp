@@ -37,15 +37,12 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "hw/node.hpp"
-#include "net/wire.hpp"
-#include "sim/sync.hpp"
+#include "net/nic.hpp"
 #include "util/status.hpp"
 
 namespace mad2::net {
@@ -65,7 +62,6 @@ struct IbParams {
   /// Send-queue depth per QP: outstanding WRs beyond this block the
   /// poster. Doubles as the IbPmm's eager credit window.
   std::uint32_t qp_depth = 16;
-  std::size_t tx_stage_depth = 8;
   /// HCA-side DMA rate (64-bit/66 MHz PCI segment; see file comment).
   double pci_dma_mbs = 450.0;
   /// Give-up timer for remotely-dependent WRs (see failure model above).
@@ -103,7 +99,7 @@ struct IbCompletion {
   std::uint64_t wr_id = 0;  ///< local WR id (0 for kRecv / kWriteImm)
   std::uint64_t imm = 0;
   std::size_t bytes = 0;
-  std::span<std::byte> buffer;  ///< kRecv: the posted buffer
+  std::span<std::byte> buffer{};  ///< kRecv: the posted buffer
   bool ok = true;  ///< false: flushed in error (peer link declared dead)
 };
 
@@ -189,15 +185,34 @@ class IbRegCache {
   IbRegCacheStats stats_;
 };
 
-class IbNetwork {
+struct IbPacket {
+  enum class Kind : std::uint32_t {
+    kSend,       ///< two-sided send fragment
+    kWriteData,  ///< RDMA write fragment
+    kWriteAck,   ///< target HCA ack completing a write WR
+    kReadReq,    ///< RDMA read request
+    kReadData,   ///< RDMA read response fragment
+  };
+  Kind kind = Kind::kSend;
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;
+  std::uint32_t qp = 0;
+  std::uint64_t wr = 0;      ///< requester WR id (echoed back)
+  std::uint64_t key = 0;     ///< rkey for kWriteData / kReadReq
+  std::uint64_t offset = 0;  ///< op-relative byte offset
+  std::uint64_t total = 0;   ///< op length
+  std::uint64_t imm = 0;
+  std::vector<std::byte> data{};
+
+  friend std::span<std::byte> fault_payload(IbPacket& p) { return p.data; }
+};
+
+class IbNetwork : public NicNetwork<IbPort, IbPacket, IbParams> {
  public:
+  static constexpr NicSpec kNic{"ib", /*pci_slot=*/5, /*stage_depth=*/8};
+
   IbNetwork(sim::Simulator* simulator, std::vector<hw::Node*> nodes,
             IbParams params);
-  ~IbNetwork();
-
-  [[nodiscard]] std::size_t size() const { return ports_.size(); }
-  [[nodiscard]] IbPort& port(std::uint32_t rank) { return *ports_[rank]; }
-  [[nodiscard]] const IbParams& params() const { return params_; }
 
   /// Called once per dead link (both port directions poisoned first).
   void set_link_error_handler(LinkErrorHandler handler) {
@@ -210,44 +225,17 @@ class IbNetwork {
 
  private:
   friend class IbPort;
-  struct Packet {
-    enum class Kind : std::uint32_t {
-      kSend,       ///< two-sided send fragment
-      kWriteData,  ///< RDMA write fragment
-      kWriteAck,   ///< target HCA ack completing a write WR
-      kReadReq,    ///< RDMA read request
-      kReadData,   ///< RDMA read response fragment
-    };
-    Kind kind = Kind::kSend;
-    std::uint32_t src = 0;
-    std::uint32_t dst = 0;
-    std::uint32_t qp = 0;
-    std::uint64_t wr = 0;      ///< requester WR id (echoed back)
-    std::uint64_t key = 0;     ///< rkey for kWriteData / kReadReq
-    std::uint64_t offset = 0;  ///< op-relative byte offset
-    std::uint64_t total = 0;   ///< op length
-    std::uint64_t imm = 0;
-    std::vector<std::byte> data;
-
-    friend std::span<std::byte> fault_payload(Packet& p) { return p.data; }
-  };
 
   /// Report a dead link discovered by `reporter`: poison both ports, then
   /// run the handler once.
   void report_link_failure(std::uint32_t reporter, std::uint32_t peer,
                            const Status& status);
 
-  sim::Simulator* simulator_;
-  IbParams params_;
-  PacketFabric<Packet> fabric_;
-  std::vector<std::unique_ptr<IbPort>> ports_;
   LinkErrorHandler link_error_handler_;
 };
 
-class IbPort {
+class IbPort : public StagedNicPort<IbNetwork, IbPacket> {
  public:
-  [[nodiscard]] std::uint32_t rank() const { return rank_; }
-  [[nodiscard]] hw::Node& node() { return *node_; }
   [[nodiscard]] const IbParams& params() const { return network_->params_; }
 
   // --- memory registration ------------------------------------------------
@@ -258,7 +246,7 @@ class IbPort {
   /// rkey is caller error, exactly as with real access flags.
   IbMr register_memory(std::span<const std::byte> region);
   void deregister(const IbMr& mr);
-  [[nodiscard]] IbRegCache& reg_cache() { return *reg_cache_; }
+  [[nodiscard]] IbRegCache& reg_cache() { return reg_cache_; }
 
   // --- queue pairs --------------------------------------------------------
   /// Post a receive descriptor on the (peer, qp) queue pair. Descriptors
@@ -325,9 +313,10 @@ class IbPort {
   [[nodiscard]] const IbCounters& counters() const { return counters_; }
 
  private:
+  friend class IbNetwork::NicNetwork;
   friend class IbNetwork;
   friend class IbRegCache;
-  using Packet = IbNetwork::Packet;
+  using Packet = IbPacket;
 
   IbPort(IbNetwork* network, hw::Node* node, std::uint32_t rank);
 
@@ -340,13 +329,15 @@ class IbPort {
     std::uint64_t received = 0;
   };
   struct QpState {
+    explicit QpState(sim::Simulator* simulator) : sq_wq(simulator) {}
     std::deque<RecvDescriptor> posted;
     std::size_t sq_outstanding = 0;
-    std::unique_ptr<sim::WaitQueue> sq_wq;  ///< SQ slot waiters
+    sim::WaitQueue sq_wq;  ///< SQ slot waiters
   };
   struct Cq {
+    explicit Cq(sim::Simulator* simulator) : wq(simulator) {}
     std::deque<IbCompletion> cqes;
-    std::unique_ptr<sim::WaitQueue> wq;
+    sim::WaitQueue wq;
     std::function<void()> callback;
   };
   /// A locally-posted WR whose completion depends on the remote HCA.
@@ -370,6 +361,10 @@ class IbPort {
   void push_cqe(std::uint32_t qp, IbCompletion completion);
   void sq_acquire(std::uint32_t peer, std::uint32_t qp);
   void sq_release(std::uint32_t peer, std::uint32_t qp);
+  /// Take an SQ slot for WR `wr`. False when the link to `peer` is dead:
+  /// the WR is then complete, in error, with a CQE only if `signaled`.
+  bool open_wr(std::uint32_t peer, std::uint32_t qp, std::uint64_t wr,
+               IbCompletion::Kind kind, bool signaled);
   /// DMA-charge + fragment `data` into staged packets (template carries
   /// everything but offset/data).
   void stage_fragments(Packet prototype, std::span<const std::byte> data);
@@ -377,12 +372,12 @@ class IbPort {
   /// Arm the give-up timer for WR `wr` toward `peer`.
   void arm_op_timeout(std::uint32_t peer, std::uint64_t wr);
   void charge_dma(std::uint64_t bytes);
+  /// Retire the remote-dependent WR at `it`: free its SQ slot and raise
+  /// its CQE, carrying its byte count if `ok`, flushed in error if not.
+  void finish_op(std::map<std::uint64_t, PendingOp>::iterator it, bool ok);
   /// Poison every QP/SQ/pending op toward `peer` (no handler callback).
   void poison_peer(std::uint32_t peer, const Status& status);
 
-  IbNetwork* network_;
-  hw::Node* node_;
-  std::uint32_t rank_;
   std::map<std::uint64_t, QpState> qps_;  // key: peer << 32 | qp
   std::map<std::uint32_t, Cq> cqs_;       // key: qp number
   std::map<std::uint64_t, PendingOp> pending_;  // key: local wr id
@@ -393,12 +388,11 @@ class IbPort {
   std::map<std::uint32_t, Status> peer_status_;
   std::vector<std::function<void(std::uint32_t, const Status&)>>
       link_down_callbacks_;
-  std::unique_ptr<sim::BoundedChannel<Packet>> tx_stage_;
   /// HCA-originated responses (write acks, read-response jobs): unbounded
   /// so the rx fiber never blocks shipping into its own full staging.
   std::deque<Packet> nic_tx_;
-  std::unique_ptr<sim::WaitQueue> tx_work_;
-  std::unique_ptr<IbRegCache> reg_cache_;
+  sim::WaitQueue tx_work_;
+  IbRegCache reg_cache_;
   std::uint64_t next_wr_ = 1;
   std::uint64_t next_key_ = 1;
   IbCounters counters_;

@@ -15,42 +15,29 @@ SbpParams SbpParams::fast_ethernet() {
 
 SbpNetwork::SbpNetwork(sim::Simulator* simulator,
                        std::vector<hw::Node*> nodes, SbpParams params)
-    : simulator_(simulator),
-      params_(std::move(params)),
-      fabric_(simulator, params_.fabric) {
-  for (hw::Node* node : nodes) {
-    const std::uint32_t rank = fabric_.add_port();
-    ports_.emplace_back(new SbpPort(this, node, rank));
-  }
+    : NicNetwork(simulator, std::move(params)) {
+  add_ports(this, nodes);
 }
 
-SbpNetwork::~SbpNetwork() = default;
-
 SbpPort::SbpPort(SbpNetwork* network, hw::Node* node, std::uint32_t rank)
-    : network_(network), node_(node), rank_(rank) {
+    : NicPort(network, node, rank),
+      tx_available_(network->simulator_, network->params_.tx_pool),
+      any_arrival_(network->simulator_) {
   const SbpParams& params = network_->params_;
   tx_buffers_.resize(params.tx_pool);
   for (std::size_t i = 0; i < params.tx_pool; ++i) {
     tx_buffers_[i].resize(params.buffer_bytes);
     tx_free_.push_back(i);
   }
-  tx_available_ =
-      std::make_unique<sim::Semaphore>(network_->simulator_, params.tx_pool);
-  any_arrival_ = std::make_unique<sim::WaitQueue>(network_->simulator_);
-  network_->simulator_->spawn_daemon(
-      "sbp.rx." + std::to_string(rank), [this] { rx_loop(); });
+  spawn("rx", [this] { rx_loop(); });
 }
 
 SbpPort::TagQueue& SbpPort::tag_queue(std::uint32_t tag) {
-  TagQueue& queue = tag_queues_[tag];
-  if (!queue.arrival) {
-    queue.arrival = std::make_unique<sim::WaitQueue>(network_->simulator_);
-  }
-  return queue;
+  return tag_queues_.try_emplace(tag, network_->simulator_).first->second;
 }
 
 SbpTxBuffer SbpPort::acquire_tx_buffer() {
-  tx_available_->acquire();
+  tx_available_.acquire();
   MAD2_CHECK(!tx_free_.empty(), "SBP tx pool accounting broken");
   const std::size_t index = tx_free_.back();
   tx_free_.pop_back();
@@ -71,22 +58,18 @@ void SbpPort::send(std::uint32_t dst, std::uint32_t tag, SbpTxBuffer buffer,
   packet.data.assign(buffer.memory.begin(), buffer.memory.begin() + used);
   // The NIC pulls the kernel buffer over the bus, after which it returns
   // to the pool.
-  node_->pci_bus().transfer(used + params.header_bytes,
-                            node_->params().pci_dma_mbs, hw::TxClass::kDma,
-                            node_->nic_initiator_id(4));
+  host_dma(used);
   network_->fabric_.ship(rank_, dst, std::move(packet),
                          used + params.header_bytes);
   tx_free_.push_back(buffer.handle - 1);
-  tx_available_->release();
+  tx_available_.release();
 }
 
 void SbpPort::rx_loop() {
   const SbpParams& params = network_->params_;
   for (;;) {
     Packet packet = network_->fabric_.receive(rank_);
-    node_->pci_bus().transfer(packet.data.size() + params.header_bytes,
-                              node_->params().pci_dma_mbs, hw::TxClass::kDma,
-                              node_->nic_initiator_id(4));
+    host_dma(packet.data.size());
     MAD2_CHECK(rx_in_use_ < params.rx_pool,
                "SBP rx buffer pool overflow: missing flow control "
                "(Madeleine's SBP TM must run credits on top)");
@@ -101,14 +84,14 @@ void SbpPort::rx_loop() {
     buffer.handle = handle;
     TagQueue& queue = tag_queue(packet.tag);
     queue.entries.push_back(buffer);
-    queue.arrival->notify_all();
-    any_arrival_->notify_all();
+    queue.arrival.notify_all();
+    any_arrival_.notify_all();
   }
 }
 
 SbpRxBuffer SbpPort::recv(std::uint32_t tag) {
   TagQueue& queue = tag_queue(tag);
-  while (queue.entries.empty()) queue.arrival->wait();
+  while (queue.entries.empty()) queue.arrival.wait();
   SbpRxBuffer buffer = queue.entries.front();
   queue.entries.pop_front();
   node_->charge_cpu(network_->params_.recv_cost);
@@ -133,7 +116,7 @@ std::uint32_t SbpPort::wait_multi(const std::vector<std::uint32_t>& tags) {
     for (std::uint32_t tag : tags) {
       if (pending(tag)) return tag;
     }
-    any_arrival_->wait();
+    any_arrival_.wait();
   }
 }
 

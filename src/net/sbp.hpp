@@ -17,13 +17,10 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "hw/node.hpp"
-#include "net/wire.hpp"
-#include "sim/sync.hpp"
+#include "net/nic.hpp"
 #include "util/status.hpp"
 
 namespace mad2::net {
@@ -42,29 +39,23 @@ struct SbpParams {
 
 class SbpPort;
 
-class SbpNetwork {
+/// The used part of one kernel buffer.
+struct SbpPacket {
+  std::uint32_t src;
+  std::uint32_t dst;
+  std::uint32_t tag;
+  std::vector<std::byte> data;
+};
+
+class SbpNetwork : public NicNetwork<SbpPort, SbpPacket, SbpParams> {
  public:
+  static constexpr NicSpec kNic{"sbp", /*pci_slot=*/4};
+
   SbpNetwork(sim::Simulator* simulator, std::vector<hw::Node*> nodes,
              SbpParams params);
-  ~SbpNetwork();
-
-  [[nodiscard]] std::size_t size() const { return ports_.size(); }
-  [[nodiscard]] SbpPort& port(std::uint32_t rank) { return *ports_[rank]; }
-  [[nodiscard]] const SbpParams& params() const { return params_; }
 
  private:
   friend class SbpPort;
-  struct Packet {
-    std::uint32_t src;
-    std::uint32_t dst;
-    std::uint32_t tag;
-    std::vector<std::byte> data;
-  };
-
-  sim::Simulator* simulator_;
-  SbpParams params_;
-  PacketFabric<Packet> fabric_;
-  std::vector<std::unique_ptr<SbpPort>> ports_;
 };
 
 /// A kernel tx buffer on loan to the application.
@@ -81,11 +72,8 @@ struct SbpRxBuffer {
   std::uint64_t handle = 0;
 };
 
-class SbpPort {
+class SbpPort : public NicPort<SbpNetwork, SbpPacket> {
  public:
-  [[nodiscard]] std::uint32_t rank() const { return rank_; }
-  [[nodiscard]] hw::Node& node() { return *node_; }
-
   /// Borrow an empty kernel tx buffer; blocks while the pool is empty.
   SbpTxBuffer acquire_tx_buffer();
 
@@ -106,31 +94,29 @@ class SbpPort {
   std::uint32_t wait_multi(const std::vector<std::uint32_t>& tags);
 
  private:
-  friend class SbpNetwork;
-  using Packet = SbpNetwork::Packet;
+  friend class SbpNetwork::NicNetwork;
+  using Packet = SbpPacket;
 
   SbpPort(SbpNetwork* network, hw::Node* node, std::uint32_t rank);
 
   void rx_loop();
 
   struct TagQueue {
+    explicit TagQueue(sim::Simulator* simulator) : arrival(simulator) {}
     std::deque<SbpRxBuffer> entries;
-    std::unique_ptr<sim::WaitQueue> arrival;
+    sim::WaitQueue arrival;
   };
   TagQueue& tag_queue(std::uint32_t tag);
 
-  SbpNetwork* network_;
-  hw::Node* node_;
-  std::uint32_t rank_;
   // Kernel tx pool: reusable buffers + availability gate.
   std::vector<std::vector<std::byte>> tx_buffers_;
   std::vector<std::size_t> tx_free_;
-  std::unique_ptr<sim::Semaphore> tx_available_;
+  sim::Semaphore tx_available_;
   // Rx side: filled buffers parked until release().
   std::map<std::uint64_t, std::vector<std::byte>> rx_parked_;
   std::size_t rx_in_use_ = 0;
   std::map<std::uint32_t, TagQueue> tag_queues_;
-  std::unique_ptr<sim::WaitQueue> any_arrival_;
+  sim::WaitQueue any_arrival_;
   std::uint64_t next_handle_ = 1;
 };
 

@@ -17,34 +17,19 @@ SciParams SciParams::dolphin_d310() {
 
 SciNetwork::SciNetwork(sim::Simulator* simulator,
                        std::vector<hw::Node*> nodes, SciParams params)
-    : simulator_(simulator),
-      params_(std::move(params)),
-      fabric_(simulator, params_.fabric) {
-  for (hw::Node* node : nodes) {
-    const std::uint32_t rank = fabric_.add_port();
-    ports_.emplace_back(new SciPort(this, node, rank));
-  }
+    : NicNetwork(simulator, std::move(params)) {
+  add_ports(this, nodes);
 }
 
-SciNetwork::~SciNetwork() = default;
-
 SciPort::SciPort(SciNetwork* network, hw::Node* node, std::uint32_t rank)
-    : network_(network), node_(node), rank_(rank) {
-  any_delivery_ = std::make_unique<sim::WaitQueue>(network_->simulator_);
-  tx_stage_ = std::make_unique<sim::BoundedChannel<Packet>>(
-      network_->simulator_, network_->params_.tx_stage_depth);
-  network_->simulator_->spawn_daemon(
-      "sci.tx." + std::to_string(rank), [this] { tx_loop(); });
-  network_->simulator_->spawn_daemon(
-      "sci.rx." + std::to_string(rank), [this] { rx_loop(); });
+    : StagedNicPort(network, node, rank), any_delivery_(network->simulator_) {
+  spawn_tx();
+  spawn("rx", [this] { rx_loop(); });
 }
 
 SegmentId SciPort::create_segment(std::size_t bytes) {
   const SegmentId id = next_segment_++;
-  Segment segment;
-  segment.memory.assign(bytes, std::byte{0});
-  segment.waiters = std::make_unique<sim::WaitQueue>(network_->simulator_);
-  segments_.emplace(id, std::move(segment));
+  segments_.try_emplace(id, bytes, network_->simulator_);
   return id;
 }
 
@@ -76,7 +61,7 @@ void SciPort::write_common(const RemoteSegment& dst, std::uint64_t offset,
       node_->pci_bus().transfer(
           bus_bytes, std::min(params.dma_engine_mbs,
                               node_->params().pci_dma_mbs),
-          hw::TxClass::kDma, node_->nic_initiator_id(1));
+          hw::TxClass::kDma, pci_initiator());
     } else {
       // CPU stores through the mapped window: PIO class, CPU initiator.
       node_->pci_bus().transfer(bus_bytes, node_->params().pci_pio_mbs,
@@ -89,7 +74,7 @@ void SciPort::write_common(const RemoteSegment& dst, std::uint64_t offset,
     packet.segment = dst.segment;
     packet.offset = offset + done;
     packet.data.assign(data.begin() + done, data.begin() + done + chunk);
-    tx_stage_->send(std::move(packet));
+    tx_stage_.send(std::move(packet));
     done += chunk;
   } while (done < data.size());
 }
@@ -104,35 +89,10 @@ void SciPort::dma_write(const RemoteSegment& dst, std::uint64_t offset,
   write_common(dst, offset, data, /*dma=*/true);
 }
 
-void SciPort::tx_loop() {
-  for (;;) {
-    auto packet = tx_stage_->receive();
-    if (!packet.has_value()) return;
-    const std::uint32_t dst = packet->dst;
-    const std::uint64_t wire_bytes =
-        packet->data.size() + network_->params_.header_bytes;
-    network_->fabric_.ship(rank_, dst, std::move(*packet), wire_bytes);
-  }
-}
-
 void SciPort::rx_loop() {
   for (;;) {
-    // Batch queued incoming writes into one bus burst (the NIC chains
-    // them), holding the bus against PIO and amortizing turnaround.
-    std::vector<Packet> batch;
-    batch.push_back(network_->fabric_.receive(rank_));
-    while (batch.size() < 8) {
-      auto more = network_->fabric_.try_receive(rank_);
-      if (!more.has_value()) break;
-      batch.push_back(std::move(*more));
-    }
-    std::uint64_t bus_bytes = 0;
-    for (const Packet& packet : batch) {
-      bus_bytes += packet.data.size() + network_->params_.header_bytes;
-    }
-    node_->pci_bus().transfer(bus_bytes, node_->params().pci_dma_mbs,
-                              hw::TxClass::kDma, node_->nic_initiator_id(1));
-    for (Packet& packet : batch) {
+    // The NIC chains queued incoming writes into one bus burst.
+    for (Packet& packet : receive_burst()) {
       auto it = segments_.find(packet.segment);
       MAD2_CHECK(it != segments_.end(), "remote write to unknown segment");
       Segment& segment = it->second;
@@ -142,9 +102,9 @@ void SciPort::rx_loop() {
       std::copy(packet.data.begin(), packet.data.end(),
                 segment.memory.begin() + packet.offset);
       node_->charge_cpu(network_->params_.deliver_cost);
-      segment.waiters->notify_all();
+      segment.waiters.notify_all();
     }
-    any_delivery_->notify_all();
+    any_delivery_.notify_all();
   }
 }
 
@@ -152,11 +112,11 @@ void SciPort::wait_segment(SegmentId segment,
                            const std::function<bool()>& pred) {
   auto it = segments_.find(segment);
   MAD2_CHECK(it != segments_.end(), "wait on unknown segment");
-  while (!pred()) it->second.waiters->wait();
+  while (!pred()) it->second.waiters.wait();
 }
 
 void SciPort::wait_delivery(const std::function<bool()>& pred) {
-  while (!pred()) any_delivery_->wait();
+  while (!pred()) any_delivery_.wait();
 }
 
 }  // namespace mad2::net

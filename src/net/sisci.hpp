@@ -22,13 +22,10 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "hw/node.hpp"
-#include "net/wire.hpp"
-#include "sim/sync.hpp"
+#include "net/nic.hpp"
 #include "util/status.hpp"
 
 namespace mad2::net {
@@ -40,7 +37,6 @@ struct SciParams {
   double dma_engine_mbs = 38.0;  // D310 DMA engine (paper: poor, <= 35 MB/s)
   std::uint32_t packet_bytes = 4096;  // pipelining granularity of writes
   std::uint32_t header_bytes = 8;     // per-packet address/route overhead
-  std::size_t tx_stage_depth = 4;
   FabricParams fabric;
 
   static SciParams dolphin_d310();
@@ -56,37 +52,28 @@ struct RemoteSegment {
 
 class SciPort;
 
-class SciNetwork {
+/// One remote write, or one packet-sized piece of a longer one.
+struct SciPacket {
+  std::uint32_t src;
+  std::uint32_t dst;
+  SegmentId segment;
+  std::uint64_t offset;
+  std::vector<std::byte> data;
+};
+
+class SciNetwork : public NicNetwork<SciPort, SciPacket, SciParams> {
  public:
+  static constexpr NicSpec kNic{"sci", /*pci_slot=*/1, /*stage_depth=*/4};
+
   SciNetwork(sim::Simulator* simulator, std::vector<hw::Node*> nodes,
              SciParams params);
-  ~SciNetwork();
-
-  [[nodiscard]] std::size_t size() const { return ports_.size(); }
-  [[nodiscard]] SciPort& port(std::uint32_t rank) { return *ports_[rank]; }
-  [[nodiscard]] const SciParams& params() const { return params_; }
 
  private:
   friend class SciPort;
-  struct Packet {
-    std::uint32_t src;
-    std::uint32_t dst;
-    SegmentId segment;
-    std::uint64_t offset;
-    std::vector<std::byte> data;
-  };
-
-  sim::Simulator* simulator_;
-  SciParams params_;
-  PacketFabric<Packet> fabric_;
-  std::vector<std::unique_ptr<SciPort>> ports_;
 };
 
-class SciPort {
+class SciPort : public StagedNicPort<SciNetwork, SciPacket> {
  public:
-  [[nodiscard]] std::uint32_t rank() const { return rank_; }
-  [[nodiscard]] hw::Node& node() { return *node_; }
-
   /// Export a segment of `bytes`, locally backed. Returns its id
   /// (unique per port).
   SegmentId create_segment(std::size_t bytes);
@@ -121,28 +108,25 @@ class SciPort {
   void wait_delivery(const std::function<bool()>& pred);
 
  private:
-  friend class SciNetwork;
-  using Packet = SciNetwork::Packet;
+  friend class SciNetwork::NicNetwork;
+  using Packet = SciPacket;
 
   SciPort(SciNetwork* network, hw::Node* node, std::uint32_t rank);
 
   void write_common(const RemoteSegment& dst, std::uint64_t offset,
                     std::span<const std::byte> data, bool dma);
-  void tx_loop();
   void rx_loop();
 
   struct Segment {
+    Segment(std::size_t bytes, sim::Simulator* simulator)
+        : memory(bytes), waiters(simulator) {}
     std::vector<std::byte> memory;
-    std::unique_ptr<sim::WaitQueue> waiters;
+    sim::WaitQueue waiters;
   };
 
-  SciNetwork* network_;
-  hw::Node* node_;
-  std::uint32_t rank_;
   SegmentId next_segment_ = 1;
   std::map<SegmentId, Segment> segments_;
-  std::unique_ptr<sim::WaitQueue> any_delivery_;
-  std::unique_ptr<sim::BoundedChannel<Packet>> tx_stage_;
+  sim::WaitQueue any_delivery_;
 };
 
 }  // namespace mad2::net

@@ -25,25 +25,19 @@ TcpParams TcpParams::fast_ethernet() {
 
 TcpNetwork::TcpNetwork(sim::Simulator* simulator,
                        std::vector<hw::Node*> nodes, TcpParams params)
-    : simulator_(simulator),
-      params_(std::move(params)),
-      fabric_(simulator, params_.fabric) {
-  if (params_.fabric.faults != nullptr) {
-    // Lossy wire: frames travel via the reliable shim's own fabric; the
-    // raw one stays empty (no ports) and injects no faults.
-    reliable_ = std::make_unique<ReliableNetwork>(
-        simulator, params_.fabric, params_.reliability);
-    reliable_->set_link_error_handler(
-        std::bind_front(&TcpNetwork::on_link_failed, this));
+    : NicNetwork(simulator, std::move(params)) {
+  if (params_.fabric.faults == nullptr) {
+    add_ports(this, nodes);
+    return;
   }
-  for (hw::Node* node : nodes) {
-    const std::uint32_t rank =
-        reliable_ ? reliable_->add_port() : fabric_.add_port();
-    ports_.emplace_back(new TcpPort(this, node, rank));
-  }
+  // Lossy wire: frames travel via the reliable shim's own fabric; the raw
+  // one stays empty (no ports) and injects no faults.
+  reliable_ = std::make_unique<ReliableNetwork>(simulator, params_.fabric,
+                                                params_.reliability);
+  reliable_->set_link_error_handler(
+      std::bind_front(&TcpNetwork::on_link_failed, this));
+  add_ports(this, nodes, [this] { return reliable_->add_port(); });
 }
-
-TcpNetwork::~TcpNetwork() = default;
 
 void TcpNetwork::on_link_failed(std::uint32_t a, std::uint32_t b,
                                 const Status& status) {
@@ -63,12 +57,8 @@ void TcpNetwork::on_link_failed(std::uint32_t a, std::uint32_t b,
 // -------------------------------------------------------------- TcpPort ---
 
 TcpPort::TcpPort(TcpNetwork* network, hw::Node* node, std::uint32_t rank)
-    : network_(network),
-      node_(node),
-      rank_(rank),
-      any_frame_(network_->simulator_) {
-  network_->simulator_->spawn_daemon(
-      "tcp.rx." + std::to_string(rank), [this] { rx_loop(); });
+    : NicPort(network, node, rank), any_frame_(network->simulator_) {
+  spawn("rx", [this] { rx_loop(); });
 }
 
 void TcpPort::wait_any(const std::function<bool()>& pred) {
@@ -108,7 +98,7 @@ void TcpPort::rx_loop() {
   for (;;) {
     // One landing body for both carriers: the reliable shim's in-order
     // delivery over a lossy wire, or the raw fabric.
-    TcpNetwork::Packet frame;
+    TcpPacket frame;
     if (shim != nullptr) {
       ReliableEndpoint::Message message;
       if (!shim->recv(message).is_ok()) {
@@ -123,8 +113,7 @@ void TcpPort::rx_loop() {
     // NIC DMA into kernel memory.
     node_->pci_bus().transfer(
         frame.data.size() + network_->params_.frame_overhead,
-        node_->params().pci_dma_mbs, hw::TxClass::kDma,
-        node_->nic_initiator_id(2));
+        node_->params().pci_dma_mbs, hw::TxClass::kDma, pci_initiator());
     stream(frame.src, frame.stream).on_frame(std::move(frame.data));
     any_frame_.notify_all();
   }
@@ -253,7 +242,7 @@ void TcpStream::tx_loop() {
     // NIC pulls the frame from kernel memory, then it goes on the wire.
     port_->node_->pci_bus().transfer(
         chunk + params.frame_overhead, port_->node_->params().pci_dma_mbs,
-        hw::TxClass::kDma, port_->node_->nic_initiator_id(2));
+        hw::TxClass::kDma, port_->pci_initiator());
     Status shipped = Status::ok();
     if (reliable != nullptr) {
       shipped = reliable->endpoint(port_->rank_)

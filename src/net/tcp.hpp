@@ -29,10 +29,8 @@
 #include <span>
 #include <vector>
 
-#include "hw/node.hpp"
+#include "net/nic.hpp"
 #include "net/reliable.hpp"
-#include "net/wire.hpp"
-#include "sim/sync.hpp"
 
 namespace mad2::net {
 
@@ -52,18 +50,22 @@ struct TcpParams {
 class TcpPort;
 class TcpStream;
 
+/// One frame's payload, for stream `stream` of the sending rank `src`.
+struct TcpPacket {
+  std::uint32_t src;
+  std::uint32_t stream;
+  std::vector<std::byte> data;
+};
+
 /// One Ethernet segment: a fabric plus one TcpPort per node. Streams
 /// between any node pair are created on demand (the mesh is implicit; no
 /// connection establishment is modeled).
-class TcpNetwork {
+class TcpNetwork : public NicNetwork<TcpPort, TcpPacket, TcpParams> {
  public:
+  static constexpr NicSpec kNic{"tcp", /*pci_slot=*/2};
+
   TcpNetwork(sim::Simulator* simulator, std::vector<hw::Node*> nodes,
              TcpParams params);
-  ~TcpNetwork();
-
-  [[nodiscard]] std::size_t size() const { return ports_.size(); }
-  [[nodiscard]] TcpPort& port(std::uint32_t rank) { return *ports_[rank]; }
-  [[nodiscard]] const TcpParams& params() const { return params_; }
 
   /// The reliable shim carrying this network's frames, or nullptr when the
   /// fabric is lossless (no FaultPlan attached).
@@ -88,17 +90,7 @@ class TcpNetwork {
   void on_link_failed(std::uint32_t a, std::uint32_t b,
                       const Status& status);
 
-  struct Packet {
-    std::uint32_t src;
-    std::uint32_t stream;
-    std::vector<std::byte> data;
-  };
-
-  sim::Simulator* simulator_;
-  TcpParams params_;
-  PacketFabric<Packet> fabric_;
   std::unique_ptr<ReliableNetwork> reliable_;
-  std::vector<std::unique_ptr<TcpPort>> ports_;
   // Ranks whose shim gave up, with their death Status, in failure order.
   std::vector<std::pair<std::uint32_t, Status>> dead_;
   LinkErrorHandler link_error_handler_;
@@ -224,11 +216,8 @@ class TcpStream {
   std::size_t rx_staged_ = 0;       // bytes covered by the last recv syscall
 };
 
-class TcpPort {
+class TcpPort : public NicPort<TcpNetwork, TcpPacket> {
  public:
-  [[nodiscard]] std::uint32_t rank() const { return rank_; }
-  [[nodiscard]] hw::Node& node() { return *node_; }
-
   /// The stream to `peer` with the given id (created on demand; the peer's
   /// port materializes its own endpoint on first use or first data). A
   /// stream created after this rank or `peer` died starts poisoned.
@@ -242,15 +231,13 @@ class TcpPort {
   void wait_any(const std::function<bool()>& pred);
 
  private:
+  friend class TcpNetwork::NicNetwork;
   friend class TcpNetwork;
   friend class TcpStream;
   TcpPort(TcpNetwork* network, hw::Node* node, std::uint32_t rank);
 
   void rx_loop();
 
-  TcpNetwork* network_;
-  hw::Node* node_;
-  std::uint32_t rank_;
   // key: peer << 32 | stream_id
   std::map<std::uint64_t, std::unique_ptr<TcpStream>> streams_;
   sim::WaitQueue any_frame_;

@@ -19,36 +19,20 @@ ViaParams ViaParams::generic_nic() {
 
 ViaNetwork::ViaNetwork(sim::Simulator* simulator,
                        std::vector<hw::Node*> nodes, ViaParams params)
-    : simulator_(simulator),
-      params_(std::move(params)),
-      fabric_(simulator, params_.fabric) {
-  for (hw::Node* node : nodes) {
-    const std::uint32_t rank = fabric_.add_port();
-    ports_.emplace_back(new ViaPort(this, node, rank));
-  }
+    : NicNetwork(simulator, std::move(params)) {
+  add_ports(this, nodes);
 }
 
-ViaNetwork::~ViaNetwork() = default;
-
 ViaPort::ViaPort(ViaNetwork* network, hw::Node* node, std::uint32_t rank)
-    : network_(network), node_(node), rank_(rank) {
-  any_completion_ = std::make_unique<sim::WaitQueue>(network_->simulator_);
-  tx_stage_ = std::make_unique<sim::BoundedChannel<Packet>>(
-      network_->simulator_, network_->params_.tx_stage_depth);
-  network_->simulator_->spawn_daemon(
-      "via.tx." + std::to_string(rank), [this] { tx_loop(); });
-  network_->simulator_->spawn_daemon(
-      "via.rx." + std::to_string(rank), [this] { rx_loop(); });
+    : StagedNicPort(network, node, rank),
+      any_completion_(network->simulator_) {
+  spawn_tx();
+  spawn("rx", [this] { rx_loop(); });
 }
 
 ViaPort::ViState& ViaPort::vi_state(std::uint32_t peer, std::uint32_t vi) {
   const std::uint64_t key = (static_cast<std::uint64_t>(peer) << 32) | vi;
-  ViState& state = vis_[key];
-  if (!state.completion) {
-    state.completion =
-        std::make_unique<sim::WaitQueue>(network_->simulator_);
-  }
-  return state;
+  return vis_.try_emplace(key, network_->simulator_).first->second;
 }
 
 const ViaPort::ViState* ViaPort::vi_if_exists(std::uint32_t peer,
@@ -90,9 +74,7 @@ void ViaPort::send(std::uint32_t peer, std::span<const std::byte> data,
     const std::uint64_t chunk =
         std::min<std::uint64_t>(total - offset, params.mtu);
     // NIC pulls descriptor data from registered host memory.
-    node_->pci_bus().transfer(chunk + params.header_bytes,
-                              node_->params().pci_dma_mbs, hw::TxClass::kDma,
-                              node_->nic_initiator_id(3));
+    host_dma(chunk);
     Packet packet;
     packet.src = rank_;
     packet.dst = peer;
@@ -100,29 +82,15 @@ void ViaPort::send(std::uint32_t peer, std::span<const std::byte> data,
     packet.offset = offset;
     packet.total_len = total;
     packet.data.assign(data.begin() + offset, data.begin() + offset + chunk);
-    tx_stage_->send(std::move(packet));
+    tx_stage_.send(std::move(packet));
     offset += chunk;
   } while (offset < total);
-}
-
-void ViaPort::tx_loop() {
-  for (;;) {
-    auto packet = tx_stage_->receive();
-    if (!packet.has_value()) return;
-    const std::uint32_t dst = packet->dst;
-    const std::uint64_t wire_bytes =
-        packet->data.size() + network_->params_.header_bytes;
-    network_->fabric_.ship(rank_, dst, std::move(*packet), wire_bytes);
-  }
 }
 
 void ViaPort::rx_loop() {
   for (;;) {
     Packet packet = network_->fabric_.receive(rank_);
-    node_->pci_bus().transfer(
-        packet.data.size() + network_->params_.header_bytes,
-        node_->params().pci_dma_mbs, hw::TxClass::kDma,
-        node_->nic_initiator_id(3));
+    host_dma(packet.data.size());
     ViState& state = vi_state(packet.src, packet.vi);
     Descriptor* descriptor = nullptr;
     for (Descriptor& candidate : state.posted) {
@@ -143,8 +111,8 @@ void ViaPort::rx_loop() {
     if (descriptor->received >= packet.total_len) {
       descriptor->complete = true;
       descriptor->bytes = packet.total_len;
-      state.completion->notify_all();
-      any_completion_->notify_all();
+      state.completion.notify_all();
+      any_completion_.notify_all();
     }
   }
 }
@@ -152,7 +120,7 @@ void ViaPort::rx_loop() {
 ViaRecvCompletion ViaPort::wait_recv(std::uint32_t peer, std::uint32_t vi) {
   ViState& state = vi_state(peer, vi);
   MAD2_CHECK(!state.posted.empty(), "wait_recv with nothing posted");
-  while (!state.posted.front().complete) state.completion->wait();
+  while (!state.posted.front().complete) state.completion.wait();
   Descriptor descriptor = state.posted.front();
   state.posted.pop_front();
   node_->charge_cpu(network_->params_.completion);
@@ -172,7 +140,7 @@ std::size_t ViaPort::posted_count(std::uint32_t peer,
 }
 
 void ViaPort::wait_any(const std::function<bool()>& pred) {
-  while (!pred()) any_completion_->wait();
+  while (!pred()) any_completion_.wait();
 }
 
 }  // namespace mad2::net

@@ -15,13 +15,10 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "hw/node.hpp"
-#include "net/wire.hpp"
-#include "sim/sync.hpp"
+#include "net/nic.hpp"
 
 namespace mad2::net {
 
@@ -33,7 +30,6 @@ struct ViaParams {
   std::uint32_t page_bytes = 4096;
   std::uint32_t mtu = 4096;  // descriptor-level fragmentation
   std::uint32_t header_bytes = 16;
-  std::size_t tx_stage_depth = 4;
   FabricParams fabric;
 
   static ViaParams generic_nic();
@@ -52,38 +48,29 @@ struct ViaRecvCompletion {
 
 class ViaPort;
 
-class ViaNetwork {
+/// One MTU-sized piece of a send descriptor.
+struct ViaPacket {
+  std::uint32_t src;
+  std::uint32_t dst;
+  std::uint32_t vi;
+  std::uint64_t offset;     // within the current send descriptor
+  std::uint64_t total_len;  // descriptor length
+  std::vector<std::byte> data;
+};
+
+class ViaNetwork : public NicNetwork<ViaPort, ViaPacket, ViaParams> {
  public:
+  static constexpr NicSpec kNic{"via", /*pci_slot=*/3, /*stage_depth=*/4};
+
   ViaNetwork(sim::Simulator* simulator, std::vector<hw::Node*> nodes,
              ViaParams params);
-  ~ViaNetwork();
-
-  [[nodiscard]] std::size_t size() const { return ports_.size(); }
-  [[nodiscard]] ViaPort& port(std::uint32_t rank) { return *ports_[rank]; }
-  [[nodiscard]] const ViaParams& params() const { return params_; }
 
  private:
   friend class ViaPort;
-  struct Packet {
-    std::uint32_t src;
-    std::uint32_t dst;
-    std::uint32_t vi;
-    std::uint64_t offset;     // within the current send descriptor
-    std::uint64_t total_len;  // descriptor length
-    std::vector<std::byte> data;
-  };
-
-  sim::Simulator* simulator_;
-  ViaParams params_;
-  PacketFabric<Packet> fabric_;
-  std::vector<std::unique_ptr<ViaPort>> ports_;
 };
 
-class ViaPort {
+class ViaPort : public StagedNicPort<ViaNetwork, ViaPacket> {
  public:
-  [[nodiscard]] std::uint32_t rank() const { return rank_; }
-  [[nodiscard]] hw::Node& node() { return *node_; }
-
   /// Register a memory region (charged: base + per-page cost). The model
   /// does not enforce that send/post buffers are registered; the Madeleine
   /// VIA TM calls this where the real interface would require it.
@@ -122,12 +109,11 @@ class ViaPort {
   void wait_any(const std::function<bool()>& pred);
 
  private:
-  friend class ViaNetwork;
-  using Packet = ViaNetwork::Packet;
+  friend class ViaNetwork::NicNetwork;
+  using Packet = ViaPacket;
 
   ViaPort(ViaNetwork* network, hw::Node* node, std::uint32_t rank);
 
-  void tx_loop();
   void rx_loop();
 
   struct Descriptor {
@@ -137,20 +123,17 @@ class ViaPort {
     std::size_t bytes = 0;
   };
   struct ViState {
+    explicit ViState(sim::Simulator* simulator) : completion(simulator) {}
     std::deque<Descriptor> posted;
-    std::unique_ptr<sim::WaitQueue> completion;
+    sim::WaitQueue completion;
   };
 
   ViState& vi_state(std::uint32_t peer, std::uint32_t vi);
   [[nodiscard]] const ViState* vi_if_exists(std::uint32_t peer,
                                             std::uint32_t vi) const;
 
-  ViaNetwork* network_;
-  hw::Node* node_;
-  std::uint32_t rank_;
   std::map<std::uint64_t, ViState> vis_;  // key: peer << 32 | vi
-  std::unique_ptr<sim::WaitQueue> any_completion_;
-  std::unique_ptr<sim::BoundedChannel<Packet>> tx_stage_;
+  sim::WaitQueue any_completion_;
   std::uint64_t next_handle_ = 1;
 };
 

@@ -3,13 +3,16 @@
 // A PacketFabric models one physical network: per-port transmit links
 // (sender-side serialization), bounded receiver NIC buffering (back-pressure
 // all the way to the sender), and fixed propagation delay. The protocol
-// drivers (BIP, SISCI, TCP, VIA) layer their own semantics — tags, segments,
-// streams, descriptors — on top.
+// drivers (BIP, SISCI, VIA, SBP, IB, TCP) layer their own semantics — tags,
+// segments, descriptors, queue pairs, streams — on top, through the NIC
+// shell of net/nic.hpp.
 //
 // Ordering: packets shipped by a single fiber from a given port arrive at
 // any given destination in ship() order. Drivers that need total per-pair
-// order across application fibers must funnel sends through one tx fiber
-// (the BIP driver does).
+// order across application fibers must funnel sends through one tx fiber:
+// BIP, SISCI and VIA ship through the shell's staged transmit, IB through
+// its own prioritised tx fiber, and TCP through one fiber per stream. SBP
+// ships inline from the sending fiber.
 //
 // Fault injection: attaching a net::FaultPlan (FabricParams::faults) makes
 // the fabric drop, duplicate, reorder, corrupt, delay, or partition traffic
@@ -76,16 +79,7 @@ class PacketFabric {
 
   /// Add a port; ports are numbered 0, 1, ... in creation order.
   std::uint32_t add_port() {
-    auto port = std::make_unique<Port>();
-    port->tx = std::make_unique<hw::ChunkedResource>(
-        simulator_, hw::ChunkedResource::Params{
-                        params_.name + ".wire", params_.wire_chunk_bytes,
-                        /*per_chunk_overhead=*/0, /*turnaround=*/0,
-                        /*strict_priority=*/false});
-    port->slots =
-        std::make_unique<sim::Semaphore>(simulator_, params_.rx_slots);
-    port->arrival = std::make_unique<sim::WaitQueue>(simulator_);
-    ports_.push_back(std::move(port));
+    ports_.push_back(std::make_unique<Port>(simulator_, params_));
     return static_cast<std::uint32_t>(ports_.size() - 1);
   }
 
@@ -104,21 +98,16 @@ class PacketFabric {
     if (params_.faults != nullptr) {
       decision = params_.faults->decide(src, dst, simulator_->now());
     }
-    if (decision.drop) {
-      // The sender still pays firmware and serialization — the frame left
-      // the NIC and died on the wire (or hit a partitioned link) — but it
-      // neither consumes a receiver slot nor blocks on a full/unreachable
-      // destination.
-      if (params_.per_packet > 0) simulator_->advance(params_.per_packet);
-      ports_[src]->tx->transfer(wire_bytes, params_.wire_mbs,
-                                hw::TxClass::kDma, src);
-      return;
-    }
+    // A dropped frame still costs the sender firmware and serialization —
+    // it left the NIC and died on the wire (or hit a partitioned link) —
+    // but it neither consumes a receiver slot nor blocks on a
+    // full/unreachable destination.
     Port& to = *ports_[dst];
-    to.slots->acquire();
+    if (!decision.drop) to.slots.acquire();
     if (params_.per_packet > 0) simulator_->advance(params_.per_packet);
-    ports_[src]->tx->transfer(wire_bytes, params_.wire_mbs, hw::TxClass::kDma,
-                              src);
+    ports_[src]->tx.transfer(wire_bytes, params_.wire_mbs, hw::TxClass::kDma,
+                             src);
+    if (decision.drop) return;
     if (decision.corrupt) {
       std::span<std::byte> bytes = fault_payload(packet);
       if (!bytes.empty()) {
@@ -129,7 +118,7 @@ class PacketFabric {
     // A duplicate is a second independent delivery; it needs its own
     // receiver slot. A full NIC squashes the copy rather than blocking the
     // sender twice for one packet.
-    const bool duplicate = decision.duplicate && to.slots->try_acquire();
+    const bool duplicate = decision.duplicate && to.slots.try_acquire();
     const sim::Duration delay = params_.propagation + decision.extra_delay;
     // The shared_ptr carries the payload through the std::function (which
     // must be copyable).
@@ -157,12 +146,8 @@ class PacketFabric {
 
   /// Blocking receive of the next packet addressed to `port`.
   P receive(std::uint32_t port) {
-    Port& p = *ports_[port];
-    while (p.rx.empty()) p.arrival->wait();
-    P packet = std::move(p.rx.front());
-    p.rx.pop_front();
-    p.slots->release();
-    return packet;
+    while (!pending(port)) ports_[port]->arrival.wait();
+    return *try_receive(port);
   }
 
   std::optional<P> try_receive(std::uint32_t port) {
@@ -170,7 +155,7 @@ class PacketFabric {
     if (p.rx.empty()) return std::nullopt;
     P packet = std::move(p.rx.front());
     p.rx.pop_front();
-    p.slots->release();
+    p.slots.release();
     return packet;
   }
 
@@ -185,10 +170,15 @@ class PacketFabric {
     std::uint64_t id;      // for the timeout safety valve
   };
   struct Port {
-    std::unique_ptr<hw::ChunkedResource> tx;
-    std::unique_ptr<sim::Semaphore> slots;
+    Port(sim::Simulator* simulator, const FabricParams& params)
+        : tx(simulator, {.name = params.name + ".wire",
+                         .chunk_bytes = params.wire_chunk_bytes}),
+          slots(simulator, params.rx_slots),
+          arrival(simulator) {}
+    hw::ChunkedResource tx;
+    sim::Semaphore slots;
     std::deque<P> rx;
-    std::unique_ptr<sim::WaitQueue> arrival;
+    sim::WaitQueue arrival;
     std::deque<Held> held;
     std::uint64_t next_held_id = 0;
   };
@@ -240,7 +230,7 @@ class PacketFabric {
     if (params_.faults != nullptr) {
       ++params_.faults->counters_mutable().delivered;
     }
-    port.arrival->notify_one();
+    port.arrival.notify_one();
   }
 
   sim::Simulator* simulator_;

@@ -3,11 +3,13 @@
 // target-side completions, registration costs and pinned-memory counters,
 // the LRU registration cache (hit/miss accounting, coalescing, eviction
 // order, invalidation), and the fault-plan overlay (partition -> give-up
-// timer -> poisoned link, payload corruption).
+// timer -> poisoned link, payload corruption), and the HCA's PCI slot
+// of its own next to another NIC on the same node.
 #include <gtest/gtest.h>
 
 #include "net/fault.hpp"
 #include "net/ib.hpp"
+#include "net/sbp.hpp"
 #include "sim/time.hpp"
 #include "testbed.hpp"
 #include "util/bytes.hpp"
@@ -509,6 +511,38 @@ TEST(IbFault, CorruptionOverlayFlipsPayloadBytes) {
     bed.network.port(0).post_send(1, 0, make_pattern_buffer(4096, 11));
   });
   ASSERT_TRUE(bed.simulator.run().is_ok());
+}
+
+// ------------------------------------------------------------- PCI slot ---
+
+// One node carries an SBP NIC and an IB HCA and DMAs on each in turn: every
+// DMA that takes the bus over from the other NIC pays the bus turnaround.
+TEST(NicSlot, IbAndSbpOnOneNodeChargeBusTurnaround) {
+  Testbed bed(2);
+  SbpNetwork sbp(&bed.simulator, bed.node_ptrs(), SbpParams::fast_ethernet());
+  IbNetwork ib(&bed.simulator, bed.node_ptrs(), IbParams::mellanox_like());
+  std::vector<std::byte> landing(1000);
+  ib.port(1).post_recv(0, 0, landing);
+  bed.simulator.spawn("sender", [&] {
+    sbp.port(0).send(1, 0, sbp.port(0).acquire_tx_buffer(), 1000);
+    ib.port(0).post_send(1, 0, make_pattern_buffer(1000, 1));
+    sbp.port(0).send(1, 0, sbp.port(0).acquire_tx_buffer(), 1000);
+  });
+  ASSERT_TRUE(bed.simulator.run().is_ok());
+  EXPECT_TRUE(verify_pattern(landing, 1));
+
+  const hw::HostParams& host = bed.nodes[0]->params();
+  const sim::Duration sbp_dma = sim::transfer_time(
+      1000 + sbp.params().header_bytes, host.pci_dma_mbs);
+  const sim::Duration ib_dma = sim::transfer_time(
+      1000 + ib.params().header_bytes, ib.params().pci_dma_mbs);
+  const auto turnaround = [&](sim::Duration dma) {
+    return static_cast<sim::Duration>(static_cast<double>(dma) *
+                                      host.pci_turnaround_factor);
+  };
+  EXPECT_EQ(bed.nodes[0]->pci_bus().busy_time(),
+            sbp_dma + (ib_dma + turnaround(ib_dma)) +
+                (sbp_dma + turnaround(sbp_dma)));
 }
 
 }  // namespace
