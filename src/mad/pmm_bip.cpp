@@ -82,40 +82,25 @@ void BipPmm::pump_loop() {
   if (tags.empty()) return;
 
   for (;;) {
-    std::uint32_t tag = port_->wait_short_multi(tags);
-    // Batched drain: after the blocking wait delivers one packet, keep
-    // consuming everything already queued on any of our tags before
-    // sleeping again — a burst of N packets costs one pump wakeup, not N.
-    // Per-packet handling (and its virtual-time charges) is unchanged.
-    for (;;) {
-      net::BipShortSlot slot = port_->recv_short(tag);
-      const auto state_it = by_port_.find(tags_.sender(tag));
-      MAD2_CHECK(state_it != by_port_.end(), "packet from unknown port");
-      State& state = *state_it->second;
+    // wait_any returns at once while a packet is queued on any of our
+    // tags, so a burst of N packets costs one pump wakeup, not N.
+    const std::uint32_t tag = port_->inbox().wait_any(tags);
+    net::BipShortSlot slot = port_->recv_short(tag);
+    const auto state_it = by_port_.find(tags_.sender(tag));
+    MAD2_CHECK(state_it != by_port_.end(), "packet from unknown port");
+    State& state = *state_it->second;
 
-      if (tags_.is_ctrl(tag)) {
-        // The control slot goes back before the packet takes effect.
-        MAD2_CHECK(slot.data.size() == 9, "malformed BIP control packet");
-        const auto kind = static_cast<StaticSlotTm::Packet>(slot.data[0]);
-        const std::uint64_t value = load_u64(slot.data.data() + 1);
-        port_->release_short(slot);
-        state.dispatch(kind, value);
-      } else {
-        state.dispatch(StaticSlotTm::Packet::kData, 0, slot.data,
-                       slot.slot_id);
-      }
-      incoming_wq_.notify_all();
-
-      bool more = false;
-      for (std::uint32_t candidate : tags) {
-        if (port_->short_pending(candidate)) {
-          tag = candidate;
-          more = true;
-          break;
-        }
-      }
-      if (!more) break;
+    if (tags_.is_ctrl(tag)) {
+      // The control slot goes back before the packet takes effect.
+      MAD2_CHECK(slot.data.size() == 9, "malformed BIP control packet");
+      const auto kind = static_cast<StaticSlotTm::Packet>(slot.data[0]);
+      const std::uint64_t value = load_u64(slot.data.data() + 1);
+      port_->release_short(slot);
+      state.dispatch(kind, value);
+    } else {
+      state.dispatch(StaticSlotTm::Packet::kData, 0, slot.data, slot.handle);
     }
+    incoming_wq_.notify_all();
   }
 }
 
@@ -152,9 +137,7 @@ void BipPmm::post_slot(StaticSlotTm::Slots& slots, StaticBuffer& slot) {
 }
 
 void BipPmm::return_slot(StaticSlotTm::Slots&, StaticBuffer& slot) {
-  net::BipShortSlot driver_slot;
-  driver_slot.slot_id = slot.handle;
-  port_->release_short(driver_slot);
+  port_->inbox().release(slot.handle);
 }
 
 void BipPmm::send_credits(StaticSlotTm::Slots& slots, std::size_t count) {

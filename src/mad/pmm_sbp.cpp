@@ -42,7 +42,7 @@ void SbpPmm::pump_loop() {
   if (tags.empty()) return;
 
   for (;;) {
-    const std::uint32_t tag = port_->wait_multi(tags);
+    const std::uint32_t tag = port_->inbox().wait_any(tags);
     net::SbpRxBuffer buffer = port_->recv(tag);
     const auto it = by_port_.find(tags_.sender(tag));
     MAD2_CHECK(it != by_port_.end(), "packet from unknown port");
@@ -76,9 +76,7 @@ void SbpPmm::post_slot(StaticSlotTm::Slots& slots, StaticBuffer& slot) {
 }
 
 void SbpPmm::return_slot(StaticSlotTm::Slots&, StaticBuffer& slot) {
-  net::SbpRxBuffer buffer;
-  buffer.handle = slot.handle;
-  port_->release(buffer);
+  port_->inbox().release(slot.handle);
 }
 
 void SbpPmm::send_credits(StaticSlotTm::Slots& slots, std::size_t count) {

@@ -26,19 +26,12 @@ BipNetwork::BipNetwork(sim::Simulator* simulator,
 
 BipPort::BipPort(BipNetwork* network, hw::Node* node, std::uint32_t rank)
     : StagedNicPort(network, node, rank),
-      any_short_arrival_(network->simulator_) {
+      inbox_(network->simulator_, network->params_.short_host_slots,
+             "BIP short buffer pool overflow: missing flow control "
+             "(Madeleine's credit TM must bound in-flight shorts)",
+             "release_short on unknown slot") {
   spawn_tx();
   spawn("rx", [this] { rx_loop(); });
-}
-
-BipPort::TagQueue& BipPort::tag_queue(std::uint32_t tag) {
-  return short_queues_.try_emplace(tag, network_->simulator_).first->second;
-}
-
-BipPort::PostedQueue& BipPort::posted_queue(std::uint32_t src,
-                                            std::uint32_t tag) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | tag;
-  return posted_.try_emplace(key, network_->simulator_).first->second;
 }
 
 void BipPort::stage_packet(Packet packet) {
@@ -92,71 +85,22 @@ void BipPort::rx_loop() {
     // the LANai pushes them to host memory as one multi-descriptor burst.
     for (Packet& packet : receive_burst()) {
       if (packet.kind == Packet::Kind::kShort) {
-        handle_short(std::move(packet));
-      } else {
-        handle_long_chunk(std::move(packet));
+        inbox_.deliver(packet.src, packet.tag, std::move(packet.data));
+        continue;
       }
+      queue_of(posted_, packet.src, packet.tag)
+          .land(packet.offset, packet.data, packet.total_len,
+                "BIP long chunk with no posted receive: missing rendezvous "
+                "(Madeleine's long TM must synchronize sender and receiver)",
+                "BIP long chunk overflows the posted receive buffer");
     }
-  }
-}
-
-void BipPort::handle_short(Packet packet) {
-  MAD2_CHECK(short_slots_in_use_ < network_->params_.short_host_slots,
-             "BIP short buffer pool overflow: missing flow control "
-             "(Madeleine's credit TM must bound in-flight shorts)");
-  ++short_slots_in_use_;
-  TagQueue& queue = tag_queue(packet.tag);
-  queue.entries.push_back(
-      ShortQueueEntry{packet.src, std::move(packet.data), next_slot_id_++});
-  queue.arrival.notify_all();
-  any_short_arrival_.notify_all();
-}
-
-void BipPort::handle_long_chunk(Packet packet) {
-  PostedQueue& queue = posted_queue(packet.src, packet.tag);
-  PostedRecv* recv = nullptr;
-  for (PostedRecv& candidate : queue.posts) {
-    if (!candidate.complete) {
-      recv = &candidate;
-      break;
-    }
-  }
-  MAD2_CHECK(recv != nullptr,
-             "BIP long chunk with no posted receive: missing rendezvous "
-             "(Madeleine's long TM must synchronize sender and receiver)");
-  MAD2_CHECK(recv->out.size() >= packet.offset + packet.data.size(),
-             "BIP long chunk overflows the posted receive buffer");
-  std::copy(packet.data.begin(), packet.data.end(),
-            recv->out.begin() + packet.offset);
-  recv->received += packet.data.size();
-  if (recv->received >= packet.total_len) {
-    recv->complete = true;
-    queue.completion.notify_all();
   }
 }
 
 BipShortSlot BipPort::recv_short(std::uint32_t tag) {
-  TagQueue& queue = tag_queue(tag);
-  while (queue.entries.empty()) queue.arrival.wait();
-  ShortQueueEntry entry = std::move(queue.entries.front());
-  queue.entries.pop_front();
+  const BipShortSlot slot = inbox_.take(tag);
   node_->charge_cpu(network_->params_.rx_overhead);
-  BipShortSlot slot;
-  slot.src = entry.src;
-  slot.tag = tag;
-  slot.slot_id = entry.slot_id;
-  auto [it, inserted] =
-      checked_out_.emplace(entry.slot_id, std::move(entry.data));
-  MAD2_CHECK(inserted, "duplicate short slot id");
-  slot.data = std::span<const std::byte>(it->second);
   return slot;
-}
-
-void BipPort::release_short(const BipShortSlot& slot) {
-  const auto erased = checked_out_.erase(slot.slot_id);
-  MAD2_CHECK(erased == 1, "release_short on unknown slot");
-  MAD2_CHECK(short_slots_in_use_ > 0, "short slot accounting underflow");
-  --short_slots_in_use_;
 }
 
 std::size_t BipPort::recv_short_copy(std::uint32_t tag,
@@ -173,42 +117,23 @@ std::size_t BipPort::recv_short_copy(std::uint32_t tag,
   return n;
 }
 
-bool BipPort::short_pending(std::uint32_t tag) const {
-  auto it = short_queues_.find(tag);
-  return it != short_queues_.end() && !it->second.entries.empty();
-}
-
-std::uint32_t BipPort::wait_short(std::uint32_t tag) {
-  TagQueue& queue = tag_queue(tag);
-  while (queue.entries.empty()) queue.arrival.wait();
-  return queue.entries.front().src;
-}
-
-std::uint32_t BipPort::wait_short_multi(
-    const std::vector<std::uint32_t>& tags) {
-  MAD2_CHECK(!tags.empty(), "wait_short_multi with no tags");
-  for (;;) {
-    for (std::uint32_t tag : tags) {
-      if (short_pending(tag)) return tag;
-    }
-    any_short_arrival_.wait();
-  }
-}
-
 void BipPort::post_recv_long(std::uint32_t src, std::uint32_t tag,
                              std::span<std::byte> out) {
   // Posting pins the buffer and programs the NIC before the sender may
   // transmit (BIP's strict synchronization).
   node_->charge_cpu(network_->params_.long_setup);
-  posted_queue(src, tag).posts.push_back(PostedRecv{out, 0, false});
+  queue_of(posted_, src, tag).post(out);
 }
 
 void BipPort::wait_recv_long(std::uint32_t src, std::uint32_t tag) {
-  PostedQueue& queue = posted_queue(src, tag);
-  MAD2_CHECK(!queue.posts.empty(), "wait_recv_long with nothing posted");
-  while (!queue.posts.front().complete) queue.completion.wait();
-  queue.posts.pop_front();
+  queue_of(posted_, src, tag).take("wait_recv_long with nothing posted");
   node_->charge_cpu(network_->params_.rx_overhead);
+}
+
+std::size_t BipPort::posted_count() const {
+  std::size_t count = 0;
+  for (const auto& [key, queue] : posted_) count += queue.size();
+  return count;
 }
 
 }  // namespace mad2::net

@@ -16,12 +16,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <span>
 #include <vector>
 
 #include "net/nic.hpp"
+#include "net/rx_queue.hpp"
 #include "util/status.hpp"
 
 namespace mad2::net {
@@ -78,12 +78,7 @@ class BipNetwork : public NicNetwork<BipPort, BipPacket, BipParams> {
 
 /// A zero-copy view of a received short message, backed by one of BIP's
 /// internal buffers. Must be released to free the buffer slot.
-struct BipShortSlot {
-  std::uint32_t src = 0;
-  std::uint32_t tag = 0;
-  std::span<const std::byte> data;
-  std::uint64_t slot_id = 0;  // opaque, for release
-};
+using BipShortSlot = RxSlot;
 
 class BipPort : public StagedNicPort<BipNetwork, BipPacket> {
  public:
@@ -97,23 +92,16 @@ class BipPort : public StagedNicPort<BipNetwork, BipPacket> {
   /// Blocking: dequeue the next short message on `tag` (any source),
   /// zero-copy. Call release_short() when done with the buffer.
   BipShortSlot recv_short(std::uint32_t tag);
-  void release_short(const BipShortSlot& slot);
+  void release_short(const BipShortSlot& slot) {
+    inbox_.release(slot.handle);
+  }
 
   /// Convenience: blocking receive with copy-out. Returns byte count.
   std::size_t recv_short_copy(std::uint32_t tag, std::span<std::byte> out,
                               std::uint32_t* src = nullptr);
 
-  /// True if a short message on `tag` is already queued.
-  [[nodiscard]] bool short_pending(std::uint32_t tag) const;
-
-  /// Block until a short message on `tag` is queued; returns the source of
-  /// the head message without consuming it.
-  std::uint32_t wait_short(std::uint32_t tag);
-
-  /// Block until a short message is queued on any of `tags`; returns the
-  /// tag whose queue is non-empty (lowest index wins on ties). Does not
-  /// consume anything.
-  std::uint32_t wait_short_multi(const std::vector<std::uint32_t>& tags);
+  /// The internal short-message buffers, queued by tag.
+  [[nodiscard]] TaggedInbox& inbox() { return inbox_; }
 
   // --- Long messages -------------------------------------------------------
   /// Post a receive: incoming long data from (src, tag) lands directly in
@@ -121,9 +109,12 @@ class BipPort : public StagedNicPort<BipNetwork, BipPacket> {
   void post_recv_long(std::uint32_t src, std::uint32_t tag,
                       std::span<std::byte> out);
 
-  /// Block until the oldest incomplete posted receive on (src, tag) that
-  /// was posted before this call has fully arrived.
+  /// Block until the oldest posted receive on (src, tag) has fully
+  /// arrived, and retire it.
   void wait_recv_long(std::uint32_t src, std::uint32_t tag);
+
+  /// Long receives posted and not yet retired, over every (src, tag).
+  [[nodiscard]] std::size_t posted_count() const;
 
   /// Send a long message. The receive MUST already be posted when data
   /// arrives; a chunk with no posted receive aborts (protocol error).
@@ -139,39 +130,9 @@ class BipPort : public StagedNicPort<BipNetwork, BipPacket> {
 
   void stage_packet(Packet packet);  // host DMA + hand to the tx fiber
   void rx_loop();
-  void handle_short(Packet packet);
-  void handle_long_chunk(Packet packet);
 
-  struct ShortQueueEntry {
-    std::uint32_t src;
-    std::vector<std::byte> data;
-    std::uint64_t slot_id;
-  };
-  struct TagQueue {
-    explicit TagQueue(sim::Simulator* simulator) : arrival(simulator) {}
-    std::deque<ShortQueueEntry> entries;
-    sim::WaitQueue arrival;
-  };
-  struct PostedRecv {
-    std::span<std::byte> out;
-    std::uint64_t received = 0;
-    bool complete = false;
-  };
-  struct PostedQueue {
-    explicit PostedQueue(sim::Simulator* simulator) : completion(simulator) {}
-    std::deque<PostedRecv> posts;
-    sim::WaitQueue completion;
-  };
-
-  TagQueue& tag_queue(std::uint32_t tag);
-  PostedQueue& posted_queue(std::uint32_t src, std::uint32_t tag);
-
-  std::map<std::uint32_t, TagQueue> short_queues_;
-  std::map<std::uint64_t, PostedQueue> posted_;  // key: src << 32 | tag
-  std::map<std::uint64_t, std::vector<std::byte>> checked_out_;
-  sim::WaitQueue any_short_arrival_;
-  std::size_t short_slots_in_use_ = 0;
-  std::uint64_t next_slot_id_ = 1;
+  TaggedInbox inbox_;
+  std::map<std::uint64_t, PostedReceives> posted_;  // key: src << 32 | tag
 };
 
 }  // namespace mad2::net

@@ -147,18 +147,6 @@ IbPort::IbPort(IbNetwork* network, hw::Node* node, std::uint32_t rank)
   spawn("rx", [this] { rx_loop(); });
 }
 
-IbPort::QpState& IbPort::qp_state(std::uint32_t peer, std::uint32_t qp) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(peer) << 32) | qp;
-  return qps_.try_emplace(key, network_->simulator_).first->second;
-}
-
-const IbPort::QpState* IbPort::qp_if_exists(std::uint32_t peer,
-                                            std::uint32_t qp) const {
-  const std::uint64_t key = (static_cast<std::uint64_t>(peer) << 32) | qp;
-  auto it = qps_.find(key);
-  return it == qps_.end() ? nullptr : &it->second;
-}
-
 IbPort::Cq& IbPort::cq(std::uint32_t qp) {
   return cqs_.try_emplace(qp, network_->simulator_).first->second;
 }
@@ -172,7 +160,7 @@ void IbPort::push_cqe(std::uint32_t qp, IbCompletion completion) {
 }
 
 void IbPort::sq_acquire(std::uint32_t peer, std::uint32_t qp) {
-  QpState& state = qp_state(peer, qp);
+  QpState& state = queue_of(qps_, peer, qp);
   while (state.sq_outstanding >= params().qp_depth &&
          peer_status_.find(peer) == peer_status_.end()) {
     state.sq_wq.wait();
@@ -181,7 +169,7 @@ void IbPort::sq_acquire(std::uint32_t peer, std::uint32_t qp) {
 }
 
 void IbPort::sq_release(std::uint32_t peer, std::uint32_t qp) {
-  QpState& state = qp_state(peer, qp);
+  QpState& state = queue_of(qps_, peer, qp);
   MAD2_CHECK(state.sq_outstanding > 0, "SQ release without acquire");
   --state.sq_outstanding;
   state.sq_wq.notify_one();
@@ -219,7 +207,7 @@ void IbPort::deregister(const IbMr& mr) {
 void IbPort::post_recv(std::uint32_t peer, std::uint32_t qp,
                        std::span<std::byte> buffer) {
   ++counters_.recv_posts;
-  qp_state(peer, qp).posted.push_back(RecvDescriptor{buffer, 0});
+  queue_of(qps_, peer, qp).posted.post(buffer);
 }
 
 void IbPort::stage(Packet packet) {
@@ -420,28 +408,21 @@ void IbPort::handle_rx(Packet& packet) {
   switch (packet.kind) {
     case Packet::Kind::kSend: {
       charge_dma(packet.data.size() + params.header_bytes);
-      QpState& state = qp_state(packet.src, packet.qp);
-      MAD2_CHECK(!state.posted.empty(),
-                 "IB send with no posted receive descriptor: the QP is "
-                 "broken (the IbPmm's credit window must pre-post)");
+      PostedReceives& posted = queue_of(qps_, packet.src, packet.qp).posted;
       // Sends funnel through the peer's single tx fiber, so fragments and
-      // messages arrive in order: the front descriptor is the filling one.
-      RecvDescriptor& descriptor = state.posted.front();
-      MAD2_CHECK(
-          descriptor.buffer.size() >= packet.offset + packet.data.size(),
-          "IB send overflows the posted receive descriptor");
-      std::copy(packet.data.begin(), packet.data.end(),
-                descriptor.buffer.begin() + packet.offset);
-      descriptor.received += packet.data.size();
-      if (descriptor.received >= packet.total) {
-        const IbCompletion completion{.kind = IbCompletion::Kind::kRecv,
-                                      .peer = packet.src,
-                                      .imm = packet.imm,
-                                      .bytes = packet.total,
-                                      .buffer = descriptor.buffer};
-        state.posted.pop_front();
-        push_cqe(packet.qp, completion);
+      // messages arrive in order: a receive completes at the queue's front
+      // and leaves it at once.
+      if (!posted.land(packet.offset, packet.data, packet.total,
+                       "IB send with no posted receive descriptor: the QP is "
+                       "broken (the IbPmm's credit window must pre-post)",
+                       "IB send overflows the posted receive descriptor")) {
+        break;
       }
+      push_cqe(packet.qp, {.kind = IbCompletion::Kind::kRecv,
+                           .peer = packet.src,
+                           .imm = packet.imm,
+                           .bytes = packet.total,
+                           .buffer = posted.take().buffer});
       break;
     }
     case Packet::Kind::kWriteData: {
@@ -559,12 +540,12 @@ void IbPort::set_cq_callback(std::uint32_t qp, std::function<void()> fn) {
 }
 
 std::size_t IbPort::outstanding(std::uint32_t peer, std::uint32_t qp) const {
-  const QpState* state = qp_if_exists(peer, qp);
+  const QpState* state = find_queue(qps_, peer, qp);
   return state == nullptr ? 0 : state->sq_outstanding;
 }
 
 std::size_t IbPort::posted_count(std::uint32_t peer, std::uint32_t qp) const {
-  const QpState* state = qp_if_exists(peer, qp);
+  const QpState* state = find_queue(qps_, peer, qp);
   return state == nullptr ? 0 : state->posted.size();
 }
 

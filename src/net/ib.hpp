@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "net/nic.hpp"
+#include "net/rx_queue.hpp"
 #include "util/status.hpp"
 
 namespace mad2::net {
@@ -324,13 +325,10 @@ class IbPort : public StagedNicPort<IbNetwork, IbPacket> {
   void rx_loop();
   void handle_rx(Packet& packet);
 
-  struct RecvDescriptor {
-    std::span<std::byte> buffer;
-    std::uint64_t received = 0;
-  };
   struct QpState {
-    explicit QpState(sim::Simulator* simulator) : sq_wq(simulator) {}
-    std::deque<RecvDescriptor> posted;
+    explicit QpState(sim::Simulator* simulator)
+        : posted(simulator), sq_wq(simulator) {}
+    PostedReceives posted;
     std::size_t sq_outstanding = 0;
     sim::WaitQueue sq_wq;  ///< SQ slot waiters
   };
@@ -354,9 +352,6 @@ class IbPort : public StagedNicPort<IbNetwork, IbPacket> {
     std::uint64_t received = 0;
   };
 
-  QpState& qp_state(std::uint32_t peer, std::uint32_t qp);
-  [[nodiscard]] const QpState* qp_if_exists(std::uint32_t peer,
-                                            std::uint32_t qp) const;
   Cq& cq(std::uint32_t qp);
   void push_cqe(std::uint32_t qp, IbCompletion completion);
   void sq_acquire(std::uint32_t peer, std::uint32_t qp);

@@ -8,7 +8,8 @@
 //    port() and params();
 //  - NicPort: the port's network, node and rank, its daemon fibers
 //    ("<name>.<role>.<rank>"), its PCI bus-master id, the host-rate DMA
-//    of a packet and the chained receive burst;
+//    of a packet, the chained receive burst and the per-(peer, id)
+//    queues (queue_of) that hold a driver's net/rx_queue.hpp receives;
 //  - StagedNicPort: the staged transmit. The host side DMAs a packet and
 //    hands it to a bounded channel; one "<name>.tx.<rank>" fiber ships
 //    each with data.size() + header_bytes wire bytes, so the DMA of the
@@ -21,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -109,6 +111,25 @@ class NicPort {
     node_->pci_bus().transfer(
         bytes + packets * network_->params_.header_bytes,
         node_->params().pci_dma_mbs, hw::TxClass::kDma, pci_initiator());
+  }
+
+  /// Entry (peer, id) of a per-queue map, built in place on first use:
+  /// BIP's posted receives per (src, tag), VIA's per VI, IB's queue pairs.
+  template <typename Queue>
+  Queue& queue_of(std::map<std::uint64_t, Queue>& queues, std::uint32_t peer,
+                  std::uint32_t id) {
+    return queues.try_emplace(queue_key(peer, id), network_->simulator_)
+        .first->second;
+  }
+  /// The same entry, or nullptr before its first use.
+  template <typename Queue>
+  static const Queue* find_queue(const std::map<std::uint64_t, Queue>& queues,
+                                 std::uint32_t peer, std::uint32_t id) {
+    const auto it = queues.find(queue_key(peer, id));
+    return it == queues.end() ? nullptr : &it->second;
+  }
+  static std::uint64_t queue_key(std::uint32_t peer, std::uint32_t id) {
+    return (std::uint64_t{peer} << 32) | id;
   }
 
   /// Block for the next packet to this port, take up to seven more that

@@ -22,7 +22,10 @@ SbpNetwork::SbpNetwork(sim::Simulator* simulator,
 SbpPort::SbpPort(SbpNetwork* network, hw::Node* node, std::uint32_t rank)
     : NicPort(network, node, rank),
       tx_available_(network->simulator_, network->params_.tx_pool),
-      any_arrival_(network->simulator_) {
+      inbox_(network->simulator_, network->params_.rx_pool,
+             "SBP rx buffer pool overflow: missing flow control "
+             "(Madeleine's SBP TM must run credits on top)",
+             "release of unknown SBP rx buffer") {
   const SbpParams& params = network_->params_;
   tx_buffers_.resize(params.tx_pool);
   for (std::size_t i = 0; i < params.tx_pool; ++i) {
@@ -30,10 +33,6 @@ SbpPort::SbpPort(SbpNetwork* network, hw::Node* node, std::uint32_t rank)
     tx_free_.push_back(i);
   }
   spawn("rx", [this] { rx_loop(); });
-}
-
-SbpPort::TagQueue& SbpPort::tag_queue(std::uint32_t tag) {
-  return tag_queues_.try_emplace(tag, network_->simulator_).first->second;
 }
 
 SbpTxBuffer SbpPort::acquire_tx_buffer() {
@@ -66,58 +65,17 @@ void SbpPort::send(std::uint32_t dst, std::uint32_t tag, SbpTxBuffer buffer,
 }
 
 void SbpPort::rx_loop() {
-  const SbpParams& params = network_->params_;
   for (;;) {
     Packet packet = network_->fabric_.receive(rank_);
     host_dma(packet.data.size());
-    MAD2_CHECK(rx_in_use_ < params.rx_pool,
-               "SBP rx buffer pool overflow: missing flow control "
-               "(Madeleine's SBP TM must run credits on top)");
-    ++rx_in_use_;
-    const std::uint64_t handle = next_handle_++;
-    auto [it, inserted] = rx_parked_.emplace(handle, std::move(packet.data));
-    MAD2_CHECK(inserted, "duplicate SBP rx handle");
-    SbpRxBuffer buffer;
-    buffer.src = packet.src;
-    buffer.tag = packet.tag;
-    buffer.data = std::span<const std::byte>(it->second);
-    buffer.handle = handle;
-    TagQueue& queue = tag_queue(packet.tag);
-    queue.entries.push_back(buffer);
-    queue.arrival.notify_all();
-    any_arrival_.notify_all();
+    inbox_.deliver(packet.src, packet.tag, std::move(packet.data));
   }
 }
 
 SbpRxBuffer SbpPort::recv(std::uint32_t tag) {
-  TagQueue& queue = tag_queue(tag);
-  while (queue.entries.empty()) queue.arrival.wait();
-  SbpRxBuffer buffer = queue.entries.front();
-  queue.entries.pop_front();
+  const SbpRxBuffer buffer = inbox_.take(tag);
   node_->charge_cpu(network_->params_.recv_cost);
   return buffer;
-}
-
-void SbpPort::release(const SbpRxBuffer& buffer) {
-  const auto erased = rx_parked_.erase(buffer.handle);
-  MAD2_CHECK(erased == 1, "release of unknown SBP rx buffer");
-  MAD2_CHECK(rx_in_use_ > 0, "SBP rx accounting underflow");
-  --rx_in_use_;
-}
-
-bool SbpPort::pending(std::uint32_t tag) const {
-  auto it = tag_queues_.find(tag);
-  return it != tag_queues_.end() && !it->second.entries.empty();
-}
-
-std::uint32_t SbpPort::wait_multi(const std::vector<std::uint32_t>& tags) {
-  MAD2_CHECK(!tags.empty(), "wait_multi with no tags");
-  for (;;) {
-    for (std::uint32_t tag : tags) {
-      if (pending(tag)) return tag;
-    }
-    any_arrival_.wait();
-  }
 }
 
 }  // namespace mad2::net

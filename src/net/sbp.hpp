@@ -15,12 +15,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <span>
 #include <vector>
 
 #include "net/nic.hpp"
+#include "net/rx_queue.hpp"
 #include "util/status.hpp"
 
 namespace mad2::net {
@@ -65,12 +64,7 @@ struct SbpTxBuffer {
 };
 
 /// A filled kernel rx buffer on loan to the application.
-struct SbpRxBuffer {
-  std::uint32_t src = 0;
-  std::uint32_t tag = 0;
-  std::span<const std::byte> data;
-  std::uint64_t handle = 0;
-};
+using SbpRxBuffer = RxSlot;
 
 class SbpPort : public NicPort<SbpNetwork, SbpPacket> {
  public:
@@ -86,12 +80,10 @@ class SbpPort : public NicPort<SbpNetwork, SbpPacket> {
 
   /// Blocking: the next filled rx buffer on `tag` (any source).
   SbpRxBuffer recv(std::uint32_t tag);
-  void release(const SbpRxBuffer& buffer);
+  void release(const SbpRxBuffer& buffer) { inbox_.release(buffer.handle); }
 
-  [[nodiscard]] bool pending(std::uint32_t tag) const;
-
-  /// Block until a buffer is queued on any of `tags`; returns that tag.
-  std::uint32_t wait_multi(const std::vector<std::uint32_t>& tags);
+  /// The kernel rx pool, queued by tag.
+  [[nodiscard]] TaggedInbox& inbox() { return inbox_; }
 
  private:
   friend class SbpNetwork::NicNetwork;
@@ -101,23 +93,12 @@ class SbpPort : public NicPort<SbpNetwork, SbpPacket> {
 
   void rx_loop();
 
-  struct TagQueue {
-    explicit TagQueue(sim::Simulator* simulator) : arrival(simulator) {}
-    std::deque<SbpRxBuffer> entries;
-    sim::WaitQueue arrival;
-  };
-  TagQueue& tag_queue(std::uint32_t tag);
-
   // Kernel tx pool: reusable buffers + availability gate.
   std::vector<std::vector<std::byte>> tx_buffers_;
   std::vector<std::size_t> tx_free_;
   sim::Semaphore tx_available_;
   // Rx side: filled buffers parked until release().
-  std::map<std::uint64_t, std::vector<std::byte>> rx_parked_;
-  std::size_t rx_in_use_ = 0;
-  std::map<std::uint32_t, TagQueue> tag_queues_;
-  sim::WaitQueue any_arrival_;
-  std::uint64_t next_handle_ = 1;
+  TaggedInbox inbox_;
 };
 
 }  // namespace mad2::net

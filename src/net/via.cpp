@@ -30,18 +30,6 @@ ViaPort::ViaPort(ViaNetwork* network, hw::Node* node, std::uint32_t rank)
   spawn("rx", [this] { rx_loop(); });
 }
 
-ViaPort::ViState& ViaPort::vi_state(std::uint32_t peer, std::uint32_t vi) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(peer) << 32) | vi;
-  return vis_.try_emplace(key, network_->simulator_).first->second;
-}
-
-const ViaPort::ViState* ViaPort::vi_if_exists(std::uint32_t peer,
-                                              std::uint32_t vi) const {
-  const std::uint64_t key = (static_cast<std::uint64_t>(peer) << 32) | vi;
-  auto it = vis_.find(key);
-  return it == vis_.end() ? nullptr : &it->second;
-}
-
 ViaMemoryHandle ViaPort::register_memory(
     std::span<const std::byte> region) {
   const ViaParams& params = network_->params_;
@@ -61,7 +49,7 @@ void ViaPort::deregister(ViaMemoryHandle handle) {
 
 void ViaPort::post_recv(std::uint32_t peer, std::span<std::byte> buffer,
                         std::uint32_t vi) {
-  vi_state(peer, vi).posted.push_back(Descriptor{buffer, 0, false, 0});
+  queue_of(vis_, peer, vi).post(buffer);
 }
 
 void ViaPort::send(std::uint32_t peer, std::span<const std::byte> data,
@@ -91,52 +79,32 @@ void ViaPort::rx_loop() {
   for (;;) {
     Packet packet = network_->fabric_.receive(rank_);
     host_dma(packet.data.size());
-    ViState& state = vi_state(packet.src, packet.vi);
-    Descriptor* descriptor = nullptr;
-    for (Descriptor& candidate : state.posted) {
-      if (!candidate.complete) {
-        descriptor = &candidate;
-        break;
-      }
-    }
-    MAD2_CHECK(descriptor != nullptr,
-               "VIA send with no posted receive descriptor: the VI is "
-               "broken (Madeleine's VIA TM must pre-post or rendezvous)");
-    MAD2_CHECK(
-        descriptor->buffer.size() >= packet.offset + packet.data.size(),
-        "VIA send overflows the posted receive descriptor");
-    std::copy(packet.data.begin(), packet.data.end(),
-              descriptor->buffer.begin() + packet.offset);
-    descriptor->received += packet.data.size();
-    if (descriptor->received >= packet.total_len) {
-      descriptor->complete = true;
-      descriptor->bytes = packet.total_len;
-      state.completion.notify_all();
-      any_completion_.notify_all();
-    }
+    const bool whole =
+        queue_of(vis_, packet.src, packet.vi)
+            .land(packet.offset, packet.data, packet.total_len,
+                  "VIA send with no posted receive descriptor: the VI is "
+                  "broken (Madeleine's VIA TM must pre-post or rendezvous)",
+                  "VIA send overflows the posted receive descriptor");
+    if (whole) any_completion_.notify_all();
   }
 }
 
 ViaRecvCompletion ViaPort::wait_recv(std::uint32_t peer, std::uint32_t vi) {
-  ViState& state = vi_state(peer, vi);
-  MAD2_CHECK(!state.posted.empty(), "wait_recv with nothing posted");
-  while (!state.posted.front().complete) state.completion.wait();
-  Descriptor descriptor = state.posted.front();
-  state.posted.pop_front();
+  const PostedReceives::Posted done =
+      queue_of(vis_, peer, vi).take("wait_recv with nothing posted");
   node_->charge_cpu(network_->params_.completion);
-  return ViaRecvCompletion{descriptor.buffer, descriptor.bytes};
+  return ViaRecvCompletion{done.buffer, done.received};
 }
 
 bool ViaPort::recv_ready(std::uint32_t peer, std::uint32_t vi) const {
-  const ViState* state = vi_if_exists(peer, vi);
-  return state != nullptr && !state->posted.empty() &&
-         state->posted.front().complete;
+  const PostedReceives* posted = find_queue(vis_, peer, vi);
+  return posted != nullptr && posted->ready();
 }
 
 std::size_t ViaPort::posted_count(std::uint32_t peer,
                                   std::uint32_t vi) const {
-  const ViState* state = vi_if_exists(peer, vi);
-  return state == nullptr ? 0 : state->posted.size();
+  const PostedReceives* posted = find_queue(vis_, peer, vi);
+  return posted == nullptr ? 0 : posted->size();
 }
 
 void ViaPort::wait_any(const std::function<bool()>& pred) {

@@ -12,13 +12,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <span>
 #include <vector>
 
 #include "net/nic.hpp"
+#include "net/rx_queue.hpp"
 
 namespace mad2::net {
 
@@ -116,23 +116,7 @@ class ViaPort : public StagedNicPort<ViaNetwork, ViaPacket> {
 
   void rx_loop();
 
-  struct Descriptor {
-    std::span<std::byte> buffer;
-    std::uint64_t received = 0;
-    bool complete = false;
-    std::size_t bytes = 0;
-  };
-  struct ViState {
-    explicit ViState(sim::Simulator* simulator) : completion(simulator) {}
-    std::deque<Descriptor> posted;
-    sim::WaitQueue completion;
-  };
-
-  ViState& vi_state(std::uint32_t peer, std::uint32_t vi);
-  [[nodiscard]] const ViState* vi_if_exists(std::uint32_t peer,
-                                            std::uint32_t vi) const;
-
-  std::map<std::uint64_t, ViState> vis_;  // key: peer << 32 | vi
+  std::map<std::uint64_t, PostedReceives> vis_;  // key: peer << 32 | vi
   sim::WaitQueue any_completion_;
   std::uint64_t next_handle_ = 1;
 };

@@ -5,7 +5,8 @@
 // all the way to the sender), and fixed propagation delay. The protocol
 // drivers (BIP, SISCI, VIA, SBP, IB, TCP) layer their own semantics — tags,
 // segments, descriptors, queue pairs, streams — on top, through the NIC
-// shell of net/nic.hpp.
+// shell of net/nic.hpp; BIP, SBP, VIA and IB receive into the tag inbox
+// or the posted receives of net/rx_queue.hpp.
 //
 // Ordering: packets shipped by a single fiber from a given port arrive at
 // any given destination in ship() order. Drivers that need total per-pair

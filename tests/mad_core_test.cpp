@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "mad/madeleine.hpp"
+#include "net/bip.hpp"
+#include "net/sbp.hpp"
 #include "sim/explore.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
@@ -161,6 +163,21 @@ TEST_P(MadOverDriver, MixedBlockMessageCrossesTmBoundaries) {
     }
   });
   ASSERT_TRUE(session.run().is_ok());
+  // Every pool buffer came back and no posted receive is left over.
+  NetworkInstance& network = session.network("net0");
+  if (GetParam() == NetworkKind::kBip) {
+    auto& bip = network.as<net::BipNetwork>();
+    for (std::uint32_t port = 0; port < bip.size(); ++port) {
+      EXPECT_EQ(bip.port(port).inbox().in_use(), 0u) << "port " << port;
+      EXPECT_EQ(bip.port(port).posted_count(), 0u) << "port " << port;
+    }
+  }
+  if (GetParam() == NetworkKind::kSbp) {
+    auto& sbp = network.as<net::SbpNetwork>();
+    for (std::uint32_t port = 0; port < sbp.size(); ++port) {
+      EXPECT_EQ(sbp.port(port).inbox().in_use(), 0u) << "port " << port;
+    }
+  }
 }
 
 // ------------------------------------------------------- flag semantics ---
